@@ -7,7 +7,7 @@ vectors, and the explicit Whittaker-vector families of the universal
 modules, all verified by exact residual checks.
 """
 
-from .rational import Rational, arithmetic, format_rational, normalize, parse_rational
+from .rational import format_rational, parse_rational
 from .virasoro import (
     ContextMismatchError,
     EnvelopingElement,

@@ -22,6 +22,7 @@ from .shapovalov import SingularGramError, gram
 from .verma import (
     VermaContext,
     VermaVector,
+    basis_vector,
     enumerate_partitions,
     exponents_partition,
     partition_exponents,
@@ -106,6 +107,8 @@ def _form_from_json(obj: dict, ctx: VermaContext) -> forms.DualForm:
     levels: dict[int, dict] = {}
     for block in obj.get("levels", []):
         lvl = int(block["level"])
+        if not 0 <= lvl <= cutoff:
+            raise ConfigError(f"form level {lvl} lies outside 0..{cutoff}")
         terms = {}
         for entry in block.get("terms", []):
             part = _partition_from_exponents(entry["exponents"], side)
@@ -126,10 +129,13 @@ def _state_json(w: VermaVector) -> dict:
     return {"terms": terms}
 
 
-def _state_from_json(obj: dict, ctx: VermaContext) -> VermaVector:
+def _state_from_json(obj: dict, ctx: VermaContext, cutoff: int) -> VermaVector:
     terms = {}
     for entry in obj.get("terms", []):
         part = tuple(int(p) for p in entry["partition"])
+        if sum(part) > cutoff:
+            raise ConfigError(f"state term {list(part)} lies above cutoff {cutoff}")
+        basis_vector(ctx, part)  # raises ValueError unless part is a partition
         terms[part] = parse_rational(entry["coefficient"])
     return VermaVector(ctx, terms)
 
@@ -198,7 +204,6 @@ def _lemma_report_json(report: universal.CommutatorBoundsReport) -> dict:
                 "detail": c.detail,
             }
             for c in report.clauses
-            if c.applicable
         ],
     }
 
@@ -372,7 +377,12 @@ def _cmd_verify(args) -> int:
             parse_rational(params["conformal_weight"]),
         )
         form = _form_from_json(doc["form"], ctx)
-    except (KeyError, ValueError) as exc:
+        state = None
+        if "state" in doc:
+            state = _state_from_json(doc["state"], ctx, form.cutoff)
+    except KeyError as exc:
+        raise ConfigError(f"malformed document: missing key {exc}")
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed document: {exc}")
 
     form_report = forms.verify_whittaker_form(form, typ)
@@ -384,8 +394,7 @@ def _cmd_verify(args) -> int:
     }
     passed = form_report.passed
 
-    if "state" in doc:
-        state = _state_from_json(doc["state"], ctx)
+    if state is not None:
         state_report = forms.verify_whittaker_state(state, typ, form.cutoff)
         f_dec = forms.convert_form(form, forms.DECREASING)
         roundtrip_ok = True
@@ -524,8 +533,6 @@ def _cmd_check_lemmas(args) -> int:
                 continue
             report = universal.check_lemma_bounds(m, word, psi, args.c)
             for clause in report.clauses:
-                if not clause.applicable:
-                    continue
                 clause_counts[clause.clause] = clause_counts.get(clause.clause, 0) + 1
                 if not clause.passed:
                     failures.append(_lemma_report_json(report))

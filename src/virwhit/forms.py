@@ -5,10 +5,14 @@ respect to one of the two dual bases: the "decreasing" side is dual to
 the canonical monomials L_{-i_1}...L_{-i_k}|Delta> (i_1 >= ... >= i_k),
 the "increasing" side is dual to the reversed monomials
 L_{-1}^{m_1}...L_{-k}^{m_k}|Delta>.  Both sides label coefficients by the
-partition (the exponent multiset); conversion between sides goes through
-the contragredient of verma.basis_change.
+partition (the exponent multiset); conversion between sides is a product
+with the transpose of verma.basis_change or of its cached integer inverse,
+level by level, and never a solve.
 
-The module action on forms is (L_m f)(v) = f(L_{-m} v).  A cutoff-N form
+The module action on forms is (L_m f)(v) = f(L_{-m} v).  It is computed on
+the decreasing side, where the value at L_{-mu}|Delta> reads the canonical
+expansion of L_{-m} L_{-mu}|Delta> directly; increasing-side forms are
+converted to the decreasing side and back.  A cutoff-N form
 represents the exact restriction of a generally infinite object to levels
 <= N, so every residual check is scoped to the levels where it is fully
 determined: (L_k f - expected f) is complete on levels <= N - k.
@@ -32,6 +36,7 @@ from .verma import (
     VermaContext,
     VermaVector,
     basis_change,
+    basis_change_inverse,
     basis_vector,
     enumerate_partitions,
 )
@@ -120,27 +125,17 @@ def restrict_form(f: DualForm, cutoff: int) -> DualForm:
     )
 
 
-def _side_basis_vector(side: str, partition: Partition, ctx: VermaContext) -> VermaVector:
-    """The module vector whose dual-basis label is ``partition`` on ``side``."""
-    if side == DECREASING:
-        return basis_vector(ctx, partition)
-    level = sum(partition)
-    order = enumerate_partitions(level)
-    col = order.index(partition)
-    matrix = basis_change(level, ctx)
-    terms = {
-        order[row]: matrix[row][col] for row in range(len(order)) if matrix[row][col]
-    }
-    return VermaVector(ctx, terms)
-
-
 def _side_coords(side: str, component: VermaVector, level: int) -> list[Fraction]:
     """Coordinates of a homogeneous canonical vector in the side's monomials."""
     order = enumerate_partitions(level)
     canonical = [component.coefficient(p) for p in order]
     if side == DECREASING:
         return canonical
-    return linalg.bareiss_solve(basis_change(level, component.context), canonical)
+    inverse = basis_change_inverse(level)
+    return [
+        sum((a * b for a, b in zip(row, canonical) if b), Fraction(0))
+        for row in inverse
+    ]
 
 
 def eval_form(f: DualForm, v: VermaVector) -> Fraction:
@@ -165,7 +160,10 @@ def eval_form(f: DualForm, v: VermaVector) -> Fraction:
 
 
 def convert_form(f: DualForm, side: str) -> DualForm:
-    """Re-express the form on the other dual basis (contragredient change)."""
+    """Re-express the form on the other dual basis (contragredient change).
+
+    f_inc = B^T f_dec with B = basis_change, and f_dec = (B^-1)^T f_inc.
+    """
     if side == f.basis_side:
         return f
     levels: dict[int, dict[Partition, Fraction]] = {}
@@ -174,19 +172,15 @@ def convert_form(f: DualForm, side: str) -> DualForm:
         if not terms:
             continue
         order = enumerate_partitions(lvl)
-        matrix = basis_change(lvl, f.context)
-        vec = [terms.get(p, Fraction(0)) for p in order]
-        size = len(order)
         if side == INCREASING:
-            # f_inc = M^T f_dec
-            out = [
-                sum(matrix[row][col] * vec[row] for row in range(size))
-                for col in range(size)
-            ]
+            matrix = basis_change(lvl, f.context)
         else:
-            # solve M^T f_dec = f_inc
-            transpose = [[matrix[row][col] for row in range(size)] for col in range(size)]
-            out = linalg.bareiss_solve(transpose, vec)
+            matrix = basis_change_inverse(lvl)
+        vec = [terms.get(p, Fraction(0)) for p in order]
+        out = [
+            sum((row[col] * x for row, x in zip(matrix, vec) if x), Fraction(0))
+            for col in range(len(order))
+        ]
         levels[lvl] = {p: out[i] for i, p in enumerate(order) if out[i]}
     return DualForm(f.context, f.cutoff, side, _trimmed(levels))
 
@@ -194,33 +188,31 @@ def convert_form(f: DualForm, side: str) -> DualForm:
 def act_on_form(m: int, f: DualForm) -> DualForm:
     """(L_m f)(v) = f(L_{-m} v); the cutoff drops by max(m, 0).
 
-    For m above the cutoff every reachable evaluation lands outside the
+    Computed on the decreasing side for either basis side.  For m above the cutoff every reachable evaluation lands outside the
     stored window and the result is the zero form of cutoff 0.
     """
     new_cutoff = max(0, f.cutoff - max(m, 0))
+    f_dec = convert_form(f, DECREASING)
     levels: dict[int, dict[Partition, Fraction]] = {}
     for lvl in range(new_cutoff + 1):
         src = lvl + m
-        coeffs = f.level_terms(src) if 0 <= src else {}
+        coeffs = f_dec.level_terms(src) if 0 <= src else {}
         if not coeffs:
             continue
         component_terms: dict[Partition, Fraction] = {}
         for mu in enumerate_partitions(lvl):
-            image = verma_act(-m, _side_basis_vector(f.basis_side, mu, f.context))
-            if image.is_zero():
-                continue
-            coords = _side_coords(f.basis_side, image, src)
-            order = enumerate_partitions(src)
-            value = Fraction(0)
-            for idx, part in enumerate(order):
-                c = coeffs.get(part)
-                if c and coords[idx]:
-                    value += c * coords[idx]
+            image = verma_act(-m, basis_vector(f.context, mu))
+            value = sum(
+                (coeffs[p] * c for p, c in image.terms.items() if p in coeffs),
+                Fraction(0),
+            )
             if value:
                 component_terms[mu] = value
         if component_terms:
             levels[lvl] = component_terms
-    return DualForm(f.context, new_cutoff, f.basis_side, levels)
+    return convert_form(
+        DualForm(f.context, new_cutoff, DECREASING, levels), f.basis_side
+    )
 
 
 def _counts(partition: Partition) -> dict[int, int]:
@@ -486,21 +478,21 @@ def whittaker_form_nullspace(
             unknowns.append((lvl, part))
     index = {u: i for i, u in enumerate(unknowns)}
 
+    # Each equation is f(L_{-k} v - psi(L_k) v) = 0 for a canonical basis
+    # vector v; per (k, level) these span the same rows as the equations
+    # taken at the side's own basis vectors, since basis_change is invertible.
     rows: list[list[Fraction]] = []
     for k in _check_indices(typ, cutoff):
         expected = typ.value(k)
         for lo in range(cutoff - k + 1):
-            src = lo + k
-            src_order = enumerate_partitions(src)
             for mu in enumerate_partitions(lo):
+                v = basis_vector(ctx, mu)
+                residual = verma_act(-k, v) - v.scale(expected)
                 row = [Fraction(0)] * len(unknowns)
-                image = verma_act(-k, _side_basis_vector(side, mu, ctx))
-                coords = _side_coords(side, image, src)
-                for idx, lam in enumerate(src_order):
-                    if coords[idx]:
-                        row[index[(src, lam)]] += coords[idx]
-                if expected:
-                    row[index[(lo, mu)]] -= expected
+                for lvl in residual.levels():
+                    coords = _side_coords(side, residual.level_component(lvl), lvl)
+                    for part, value in zip(enumerate_partitions(lvl), coords):
+                        row[index[(lvl, part)]] += value
                 if any(row):
                     rows.append(row)
 

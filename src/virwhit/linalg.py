@@ -9,6 +9,9 @@ denominator blow-up of naive Gaussian elimination.
 Rank, reduced row echelon form and nullspace bases (used for the exact
 solution spaces of homogeneous Whittaker-condition systems) run directly
 over Fractions; the matrices involved are small.
+
+Sparse vectors throughout the package are dicts from basis labels to
+nonzero coefficients; ``accumulate`` is the one update rule they share.
 """
 
 from __future__ import annotations
@@ -21,6 +24,19 @@ Matrix = list[list[Fraction]]
 
 class SingularMatrixError(ValueError):
     """Raised when a square system has no unique solution."""
+
+
+def accumulate(acc: dict, items, scalar=1) -> dict:
+    """acc += scalar * items for (key, coefficient) pairs; zeros are dropped."""
+    if not scalar:
+        return acc
+    for key, value in items:
+        new = acc.get(key, 0) + value * scalar
+        if new:
+            acc[key] = new
+        else:
+            acc.pop(key, None)
+    return acc
 
 
 def _exact_div(a: int, b: int) -> int:

@@ -12,33 +12,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-Rational = Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
-
-
-def normalize(numerator: int, denominator: int = 1) -> Fraction:
-    """Reduced representative with positive denominator.
-
-    Raises ZeroDivisionError for a zero denominator.
-    """
-    return Fraction(numerator, denominator)
-
-
-def arithmetic(a: Fraction, b: Fraction, op: str) -> Fraction:
-    """Exact field arithmetic; ``op`` is one of add, sub, mul, div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
 
 
 def parse_rational(text: str) -> Fraction:

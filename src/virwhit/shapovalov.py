@@ -3,12 +3,17 @@
 The contravariant form takes L_n adjoint to L_{-n} with <Delta|Delta> = 1.
 The entry at (lambda, mu) is the |Delta>-coefficient of
 
-    L_{i_k} ... L_{i_1}  L_{-mu} |Delta>,    lambda = (i_1 >= ... >= i_k),
+    L_{i_k} ... L_{i_1}  L_{-mu} |Delta>,    lambda = (i_1 >= ... >= i_k).
 
-computed by composing single-generator actions, largest part first.
-Matrices are memoized per process.  Degeneracy is reported through
-SingularGramError, never worked around: callers wanting to raise indices
-at a degenerate weight must pick a different (c, Delta).
+Matrices are built by the Shapovalov recursion: for lambda = (k, rest),
+
+    G_N[lambda][mu] = sum_nu G_{N-k}[rest][nu] * (L_k L_{-mu}|Delta>)_nu,
+
+so row lambda is row ``rest`` of the lower Gram matrix applied to the
+images of the level-N basis under the single generator L_k.  Matrices are
+memoized per process.  Degeneracy is reported through SingularGramError,
+never worked around: callers wanting to raise indices at a degenerate
+weight must pick a different (c, Delta).
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .verma import (
     VermaContext,
     basis_vector,
     enumerate_partitions,
+    partition_index,
 )
 from .verma import act as verma_act
 
@@ -49,15 +55,6 @@ class GramMatrix:
 _CACHE: dict[tuple[int, VermaContext], GramMatrix] = {}
 
 
-def _pairing(lam: Partition, mu: Partition, ctx: VermaContext) -> Fraction:
-    vec = basis_vector(ctx, mu)
-    for part in lam:  # adjoint word acts largest part first
-        vec = verma_act(part, vec)
-        if vec.is_zero():
-            return Fraction(0)
-    return vec.coefficient(())
-
-
 def gram(level: int, ctx: VermaContext) -> GramMatrix:
     """The level-N Gram matrix, rows and columns in partition order."""
     key = (level, ctx)
@@ -65,10 +62,26 @@ def gram(level: int, ctx: VermaContext) -> GramMatrix:
     if cached is not None:
         return cached
     partitions = enumerate_partitions(level)
-    entries = tuple(
-        tuple(_pairing(lam, mu, ctx) for mu in partitions) for lam in partitions
-    )
-    result = GramMatrix(level, ctx, partitions, entries)
+    basis = [basis_vector(ctx, mu) for mu in partitions]
+    images: dict[int, list[dict[Partition, Fraction]]] = {}
+    rows = []
+    for lam in partitions:
+        if not lam:
+            rows.append((Fraction(1),))  # <Delta|Delta> = 1
+            continue
+        k, rest = lam[0], lam[1:]
+        if k not in images:
+            images[k] = [verma_act(k, v).terms for v in basis]
+        lower = gram(level - k, ctx)
+        position = partition_index(level - k)
+        row = lower.entries[position[rest]]
+        rows.append(
+            tuple(
+                sum((row[position[nu]] * c for nu, c in image.items()), Fraction(0))
+                for image in images[k]
+            )
+        )
+    result = GramMatrix(level, ctx, partitions, tuple(rows))
     _CACHE[key] = result
     return result
 

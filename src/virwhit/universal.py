@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
+from .linalg import accumulate
 from .whittaker import (
     IndexOutsideSubalgebraError,
     ResidualCheck,
@@ -111,13 +112,7 @@ class UniversalVector:
             or self.central_charge != other.central_charge
         ):
             raise ValueError("mixing vectors from different modules")
-        merged = dict(self.terms)
-        for word, coeff in other.terms.items():
-            new = merged.get(word, Fraction(0)) + coeff
-            if new:
-                merged[word] = new
-            else:
-                merged.pop(word, None)
+        merged = accumulate(dict(self.terms), other.terms.items())
         return UniversalVector(self.whittaker_type, self.central_charge, merged)
 
     def __neg__(self) -> "UniversalVector":
@@ -196,22 +191,11 @@ class _Rewriter:
         a, b = word[swap_at], word[swap_at + 1]
         head, tail = word[:swap_at], word[swap_at + 2:]
         acc: dict[PseudoPartition, Fraction] = {}
-
-        def fold(partial: dict[PseudoPartition, Fraction], scalar: Fraction) -> None:
-            if not scalar:
-                return
-            for w, coeff in partial.items():
-                new = acc.get(w, Fraction(0)) + coeff * scalar
-                if new:
-                    acc[w] = new
-                else:
-                    acc.pop(w, None)
-
-        fold(self.reduce(head + (b, a) + tail), Fraction(1))
-        fold(self.reduce(head + (a + b,) + tail), Fraction(a - b))
+        accumulate(acc, self.reduce(head + (b, a) + tail).items())
+        accumulate(acc, self.reduce(head + (a + b,) + tail).items(), Fraction(a - b))
         if a + b == 0:
             central = self.c * Fraction(a * (a * a - 1), 12)
-            fold(self.reduce(head + tail), central)
+            accumulate(acc, self.reduce(head + tail).items(), central)
         return acc
 
 
@@ -236,12 +220,7 @@ def apply_word(word, v: UniversalVector) -> UniversalVector:
     rewriter = _rewriter(v.whittaker_type, v.central_charge)
     acc: dict[PseudoPartition, Fraction] = {}
     for base, coeff in v.terms.items():
-        for out, value in rewriter.reduce(word + base).items():
-            new = acc.get(out, Fraction(0)) + value * coeff
-            if new:
-                acc[out] = new
-            else:
-                acc.pop(out, None)
+        accumulate(acc, rewriter.reduce(word + base).items(), coeff)
     return UniversalVector(v.whittaker_type, v.central_charge, acc)
 
 
@@ -301,12 +280,7 @@ def dot_nilpotency_bound(
     def applied_nonzero(element) -> bool:
         acc: dict[PseudoPartition, Fraction] = {}
         for mono, coeff in element.terms.items():
-            for out, value in rewriter.reduce(mono).items():
-                new = acc.get(out, Fraction(0)) + value * coeff
-                if new:
-                    acc[out] = new
-                else:
-                    acc.pop(out, None)
+            accumulate(acc, rewriter.reduce(mono).items(), coeff)
         return bool(acc)
 
     def last_nonzero(part: tuple[int, ...]) -> int:
@@ -327,6 +301,24 @@ def dot_nilpotency_bound(
     return 2 * max(k_plus + 1, k_minus + 1)
 
 
+def _checked_indices(
+    module_typ: WhittakerType, max_level: int, target: WhittakerType
+) -> list[int]:
+    """Target indices to check on a span of words of level <= ``max_level``.
+
+    The list covers every index at which a generator can act nonzero on the
+    span (module top index plus maximal level) and every index with a
+    nonzero target value, so a passing check certifies all conditions.
+    """
+    module_top = (
+        module_typ.rank if isinstance(module_typ, WhittakerTypeR) else module_typ.n
+    )
+    reach = module_top + max_level + 1
+    if isinstance(target, WhittakerTypeR):
+        return list(range(target.r, max(2 * target.r, reach) + 1))
+    return [1] + list(range(target.n, max(target.n, reach) + 1))
+
+
 def verify_whittaker_vector(
     v: UniversalVector, target: WhittakerType
 ) -> VerificationReport:
@@ -336,17 +328,8 @@ def verify_whittaker_vector(
     the vector's support (module rank plus maximal level), so a passing
     report certifies all conditions, untruncated.
     """
-    module_typ = v.whittaker_type
-    module_top = (
-        module_typ.rank if isinstance(module_typ, WhittakerTypeR) else module_typ.n
-    )
-    reach = module_top + v.max_level() + 1
-    if isinstance(target, WhittakerTypeR):
-        ks = list(range(target.r, max(2 * target.r, reach) + 1))
-    else:
-        ks = [1] + list(range(target.n, max(target.n, reach) + 1))
     checks = []
-    for k in ks:
+    for k in _checked_indices(v.whittaker_type, v.max_level(), target):
         expected = target.value(k)
         residual = act_universal(k, v) - v.scale(expected)
         failure = None
@@ -524,7 +507,6 @@ def example_n5(which: str, psi: WhittakerType1N, c: Fraction) -> UniversalVector
 @dataclass(frozen=True)
 class ClauseResult:
     clause: str
-    applicable: bool
     passed: bool
     detail: str = ""
 
@@ -537,7 +519,7 @@ class CommutatorBoundsReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.clauses if c.applicable)
+        return all(c.passed for c in self.clauses)
 
 
 def check_lemma_bounds(
@@ -575,7 +557,6 @@ def check_lemma_bounds(
         clauses.append(
             ClauseResult(
                 "raising_vanishes",
-                True,
                 comm_plus.is_zero(),
                 f"[L_{m}, L_plus]|w> must vanish for m > {s}",
             )
@@ -585,7 +566,6 @@ def check_lemma_bounds(
         clauses.append(
             ClauseResult(
                 "raising_length_drop",
-                True,
                 ok,
                 f"max length {comm_plus.max_length()} must drop below {length}",
             )
@@ -596,7 +576,6 @@ def check_lemma_bounds(
         clauses.append(
             ClauseResult(
                 "lowering_vanishes",
-                True,
                 comm_minus.is_zero(),
                 f"[L_{m}, L_minus] L_plus |w> must vanish for m > {s + level}",
             )
@@ -606,7 +585,6 @@ def check_lemma_bounds(
         clauses.append(
             ClauseResult(
                 "lowering_level_window",
-                True,
                 ok,
                 f"max level {comm_minus.max_level()} must not exceed {level + s - m}",
             )
@@ -616,7 +594,6 @@ def check_lemma_bounds(
         clauses.append(
             ClauseResult(
                 "lowering_level_drop",
-                True,
                 ok,
                 f"max level {comm_minus.max_level()} must drop below {level}",
             )
@@ -634,7 +611,6 @@ def check_lemma_bounds(
         clauses.append(
             ClauseResult(
                 "leading_term",
-                True,
                 actual == expected,
                 f"coefficient on {leading_word} is {actual}, expected {expected}",
             )
@@ -650,7 +626,7 @@ def check_lemma_bounds(
                 ok = False
                 detail = f"term {out_word} (coeff {coeff}) escapes both classes"
                 break
-        clauses.append(ClauseResult("remainder_split", True, ok, detail))
+        clauses.append(ClauseResult("remainder_split", ok, detail))
 
     return CommutatorBoundsReport(m, word, tuple(clauses))
 
@@ -682,13 +658,8 @@ def search_whittaker(
     )
     if len(set(words)) != len(words):
         raise ValueError("ansatz contains duplicate pseudo-partitions")
-    module_top = psi.rank if isinstance(psi, WhittakerTypeR) else psi.n
     max_level = max((pp_level(w) for w in words), default=0)
-    reach = module_top + max_level + 1
-    if isinstance(target, WhittakerTypeR):
-        ks = list(range(target.r, max(2 * target.r, reach) + 1))
-    else:
-        ks = [1] + list(range(target.n, max(target.n, reach) + 1))
+    ks = _checked_indices(psi, max_level, target)
 
     residuals = []
     row_index: dict[tuple[int, PseudoPartition], int] = {}

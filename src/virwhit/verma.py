@@ -14,7 +14,10 @@ applied at the end of the word.
 
 The alternative monomial family L_{-1}^{m_1} ... L_{-k}^{m_k} |Delta>
 (smallest index magnitude leftmost) exists only through basis_change,
-which expands those reversed monomials in the canonical basis.
+which expands those reversed monomials in the canonical basis, and
+basis_change_inverse, its integer inverse.  Both are cached per level
+and do not depend on (c, Delta), so converting coordinates between the
+two families is a matrix product, never a solve.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+from .linalg import accumulate, rref
 from .virasoro import normal_order
 
 Partition = tuple[int, ...]
@@ -64,13 +68,7 @@ class VermaVector:
     def __add__(self, other: "VermaVector") -> "VermaVector":
         if self.context != other.context:
             raise ValueError("mixing Verma vectors from different contexts")
-        merged = dict(self.terms)
-        for part, coeff in other.terms.items():
-            new = merged.get(part, Fraction(0)) + coeff
-            if new:
-                merged[part] = new
-            else:
-                merged.pop(part, None)
+        merged = accumulate(dict(self.terms), other.terms.items())
         return VermaVector(self.context, merged)
 
     def __neg__(self) -> "VermaVector":
@@ -159,23 +157,12 @@ def _act_monomial(
 
     # L_m L_a = L_a L_m + (m - a) L_{m+a} + (c/12) m (m^2-1) delta_{m+a,0}
     acc: dict[Partition, Fraction] = {}
-
-    def fold(entries, scalar: Fraction) -> None:
-        if not scalar:
-            return
-        for part, coeff in entries:
-            new = acc.get(part, Fraction(0)) + coeff * scalar
-            if new:
-                acc[part] = new
-            else:
-                acc.pop(part, None)
-
     for part, coeff in _act_monomial(m, tail, c, delta):
-        fold(_act_monomial(a, part, c, delta), coeff)
-    fold(_act_monomial(m + a, tail, c, delta), Fraction(m - a))
+        accumulate(acc, _act_monomial(a, part, c, delta), coeff)
+    accumulate(acc, _act_monomial(m + a, tail, c, delta), Fraction(m - a))
     if m + a == 0:
         central = c * Fraction(m * (m * m - 1), 12)
-        fold(((tail, Fraction(1)),), central)
+        accumulate(acc, ((tail, Fraction(1)),), central)
     return tuple(sorted(acc.items()))
 
 
@@ -184,12 +171,7 @@ def act(m: int, v: VermaVector) -> VermaVector:
     ctx = v.context
     acc: dict[Partition, Fraction] = {}
     for parts, coeff in v.terms.items():
-        for part, entry in _act_monomial(m, parts, ctx.c, ctx.delta):
-            new = acc.get(part, Fraction(0)) + entry * coeff
-            if new:
-                acc[part] = new
-            else:
-                acc.pop(part, None)
+        accumulate(acc, _act_monomial(m, parts, ctx.c, ctx.delta), coeff)
     return VermaVector(ctx, acc)
 
 
@@ -222,3 +204,22 @@ def basis_change(level: int, ctx: VermaContext) -> list[list[Fraction]]:
     +-1), hence invertible for every context.
     """
     return [list(row) for row in _basis_change(level)]
+
+
+@lru_cache(maxsize=None)
+def basis_change_inverse(level: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Inverse of basis_change(level): canonical monomials in reversed ones.
+
+    Column lam holds the expansion of L_{-lam}|Delta> in the reversed
+    monomials.  It is integer-valued because basis_change is unimodular,
+    and like basis_change it does not depend on (c, Delta); it is computed
+    once per level as the right half of rref([B | I]).
+    """
+    matrix = _basis_change(level)
+    size = len(matrix)
+    augmented = [
+        list(row) + [Fraction(int(i == j)) for j in range(size)]
+        for i, row in enumerate(matrix)
+    ]
+    reduced, _ = rref(augmented)
+    return tuple(tuple(row[size:]) for row in reduced)

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .linalg import accumulate
+
 Word = tuple[int, ...]
 
 
@@ -50,13 +52,7 @@ class EnvelopingElement:
 
     def __add__(self, other: "EnvelopingElement") -> "EnvelopingElement":
         _require_same_charge(self, other)
-        merged = dict(self.terms)
-        for word, coeff in other.terms.items():
-            new = merged.get(word, Fraction(0)) + coeff
-            if new:
-                merged[word] = new
-            else:
-                merged.pop(word, None)
+        merged = accumulate(dict(self.terms), other.terms.items())
         return EnvelopingElement(self.central_charge, merged)
 
     def __neg__(self) -> "EnvelopingElement":
@@ -127,21 +123,12 @@ def _normal_order(word: Word, c: Fraction) -> tuple[tuple[Word, Fraction], ...]:
     a, b = word[swap_at], word[swap_at + 1]
     head, tail = word[:swap_at], word[swap_at + 2:]
     acc: dict[Word, Fraction] = {}
-
-    def fold(parts: tuple[tuple[Word, Fraction], ...], scalar: Fraction) -> None:
-        for w, coeff in parts:
-            new = acc.get(w, Fraction(0)) + coeff * scalar
-            if new:
-                acc[w] = new
-            else:
-                acc.pop(w, None)
-
-    fold(_normal_order(head + (b, a) + tail, c), Fraction(1))
-    fold(_normal_order(head + (a + b,) + tail, c), Fraction(a - b))
+    accumulate(acc, _normal_order(head + (b, a) + tail, c))
+    accumulate(acc, _normal_order(head + (a + b,) + tail, c), Fraction(a - b))
     if a + b == 0:
         central = c * Fraction(a * (a * a - 1), 12)
         if central:
-            fold(_normal_order(head + tail, c), central)
+            accumulate(acc, _normal_order(head + tail, c), central)
     return tuple(sorted(acc.items()))
 
 
@@ -163,13 +150,7 @@ def multiply(a: EnvelopingElement, b: EnvelopingElement) -> EnvelopingElement:
     acc: dict[Word, Fraction] = {}
     for wa, ca in a.terms.items():
         for wb, cb in b.terms.items():
-            scalar = ca * cb
-            for word, coeff in _normal_order(wa + wb, c):
-                new = acc.get(word, Fraction(0)) + coeff * scalar
-                if new:
-                    acc[word] = new
-                else:
-                    acc.pop(word, None)
+            accumulate(acc, _normal_order(wa + wb, c), ca * cb)
     return EnvelopingElement(c, acc)
 
 

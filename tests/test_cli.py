@@ -235,3 +235,62 @@ def test_invalid_type_exits_2(capsys):
         "--cutoff", "3",
     )
     assert code == 2
+
+
+def _drop_coefficient(doc):
+    del doc["state"]["terms"][0]["coefficient"]
+
+
+def _term_above_cutoff(doc):
+    doc["state"]["terms"].append({"partition": [5], "coefficient": "1"})
+
+
+def _non_partition_label(doc):
+    doc["state"]["terms"].append({"partition": [1, 2], "coefficient": "1"})
+
+
+def _form_level_above_cutoff(doc):
+    doc["form"]["levels"].append(
+        {
+            "level": 7,
+            "terms": [{"exponents": [1, 0, 0, 0, 0, 0, 0], "coefficient": "1"}],
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        _drop_coefficient,
+        _term_above_cutoff,
+        _non_partition_label,
+        _form_level_above_cutoff,
+    ],
+    ids=[
+        "missing-coefficient",
+        "term-above-cutoff",
+        "non-partition",
+        "form-level-above-cutoff",
+    ],
+)
+def test_verify_rejects_malformed_document(tmp_path, capsys, tamper):
+    out_path = tmp_path / "doc.json"
+    run_cli(
+        capsys,
+        "gaiotto",
+        "--r", "1",
+        "--mu", "3/2,0",
+        "--delta", "2/7",
+        "--c", "11/3",
+        "--cutoff", "4",
+        "--out", str(out_path),
+    )
+    doc = json.loads(out_path.read_text())
+    tamper(doc)
+    out_path.write_text(json.dumps(doc))
+    code = main(["verify", "--input", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed document: ")
+    assert captured.err.count("\n") == 1

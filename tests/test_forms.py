@@ -267,18 +267,50 @@ def test_verify_windows_scale_with_k():
 
 
 def test_act_on_form_matches_definition_for_lowering_index():
-    # (L_{-1} f)(v) = f(L_1 v), on both basis sides
+    # (L_m f)(v) = f(L_{-m} v), on both basis sides, for lowering and
+    # raising m
     from virwhit.verma import act
 
     for f in (
         gaiotto_basic_form(PSI_R2, (1,), 5, CTX),
         bmt_special_form(PSI_N4, (Fraction(1), Fraction(-2)), 5, CTX),
     ):
-        lowered = act_on_form(-1, f)
-        for level in range(lowered.cutoff + 1):
-            for part in enumerate_partitions(level):
-                v = basis_vector(CTX, part)
-                assert eval_form(lowered, v) == eval_form(f, act(1, v)), (
-                    f.basis_side,
-                    part,
-                )
+        for m in (-1, 0, 1, 2):
+            moved = act_on_form(m, f)
+            assert moved.basis_side == f.basis_side
+            for level in range(moved.cutoff + 1):
+                for part in enumerate_partitions(level):
+                    v = basis_vector(CTX, part)
+                    assert eval_form(moved, v) == eval_form(f, act(-m, v)), (
+                        f.basis_side,
+                        m,
+                        part,
+                    )
+
+
+def test_whittaker_form_nullspace_pair_basis_pinned():
+    # Exact increasing-side basis for n = 4 at cutoff 5, one form per
+    # admissible (m_2, m_3) tuple.
+    F = Fraction
+    dim, basis = whittaker_form_nullspace(PSI_N4, CTX, 5)
+    assert dim == 5
+    assert [f.basis_side for f in basis] == [INCREASING] * 5
+    assert [f.levels for f in basis] == [
+        {5: {(3, 2): F(1)}},
+        {3: {(3,): F(25, 4)}, 4: {(3, 1): F(5, 2)}, 5: {(3, 1, 1): F(1)}},
+        {4: {(2, 2): F(5, 2)}, 5: {(2, 2, 1): F(1)}},
+        {
+            2: {(2,): F(125, 8)},
+            3: {(2, 1): F(25, 4)},
+            4: {(2, 1, 1): F(5, 2)},
+            5: {(2, 1, 1, 1): F(1)},
+        },
+        {
+            0: {(): F(3125, 32)},
+            1: {(1,): F(625, 16)},
+            2: {(1, 1): F(125, 8)},
+            3: {(1, 1, 1): F(25, 4)},
+            4: {(4,): F(-9375, 32), (1, 1, 1, 1): F(5, 2)},
+            5: {(4, 1): F(-1875, 16), (1, 1, 1, 1, 1): F(1)},
+        },
+    ]

@@ -4,47 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from virwhit.rational import arithmetic, format_rational, normalize, parse_rational
-
-
-def test_normalize_reduces():
-    assert normalize(2, 4) == Fraction(1, 2)
-
-
-def test_normalize_moves_sign_to_numerator():
-    value = normalize(3, -6)
-    assert value == Fraction(-1, 2)
-    assert value.denominator == 2
-    assert value.numerator == -1
-
-
-def test_normalize_zero_canonical():
-    value = normalize(0, 7)
-    assert value.numerator == 0
-    assert value.denominator == 1
-
-
-def test_normalize_zero_denominator_raises():
-    with pytest.raises(ZeroDivisionError):
-        normalize(1, 0)
-
-
-@pytest.mark.parametrize(
-    "a, b, op, expected",
-    [
-        (Fraction(1, 3), Fraction(1, 6), "add", Fraction(1, 2)),
-        (Fraction(-2, 5), Fraction(5, 2), "mul", Fraction(-1)),
-        (Fraction(1), Fraction(3), "div", Fraction(1, 3)),
-        (Fraction(7, 4), Fraction(1, 4), "sub", Fraction(3, 2)),
-    ],
-)
-def test_arithmetic_examples(a, b, op, expected):
-    assert arithmetic(a, b, op) == expected
-
-
-def test_division_by_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        arithmetic(Fraction(1), Fraction(0), "div")
+from virwhit.rational import format_rational, parse_rational
 
 
 rationals = st.fractions(
@@ -60,14 +20,6 @@ def test_field_axioms(a, b, c):
     assert a + (-a) == 0
     if a:
         assert a * (1 / a) == 1
-
-
-@given(st.integers(min_value=-10**6, max_value=10**6), st.integers(min_value=-10**6, max_value=10**6))
-def test_normalize_idempotent(num, den):
-    if den == 0:
-        return
-    once = normalize(num, den)
-    assert normalize(once.numerator, once.denominator) == once
 
 
 @given(rationals)

@@ -55,7 +55,7 @@ def test_gram_level_two_closed_form():
 
 def test_gram_matches_independent_oracle():
     for ctx in CONTEXTS:
-        for level in range(4):
+        for level in range(7):
             g = gram(level, ctx)
             for i, lam in enumerate(g.partitions):
                 for j, mu in enumerate(g.partitions):

@@ -10,6 +10,7 @@ from virwhit.verma import (
     VermaVector,
     act,
     basis_change,
+    basis_change_inverse,
     basis_vector,
     enumerate_partitions,
     highest_weight_vector,
@@ -161,7 +162,15 @@ def test_basis_change_level_three():
 
 def test_basis_change_unimodular():
     for level in range(7):
-        assert abs(det(basis_change(level, CTX))) == 1
+        matrix = basis_change(level, CTX)
+        inverse = basis_change_inverse(level)
+        assert abs(det(matrix)) == 1
+        size = len(matrix)
+        for i in range(size):
+            assert all(x.denominator == 1 for x in inverse[i])
+            for j in range(size):
+                entry = sum(matrix[i][t] * inverse[t][j] for t in range(size))
+                assert entry == (1 if i == j else 0)
 
 
 def test_basis_vector_validation():
