@@ -74,6 +74,8 @@ def _exponents_json(partition, level: int, side: str) -> list[int]:
 
 def _partition_from_exponents(exponents, side: str):
     exps = list(exponents)
+    if any(e < 0 for e in exps):
+        raise ConfigError(f"negative exponent in {exps}")
     if side == forms.DECREASING:
         exps.reverse()
     return exponents_partition(exps)
@@ -256,12 +258,15 @@ def _parse_coeff_map(text: str, expected_len: int, what: str) -> dict:
     if not isinstance(raw, list):
         raise ConfigError(f"{what} must be a list of entries")
     for entry in raw:
-        exps = tuple(int(e) for e in entry["exponents"])
+        try:
+            exps = tuple(int(e) for e in entry["exponents"])
+            out[exps] = parse_rational(entry["coefficient"])
+        except (KeyError, TypeError) as exc:
+            raise ConfigError(f"malformed {what} entry {entry!r}: {exc!r}")
         if len(exps) != expected_len:
             raise ConfigError(
                 f"{what} exponent tuples must have length {expected_len}"
             )
-        out[exps] = parse_rational(entry["coefficient"])
     return out
 
 
@@ -367,6 +372,8 @@ def _cmd_verify(args) -> int:
             doc = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read document: {exc}")
+    if not isinstance(doc, dict):
+        raise ConfigError("malformed document: expected a JSON object")
     if doc.get("schema") != SCHEMA:
         raise ConfigError(f"unsupported schema {doc.get('schema')!r}")
     params = doc.get("parameters", {})

@@ -94,12 +94,10 @@ def form_combine(a: DualForm, b: DualForm, sb: Fraction = Fraction(1)) -> DualFo
     if a.basis_side != b.basis_side or a.context != b.context:
         raise ValueError("forms live on different bases or contexts")
     cutoff = min(a.cutoff, b.cutoff)
-    levels: dict[int, dict[Partition, Fraction]] = {}
-    for lvl in range(cutoff + 1):
-        merged = dict(a.level_terms(lvl))
-        for part, coeff in b.level_terms(lvl).items():
-            merged[part] = merged.get(part, Fraction(0)) + sb * coeff
-        levels[lvl] = merged
+    levels = {
+        lvl: linalg.accumulate(dict(a.level_terms(lvl)), b.level_terms(lvl).items(), sb)
+        for lvl in range(cutoff + 1)
+    }
     return DualForm(a.context, cutoff, a.basis_side, _trimmed(levels))
 
 

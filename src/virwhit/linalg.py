@@ -1,14 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Square systems are solved by fraction-free (Bareiss) elimination: rows are
-scaled to integers, the forward sweep uses the two-by-two determinant
-update with exact division by the previous pivot, and back substitution
-reintroduces fractions only at the end.  This avoids the intermediate
-denominator blow-up of naive Gaussian elimination.
-
-Rank, reduced row echelon form and nullspace bases (used for the exact
-solution spaces of homogeneous Whittaker-condition systems) run directly
-over Fractions; the matrices involved are small.
+One fraction-free (Bareiss) forward elimination serves every exact solve:
+rows are scaled to integers, columns without a pivot are skipped (rank
+profile), and each update divides exactly by the previous pivot, so no
+intermediate denominators grow.  One back substitution over the pivot
+columns brings fractions back at the end.  Square solves, the inverse,
+the determinant, the rank and nullspace bases (among them the large,
+sparse Whittaker-condition systems of the universal searches) wrap these
+two steps.
 
 Sparse vectors throughout the package are dicts from basis labels to
 nonzero coefficients; ``accumulate`` is the one update rule they share.
@@ -46,128 +45,123 @@ def _exact_div(a: int, b: int) -> int:
     return q
 
 
-def _integer_rows(rows: list[list[Fraction]]) -> list[list[int]]:
+def _integer_rows(rows) -> tuple[list[list[int]], int]:
+    """Each row times the lcm of its denominators, and the product of those lcms."""
     out = []
+    scale = 1
     for row in rows:
-        mult = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * mult) for x in row])
-    return out
+        mult = lcm(*(x.denominator for x in row))
+        scale *= mult
+        out.append([x.numerator * (mult // x.denominator) for x in row])
+    return out, scale
+
+
+def _eliminate(rows: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free forward elimination of integer rows, in place.
+
+    Returns the pivot columns, pivot k sitting in row k, and the sign of
+    the row permutation.  Rows below the last pivot end up zero.
+    """
+    nrows = len(rows)
+    pivots: list[int] = []
+    sign = 1
+    prev = 1
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            sign = -sign
+        top = rows[r]
+        p = top[col]
+        tail = top[col + 1 :]
+        for i in range(r + 1, nrows):
+            row = rows[i]
+            f = row[col]
+            row[col:] = [0] + [
+                _exact_div(p * x - f * y, prev) if x or y else 0
+                for x, y in zip(row[col + 1 :], tail)
+            ]
+        pivots.append(col)
+        prev = p
+    return pivots, sign
+
+
+def _back_substitute(rows: list[list[int]], pivots: list[int], col: int) -> list[Fraction]:
+    """y with sum_j rows[i][pivots[j]] * y[j] == rows[i][col] for every pivot row i."""
+    k = len(pivots)
+    y = [Fraction(0)] * k
+    for i in range(k - 1, -1, -1):
+        row = rows[i]
+        acc = Fraction(row[col])
+        for j in range(i + 1, k):
+            if row[pivots[j]] and y[j]:
+                acc -= row[pivots[j]] * y[j]
+        y[i] = acc / row[pivots[i]]
+    return y
+
+
+def _solve_columns(matrix: Matrix, columns: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Solutions x of matrix * x = column, one per column, from one elimination."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix) or any(len(col) != n for col in columns):
+        raise ValueError("expected a square system")
+    aug, _ = _integer_rows(
+        list(row) + [col[i] for col in columns] for i, row in enumerate(matrix)
+    )
+    pivots, _ = _eliminate(aug)
+    for col in range(n):
+        if col >= len(pivots) or pivots[col] != col:
+            raise SingularMatrixError(f"no pivot in column {col}")
+    return [_back_substitute(aug, pivots, n + j) for j in range(len(columns))]
 
 
 def bareiss_solve(matrix: Matrix, rhs: list[Fraction]) -> list[Fraction]:
     """Exact solution of the square system matrix * x = rhs."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix) or len(rhs) != n:
-        raise ValueError("bareiss_solve expects a square system")
-    if n == 0:
-        return []
-    aug = _integer_rows(
-        [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    )
-    prev = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            raise SingularMatrixError(f"no pivot in column {col}")
-        if pivot != col:
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-        for r in range(col + 1, n):
-            for cc in range(col + 1, n + 1):
-                aug[r][cc] = _exact_div(
-                    aug[col][col] * aug[r][cc] - aug[r][col] * aug[col][cc], prev
-                )
-            aug[r][col] = 0
-        prev = aug[col][col]
+    return _solve_columns(matrix, [rhs])[0]
 
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = Fraction(aug[i][n])
-        for j in range(i + 1, n):
-            acc -= aug[i][j] * x[j]
-        x[i] = acc / aug[i][i]
-    return x
+
+def inverse(matrix: Matrix) -> Matrix:
+    """Exact inverse, from one elimination of [matrix | I]."""
+    n = len(matrix)
+    identity = [[int(i == j) for i in range(n)] for j in range(n)]
+    return [list(row) for row in zip(*_solve_columns(matrix, identity))]
 
 
 def det(matrix: Matrix) -> Fraction:
     """Determinant by fraction-free elimination."""
-    n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    rows = [[Fraction(v) for v in row] for row in matrix]
-    scale = Fraction(1)
-    work = []
-    for row in rows:
-        mult = lcm(*(x.denominator for x in row))
-        scale *= mult
-        work.append([int(x * mult) for x in row])
-    sign = 1
-    prev = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            for cc in range(col + 1, n):
-                work[r][cc] = _exact_div(
-                    work[col][col] * work[r][cc] - work[r][col] * work[col][cc], prev
-                )
-            work[r][col] = 0
-        prev = work[col][col]
-    return Fraction(sign * work[n - 1][n - 1]) / scale
-
-
-def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the pivot column indices."""
-    rows = [[Fraction(v) for v in row] for row in matrix]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+    work, scale = _integer_rows(matrix)
+    pivots, sign = _eliminate(work)
+    if len(pivots) < len(matrix):
+        return Fraction(0)
+    return Fraction(sign * work[-1][-1], scale) if work else Fraction(1)
 
 
 def rank(matrix: Matrix) -> int:
-    return len(rref(matrix)[1]) if matrix else 0
+    return len(_eliminate(_integer_rows(matrix)[0])[0])
 
 
 def nullspace(matrix: Matrix, ncols: int | None = None) -> list[list[Fraction]]:
-    """Basis of the kernel, one vector per free column of the RREF."""
+    """Basis of the kernel, one vector per free (non-pivot) column.
+
+    The vector for a free column holds 1 there and 0 at every other free
+    column, which makes the basis unique: it is the reduced-row-echelon one.
+    """
     if ncols is None:
         if not matrix:
             raise ValueError("ncols required for an empty matrix")
         ncols = len(matrix[0])
-    if not matrix:
-        return [
-            [Fraction(1) if j == i else Fraction(0) for j in range(ncols)]
-            for i in range(ncols)
-        ]
-    reduced, pivots = rref(matrix)
-    pivot_set = set(pivots)
+    work, _ = _integer_rows(matrix)
+    pivots, _ = _eliminate(work)
     basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
+    for free in sorted(set(range(ncols)) - set(pivots)):
         vec = [Fraction(0)] * ncols
         vec[free] = Fraction(1)
-        for row_idx, piv in enumerate(pivots):
-            vec[piv] = -reduced[row_idx][free]
+        for piv, value in zip(pivots, _back_substitute(work, pivots, free)):
+            vec[piv] = -value
         basis.append(vec)
     return basis

@@ -17,6 +17,8 @@ _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p"; the sign may only sit on the numerator."""
+    if not isinstance(text, str):
+        raise TypeError(f"rational literal must be a string, got {text!r}")
     match = _RATIONAL_RE.match(text.strip())
     if match is None:
         raise ValueError(f"not a rational literal: {text!r}")

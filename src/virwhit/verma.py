@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import accumulate, rref
+from .linalg import accumulate, inverse
 from .virasoro import normal_order
 
 Partition = tuple[int, ...]
@@ -213,13 +213,6 @@ def basis_change_inverse(level: int) -> tuple[tuple[Fraction, ...], ...]:
     Column lam holds the expansion of L_{-lam}|Delta> in the reversed
     monomials.  It is integer-valued because basis_change is unimodular,
     and like basis_change it does not depend on (c, Delta); it is computed
-    once per level as the right half of rref([B | I]).
+    once per level by one fraction-free elimination of [B | I].
     """
-    matrix = _basis_change(level)
-    size = len(matrix)
-    augmented = [
-        list(row) + [Fraction(int(i == j)) for j in range(size)]
-        for i, row in enumerate(matrix)
-    ]
-    reduced, _ = rref(augmented)
-    return tuple(tuple(row[size:]) for row in reduced)
+    return tuple(tuple(row) for row in inverse(_basis_change(level)))

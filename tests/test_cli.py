@@ -258,6 +258,20 @@ def _form_level_above_cutoff(doc):
     )
 
 
+def _not_an_object(doc):
+    return [1, 2]
+
+
+def _negative_exponent(doc):
+    # [-1, 2] would otherwise read as the level-2 label of [0, 2].
+    (block,) = [b for b in doc["form"]["levels"] if b["level"] == 2]
+    block["terms"][0]["exponents"] = [-1, 2]
+
+
+def _numeric_coefficient(doc):
+    doc["form"]["levels"][0]["terms"][0]["coefficient"] = 1
+
+
 @pytest.mark.parametrize(
     "tamper",
     [
@@ -265,12 +279,18 @@ def _form_level_above_cutoff(doc):
         _term_above_cutoff,
         _non_partition_label,
         _form_level_above_cutoff,
+        _not_an_object,
+        _negative_exponent,
+        _numeric_coefficient,
     ],
     ids=[
         "missing-coefficient",
         "term-above-cutoff",
         "non-partition",
         "form-level-above-cutoff",
+        "not-an-object",
+        "negative-exponent",
+        "numeric-coefficient",
     ],
 )
 def test_verify_rejects_malformed_document(tmp_path, capsys, tamper):
@@ -286,11 +306,40 @@ def test_verify_rejects_malformed_document(tmp_path, capsys, tamper):
         "--out", str(out_path),
     )
     doc = json.loads(out_path.read_text())
-    tamper(doc)
-    out_path.write_text(json.dumps(doc))
+    replaced = tamper(doc)  # edits doc in place or returns a replacement
+    out_path.write_text(json.dumps(doc if replaced is None else replaced))
     code = main(["verify", "--input", str(out_path)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: malformed document: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["gaiotto", "--r", "3", "--mu", "1,2,3,4"],
+        ["bmt", "--n", "4", "--nu1", "2/5", "--nun", "-3"],
+    ],
+    ids=["gaiotto", "bmt"],
+)
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        "[{}]",
+        "[1]",
+        '[{"exponents": [0, 0]}]',
+        '[{"exponents": [0, 0], "coefficient": 1}]',
+    ],
+    ids=["empty-entry", "not-an-entry", "missing-coefficient", "numeric-coefficient"],
+)
+def test_malformed_coeffs_exit_2(capsys, command, coeffs):
+    code = main(
+        [*command, "--c", "11/3", "--delta", "2/7", "--cutoff", "3", "--coeffs", coeffs]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed coefficients entry ")
     assert captured.err.count("\n") == 1

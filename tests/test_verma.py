@@ -161,7 +161,7 @@ def test_basis_change_level_three():
 
 
 def test_basis_change_unimodular():
-    for level in range(7):
+    for level in range(11):
         matrix = basis_change(level, CTX)
         inverse = basis_change_inverse(level)
         assert abs(det(matrix)) == 1
