@@ -26,6 +26,7 @@ from .verma import (
     enumerate_partitions,
     exponents_partition,
     partition_exponents,
+    partition_index,
 )
 from .whittaker import VerificationReport, WhittakerType1N, WhittakerTypeR
 
@@ -111,20 +112,20 @@ def _form_from_json(obj: dict, ctx: VermaContext) -> forms.DualForm:
         lvl = int(block["level"])
         if not 0 <= lvl <= cutoff:
             raise ConfigError(f"form level {lvl} lies outside 0..{cutoff}")
-        terms = {}
+        terms = levels.setdefault(lvl, {})  # a repeated block adds to its level
         for entry in block.get("terms", []):
             part = _partition_from_exponents(entry["exponents"], side)
             if sum(part) != lvl:
                 raise ConfigError(f"exponents {entry['exponents']} are not level {lvl}")
+            if part in terms:
+                raise ConfigError(f"level {lvl} repeats exponents {entry['exponents']}")
             terms[part] = parse_rational(entry["coefficient"])
-        if terms:
-            levels[lvl] = terms
-    return forms.DualForm(ctx, cutoff, side, levels)
+    return forms.DualForm(ctx, cutoff, side, {lvl: t for lvl, t in levels.items() if t})
 
 
 def _state_json(w: VermaVector) -> dict:
     terms = []
-    for part in sorted(w.terms, key=lambda p: (sum(p), enumerate_partitions(sum(p)).index(p))):
+    for part in sorted(w.terms, key=lambda p: (sum(p), partition_index(sum(p))[p])):
         terms.append(
             {"partition": list(part), "coefficient": format_rational(w.terms[part])}
         )
@@ -138,6 +139,8 @@ def _state_from_json(obj: dict, ctx: VermaContext, cutoff: int) -> VermaVector:
         if sum(part) > cutoff:
             raise ConfigError(f"state term {list(part)} lies above cutoff {cutoff}")
         basis_vector(ctx, part)  # raises ValueError unless part is a partition
+        if part in terms:
+            raise ConfigError(f"state repeats partition {list(part)}")
         terms[part] = parse_rational(entry["coefficient"])
     return VermaVector(ctx, terms)
 
@@ -260,13 +263,16 @@ def _parse_coeff_map(text: str, expected_len: int, what: str) -> dict:
     for entry in raw:
         try:
             exps = tuple(int(e) for e in entry["exponents"])
-            out[exps] = parse_rational(entry["coefficient"])
+            value = parse_rational(entry["coefficient"])
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed {what} entry {entry!r}: {exc!r}")
         if len(exps) != expected_len:
             raise ConfigError(
                 f"{what} exponent tuples must have length {expected_len}"
             )
+        if exps in out:
+            raise ConfigError(f"malformed {what} entry {entry!r}: repeated exponents")
+        out[exps] = value
     return out
 
 

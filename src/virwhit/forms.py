@@ -5,9 +5,11 @@ respect to one of the two dual bases: the "decreasing" side is dual to
 the canonical monomials L_{-i_1}...L_{-i_k}|Delta> (i_1 >= ... >= i_k),
 the "increasing" side is dual to the reversed monomials
 L_{-1}^{m_1}...L_{-k}^{m_k}|Delta>.  Both sides label coefficients by the
-partition (the exponent multiset); conversion between sides is a product
-with the transpose of verma.basis_change or of its cached integer inverse,
-level by level, and never a solve.
+partition (the exponent multiset).  Conversion between sides is a
+product with the transpose of the basis change B, or of B^-1 = D B D
+(D = diag((-1)^{len lambda}), see verma), level by level: it reads only
+the nonzero integer entries of the cached columns
+verma.reversed_monomial(mu), and is never a solve.
 
 The module action on forms is (L_m f)(v) = f(L_{-m} v).  It is computed on
 the decreasing side, where the value at L_{-mu}|Delta> reads the canonical
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .shapovalov import gram, solve
@@ -35,10 +38,9 @@ from .verma import (
     Partition,
     VermaContext,
     VermaVector,
-    basis_change,
-    basis_change_inverse,
     basis_vector,
     enumerate_partitions,
+    reversed_monomial,
 )
 from .verma import act as verma_act
 from .whittaker import (
@@ -123,44 +125,45 @@ def restrict_form(f: DualForm, cutoff: int) -> DualForm:
     )
 
 
-def _side_coords(side: str, component: VermaVector, level: int) -> list[Fraction]:
-    """Coordinates of a homogeneous canonical vector in the side's monomials."""
-    order = enumerate_partitions(level)
-    canonical = [component.coefficient(p) for p in order]
+def _flip(terms: dict[Partition, Fraction]) -> dict[Partition, Fraction]:
+    """D terms, with D = diag((-1)^{len lambda}); B^-1 = D B D."""
+    return {p: -c if len(p) % 2 else c for p, c in terms.items()}
+
+
+def _side_coords(side: str, terms: dict[Partition, Fraction]) -> dict[Partition, Fraction]:
+    """Coordinates of a sparse canonical vector in the side's monomials.
+
+    On the increasing side these are B^-1 v = D B D v, one scatter of the
+    reversed-monomial column of every label in D v.
+    """
     if side == DECREASING:
-        return canonical
-    inverse = basis_change_inverse(level)
-    return [
-        sum((a * b for a, b in zip(row, canonical) if b), Fraction(0))
-        for row in inverse
-    ]
+        return terms
+    acc: dict[Partition, Fraction] = {}
+    for mu, coeff in _flip(terms).items():
+        linalg.accumulate(acc, reversed_monomial(mu), coeff)
+    return _flip(acc)
 
 
 def eval_form(f: DualForm, v: VermaVector) -> Fraction:
     """Pair the form with a module vector; linear, exact."""
-    total = Fraction(0)
-    for level in sorted(v.levels()):
-        if level > f.cutoff:
-            raise CutoffExceededError(
-                f"argument has level {level} above cutoff {f.cutoff}"
-            )
-        coeffs = f.level_terms(level)
-        component = v.level_component(level)
-        if not coeffs:
-            continue
-        coords = _side_coords(f.basis_side, component, level)
-        order = enumerate_partitions(level)
-        for idx, part in enumerate(order):
-            c = coeffs.get(part)
-            if c and coords[idx]:
-                total += c * coords[idx]
-    return total
+    top = max(v.levels(), default=0)
+    if top > f.cutoff:
+        raise CutoffExceededError(f"argument has level {top} above cutoff {f.cutoff}")
+    return sum(
+        (
+            f.level_terms(sum(p)).get(p, 0) * value
+            for p, value in _side_coords(f.basis_side, v.terms).items()
+        ),
+        Fraction(0),
+    )
 
 
 def convert_form(f: DualForm, side: str) -> DualForm:
     """Re-express the form on the other dual basis (contragredient change).
 
-    f_inc = B^T f_dec with B = basis_change, and f_dec = (B^-1)^T f_inc.
+    f_inc = B^T f_dec with B = basis_change, and f_dec = (B^-1)^T f_inc =
+    D B^T D f_inc.  Entry mu of B^T g reads the nonzero entries of column
+    mu of B, verma.reversed_monomial(mu).
     """
     if side == f.basis_side:
         return f
@@ -169,17 +172,17 @@ def convert_form(f: DualForm, side: str) -> DualForm:
         terms = f.level_terms(lvl)
         if not terms:
             continue
-        order = enumerate_partitions(lvl)
-        if side == INCREASING:
-            matrix = basis_change(lvl, f.context)
-        else:
-            matrix = basis_change_inverse(lvl)
-        vec = [terms.get(p, Fraction(0)) for p in order]
-        out = [
-            sum((row[col] * x for row, x in zip(matrix, vec) if x), Fraction(0))
-            for col in range(len(order))
-        ]
-        levels[lvl] = {p: out[i] for i, p in enumerate(order) if out[i]}
+        if side == DECREASING:
+            terms = _flip(terms)
+        # Over one common denominator every column sum is an integer sum.
+        den = lcm(*(c.denominator for c in terms.values()))
+        ints = {p: c.numerator * (den // c.denominator) for p, c in terms.items()}
+        out = {}
+        for mu in enumerate_partitions(lvl):
+            value = sum(ints[lam] * b for lam, b in reversed_monomial(mu) if lam in ints)
+            if value:
+                out[mu] = Fraction(value, den)
+        levels[lvl] = _flip(out) if side == DECREASING else out
     return DualForm(f.context, f.cutoff, side, _trimmed(levels))
 
 
@@ -487,10 +490,8 @@ def whittaker_form_nullspace(
                 v = basis_vector(ctx, mu)
                 residual = verma_act(-k, v) - v.scale(expected)
                 row = [Fraction(0)] * len(unknowns)
-                for lvl in residual.levels():
-                    coords = _side_coords(side, residual.level_component(lvl), lvl)
-                    for part, value in zip(enumerate_partitions(lvl), coords):
-                        row[index[(lvl, part)]] += value
+                for part, value in _side_coords(side, residual.terms).items():
+                    row[index[(sum(part), part)]] += value
                 if any(row):
                     rows.append(row)
 

@@ -4,10 +4,10 @@ One fraction-free (Bareiss) forward elimination serves every exact solve:
 rows are scaled to integers, columns without a pivot are skipped (rank
 profile), and each update divides exactly by the previous pivot, so no
 intermediate denominators grow.  One back substitution over the pivot
-columns brings fractions back at the end.  Square solves, the inverse,
-the determinant, the rank and nullspace bases (among them the large,
-sparse Whittaker-condition systems of the universal searches) wrap these
-two steps.
+columns brings fractions back at the end.  Square solves, the
+determinant, the rank and nullspace bases (among them the large, sparse
+Whittaker-condition systems of the universal searches) wrap these two
+steps.  There is no inverse: verma inverts the basis change by signs.
 
 Sparse vectors throughout the package are dicts from basis labels to
 nonzero coefficients; ``accumulate`` is the one update rule they share.
@@ -105,31 +105,17 @@ def _back_substitute(rows: list[list[int]], pivots: list[int], col: int) -> list
     return y
 
 
-def _solve_columns(matrix: Matrix, columns: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Solutions x of matrix * x = column, one per column, from one elimination."""
+def bareiss_solve(matrix: Matrix, rhs: list[Fraction]) -> list[Fraction]:
+    """Exact solution of the square system matrix * x = rhs."""
     n = len(matrix)
-    if any(len(row) != n for row in matrix) or any(len(col) != n for col in columns):
+    if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("expected a square system")
-    aug, _ = _integer_rows(
-        list(row) + [col[i] for col in columns] for i, row in enumerate(matrix)
-    )
+    aug, _ = _integer_rows(list(row) + [b] for row, b in zip(matrix, rhs))
     pivots, _ = _eliminate(aug)
     for col in range(n):
         if col >= len(pivots) or pivots[col] != col:
             raise SingularMatrixError(f"no pivot in column {col}")
-    return [_back_substitute(aug, pivots, n + j) for j in range(len(columns))]
-
-
-def bareiss_solve(matrix: Matrix, rhs: list[Fraction]) -> list[Fraction]:
-    """Exact solution of the square system matrix * x = rhs."""
-    return _solve_columns(matrix, [rhs])[0]
-
-
-def inverse(matrix: Matrix) -> Matrix:
-    """Exact inverse, from one elimination of [matrix | I]."""
-    n = len(matrix)
-    identity = [[int(i == j) for i in range(n)] for j in range(n)]
-    return [list(row) for row in zip(*_solve_columns(matrix, identity))]
+    return _back_substitute(aug, pivots, n)
 
 
 def det(matrix: Matrix) -> Fraction:

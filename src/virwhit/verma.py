@@ -12,12 +12,14 @@ ordered, so full word reordering is never needed).  The highest-weight
 rules L_n|Delta> = 0 (n >= 1), L_0|Delta> = Delta|Delta> and z -> c are
 applied at the end of the word.
 
-The alternative monomial family L_{-1}^{m_1} ... L_{-k}^{m_k} |Delta>
-(smallest index magnitude leftmost) exists only through basis_change,
-which expands those reversed monomials in the canonical basis, and
-basis_change_inverse, its integer inverse.  Both are cached per level
-and do not depend on (c, Delta), so converting coordinates between the
-two families is a matrix product, never a solve.
+The reversed monomials R_mu = L_{-mu_k} ... L_{-mu_1} |Delta> exist only
+through reversed_monomial, a cached sparse integer column of the basis
+change B; B does not depend on (c, Delta).  B^-1 = D B D with
+D = diag((-1)^{len lambda}), so no elimination is needed: theta(L_{-n}) =
+-L_{-n} extends to an anti-automorphism of U(Vir_-) with theta(L_{-lambda})
+= (-1)^{len lambda} R_lambda, so theta(R_mu = sum_lambda B[lambda][mu]
+L_{-lambda}) reads L_{-mu} = sum_lambda (-1)^{len lambda + len mu}
+B[lambda][mu] R_lambda.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import accumulate, inverse
-from .virasoro import normal_order
+from .linalg import accumulate
 
 Partition = tuple[int, ...]
 
@@ -176,43 +177,48 @@ def act(m: int, v: VermaVector) -> VermaVector:
 
 
 @lru_cache(maxsize=None)
-def _basis_change(level: int) -> tuple[tuple[Fraction, ...], ...]:
-    # Reordering words of negative indices never produces central terms or
-    # nonnegative indices, so the matrix does not depend on (c, Delta).
+def reversed_monomial(partition: Partition) -> tuple[tuple[Partition, int], ...]:
+    """Column mu of basis_change: R_mu = L_{-mu_k} ... L_{-mu_1}|Delta> as
+    (lambda, integer) pairs, computed as L_{-mu_k} R_{mu_1..mu_{k-1}}.
+    """
+    if not partition:
+        return (((), 1),)
+    acc: dict[Partition, int] = {}
+    for parts, coeff in reversed_monomial(partition[:-1]):
+        # Negative modes never meet c or Delta and give integer coefficients.
+        image = _act_monomial(-partition[-1], parts, 0, 0)
+        accumulate(acc, ((p, c.numerator) for p, c in image), coeff)
+    return tuple(sorted(acc.items(), reverse=True))
+
+
+def _basis_change(level: int, signed: bool = False) -> list[list[Fraction]]:
+    # Dense B from its sparse columns; with ``signed``, D B D = B^-1.
     partitions = enumerate_partitions(level)
     index = partition_index(level)
-    size = len(partitions)
-    cols: list[list[Fraction]] = []
-    for mu in partitions:
-        word = tuple(-p for p in reversed(mu))  # L_{-1}-block leftmost
-        element = normal_order(word, Fraction(0))
-        col = [Fraction(0)] * size
-        for mono, coeff in element.terms.items():
-            col[index[tuple(sorted((-i for i in mono), reverse=True))]] = coeff
-        cols.append(col)
-    return tuple(
-        tuple(cols[j][i] for j in range(size)) for i in range(size)
-    )
+    rows = [[Fraction(0)] * len(partitions) for _ in partitions]
+    for j, mu in enumerate(partitions):
+        for lam, coeff in reversed_monomial(mu):
+            flip = signed and (len(lam) + len(mu)) % 2
+            rows[index[lam]][j] = Fraction(-coeff if flip else coeff)
+    return rows
 
 
 def basis_change(level: int, ctx: VermaContext) -> list[list[Fraction]]:
     """Matrix expressing reversed monomials in the canonical basis.
 
     Column mu holds the canonical expansion of L_{-1}^{m_1}...L_{-k}^{m_k}
-    |Delta> for the partition mu; rows and columns are both indexed by
-    enumerate_partitions(level).  The matrix is unimodular (determinant
-    +-1), hence invertible for every context.
+    |Delta> for the partition mu (see reversed_monomial); rows and columns
+    are both indexed by enumerate_partitions(level).  The matrix is
+    unimodular (determinant +-1), hence invertible for every context.
     """
-    return [list(row) for row in _basis_change(level)]
+    return _basis_change(level)
 
 
-@lru_cache(maxsize=None)
 def basis_change_inverse(level: int) -> tuple[tuple[Fraction, ...], ...]:
     """Inverse of basis_change(level): canonical monomials in reversed ones.
 
     Column lam holds the expansion of L_{-lam}|Delta> in the reversed
-    monomials.  It is integer-valued because basis_change is unimodular,
-    and like basis_change it does not depend on (c, Delta); it is computed
-    once per level by one fraction-free elimination of [B | I].
+    monomials.  It is D B D with D = diag((-1)^{len lambda}), proved in the
+    module docstring.
     """
-    return tuple(tuple(row) for row in inverse(_basis_change(level)))
+    return tuple(map(tuple, _basis_change(level, signed=True)))

@@ -272,6 +272,20 @@ def _numeric_coefficient(doc):
     doc["form"]["levels"][0]["terms"][0]["coefficient"] = 1
 
 
+def _repeated_form_label(doc):
+    (block,) = [b for b in doc["form"]["levels"] if b["level"] == 2]
+    block["terms"].append(dict(block["terms"][0], coefficient="5"))
+
+
+def _repeated_label_across_blocks(doc):
+    (block,) = [b for b in doc["form"]["levels"] if b["level"] == 2]
+    doc["form"]["levels"].append(dict(block))
+
+
+def _repeated_state_partition(doc):
+    doc["state"]["terms"].append(dict(doc["state"]["terms"][0], coefficient="5"))
+
+
 @pytest.mark.parametrize(
     "tamper",
     [
@@ -282,6 +296,9 @@ def _numeric_coefficient(doc):
         _not_an_object,
         _negative_exponent,
         _numeric_coefficient,
+        _repeated_form_label,
+        _repeated_label_across_blocks,
+        _repeated_state_partition,
     ],
     ids=[
         "missing-coefficient",
@@ -291,6 +308,9 @@ def _numeric_coefficient(doc):
         "not-an-object",
         "negative-exponent",
         "numeric-coefficient",
+        "repeated-form-label",
+        "repeated-label-across-blocks",
+        "repeated-state-partition",
     ],
 )
 def test_verify_rejects_malformed_document(tmp_path, capsys, tamper):
@@ -331,8 +351,16 @@ def test_verify_rejects_malformed_document(tmp_path, capsys, tamper):
         "[1]",
         '[{"exponents": [0, 0]}]',
         '[{"exponents": [0, 0], "coefficient": 1}]',
+        '[{"exponents": [0, 0], "coefficient": "1"},'
+        ' {"exponents": [0, 0], "coefficient": "5"}]',
     ],
-    ids=["empty-entry", "not-an-entry", "missing-coefficient", "numeric-coefficient"],
+    ids=[
+        "empty-entry",
+        "not-an-entry",
+        "missing-coefficient",
+        "numeric-coefficient",
+        "repeated-exponents",
+    ],
 )
 def test_malformed_coeffs_exit_2(capsys, command, coeffs):
     code = main(

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from virwhit.forms import (
     DECREASING,
@@ -24,7 +26,14 @@ from virwhit.forms import (
     zero_form,
 )
 from virwhit.shapovalov import gram
-from virwhit.verma import VermaContext, VermaVector, basis_vector, enumerate_partitions
+from virwhit.verma import (
+    VermaContext,
+    VermaVector,
+    basis_change,
+    basis_change_inverse,
+    basis_vector,
+    enumerate_partitions,
+)
 from virwhit.whittaker import WhittakerType1N, WhittakerTypeR
 
 CTX = VermaContext(Fraction(11, 3), Fraction(2, 7))
@@ -88,6 +97,39 @@ def test_eval_invariant_under_side_conversion():
             terms[part] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         v = VermaVector(CTX, {p: c for p, c in terms.items() if c})
         assert eval_form(f, v) == eval_form(g, v)
+
+
+@st.composite
+def _sparse_forms(draw, max_cutoff=8):
+    cutoff = draw(st.integers(0, max_cutoff))
+    side = draw(st.sampled_from([DECREASING, INCREASING]))
+    coeff = st.fractions(min_value=-6, max_value=6, max_denominator=5).filter(bool)
+    levels = {}
+    for lvl in range(cutoff + 1):
+        labels = draw(st.sets(st.sampled_from(enumerate_partitions(lvl)), max_size=4))
+        if labels:
+            levels[lvl] = {p: draw(coeff) for p in sorted(labels, reverse=True)}
+    return DualForm(CTX, cutoff, side, levels)
+
+
+@settings(deadline=None)
+@given(_sparse_forms())
+def test_convert_form_round_trip_matches_dense_product(f):
+    other = INCREASING if f.basis_side == DECREASING else DECREASING
+    g = convert_form(f, other)
+    assert g.basis_side == other
+    assert convert_form(g, f.basis_side).levels == f.levels
+    for lvl in range(f.cutoff + 1):
+        # f_inc = B^T f_dec and f_dec = (B^-1)^T f_inc, as dense products.
+        if other == INCREASING:
+            matrix = basis_change(lvl, CTX)
+        else:
+            matrix = basis_change_inverse(lvl)
+        order = enumerate_partitions(lvl)
+        vec = [f.level_terms(lvl).get(p, Fraction(0)) for p in order]
+        for j, mu in enumerate(order):
+            expected = sum((row[j] * x for row, x in zip(matrix, vec)), Fraction(0))
+            assert g.level_terms(lvl).get(mu, Fraction(0)) == expected
 
 
 def test_act_on_form_l0_eigenvalue():

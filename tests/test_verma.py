@@ -15,8 +15,10 @@ from virwhit.verma import (
     enumerate_partitions,
     highest_weight_vector,
     partition_exponents,
+    partition_index,
 )
-from virwhit.virasoro import bracket
+from virwhit.verma import _basis_change
+from virwhit.virasoro import bracket, normal_order
 
 CTX = VermaContext(Fraction(11, 3), Fraction(2, 7))
 
@@ -160,16 +162,36 @@ def test_basis_change_level_three():
         assert matrix[row_idx][col] == expected.get(part, Fraction(0))
 
 
-def test_basis_change_unimodular():
+def _basis_change_by_normal_order(level):
+    # Independent oracle: PBW-reorder each full reversed word
+    # L_{-mu_k} ... L_{-mu_1} and read off its canonical monomials.
+    partitions = enumerate_partitions(level)
+    index = partition_index(level)
+    rows = [[Fraction(0)] * len(partitions) for _ in partitions]
+    for j, mu in enumerate(partitions):
+        word = tuple(-p for p in reversed(mu))
+        for mono, coeff in normal_order(word, Fraction(0)).terms.items():
+            rows[index[tuple(sorted((-i for i in mono), reverse=True))]][j] = coeff
+    return rows
+
+
+def test_basis_change_matches_normal_order():
     for level in range(11):
+        assert _basis_change(level) == _basis_change_by_normal_order(level)
+
+
+def test_basis_change_unimodular():
+    for level in range(13):
+        order = enumerate_partitions(level)
         matrix = basis_change(level, CTX)
         inverse = basis_change_inverse(level)
         assert abs(det(matrix)) == 1
-        size = len(matrix)
-        for i in range(size):
+        for i, lam in enumerate(order):
             assert all(x.denominator == 1 for x in inverse[i])
-            for j in range(size):
-                entry = sum(matrix[i][t] * inverse[t][j] for t in range(size))
+            row = [(t, x) for t, x in enumerate(matrix[i]) if x]
+            for j, mu in enumerate(order):
+                assert inverse[i][j] == (-1) ** (len(lam) + len(mu)) * matrix[i][j]
+                entry = sum(x * inverse[t][j] for t, x in row)
                 assert entry == (1 if i == j else 0)
 
 
