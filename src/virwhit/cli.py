@@ -54,6 +54,13 @@ def _rat_list(text: str) -> list[Fraction]:
     return [_rat(part) for part in text.split(",") if part.strip()]
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer; floats, strings and booleans raise TypeError, never truncate."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _check_cutoff(cutoff: int) -> int:
     if cutoff < 0 or cutoff > HARD_CUTOFF_LIMIT:
         raise ConfigError(
@@ -74,7 +81,7 @@ def _exponents_json(partition, level: int, side: str) -> list[int]:
 
 
 def _partition_from_exponents(exponents, side: str):
-    exps = list(exponents)
+    exps = [_json_int(e, "exponent") for e in exponents]
     if any(e < 0 for e in exps):
         raise ConfigError(f"negative exponent in {exps}")
     if side == forms.DECREASING:
@@ -106,10 +113,10 @@ def _form_from_json(obj: dict, ctx: VermaContext) -> forms.DualForm:
     side = obj["basis_side"]
     if side not in (forms.DECREASING, forms.INCREASING):
         raise ConfigError(f"unknown basis side {side!r}")
-    cutoff = _check_cutoff(int(obj["cutoff"]))
+    cutoff = _check_cutoff(_json_int(obj["cutoff"], "cutoff"))
     levels: dict[int, dict] = {}
     for block in obj.get("levels", []):
-        lvl = int(block["level"])
+        lvl = _json_int(block["level"], "level")
         if not 0 <= lvl <= cutoff:
             raise ConfigError(f"form level {lvl} lies outside 0..{cutoff}")
         terms = levels.setdefault(lvl, {})  # a repeated block adds to its level
@@ -135,7 +142,7 @@ def _state_json(w: VermaVector) -> dict:
 def _state_from_json(obj: dict, ctx: VermaContext, cutoff: int) -> VermaVector:
     terms = {}
     for entry in obj.get("terms", []):
-        part = tuple(int(p) for p in entry["partition"])
+        part = tuple(_json_int(p, "partition part") for p in entry["partition"])
         if sum(part) > cutoff:
             raise ConfigError(f"state term {list(part)} lies above cutoff {cutoff}")
         basis_vector(ctx, part)  # raises ValueError unless part is a partition
@@ -236,7 +243,7 @@ def _cmd_gram(args) -> int:
                 "level": lvl,
                 "partitions": [list(p) for p in g.partitions],
                 "entries": [
-                    [format_rational(v) for v in row] for row in g.entries
+                    [format_rational(v) for v in row] for row in g.fraction_rows()
                 ],
             }
         )
@@ -262,7 +269,7 @@ def _parse_coeff_map(text: str, expected_len: int, what: str) -> dict:
         raise ConfigError(f"{what} must be a list of entries")
     for entry in raw:
         try:
-            exps = tuple(int(e) for e in entry["exponents"])
+            exps = tuple(_json_int(e, "exponent") for e in entry["exponents"])
             value = parse_rational(entry["coefficient"])
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed {what} entry {entry!r}: {exc!r}")
@@ -363,10 +370,10 @@ def _cmd_bmt(args) -> int:
 def _type_from_parameters(params: dict):
     if "r" in params:
         return WhittakerTypeR(
-            int(params["r"]), tuple(parse_rational(v) for v in params["mu"])
+            _json_int(params["r"], "r"), tuple(parse_rational(v) for v in params["mu"])
         )
     return WhittakerType1N(
-        int(params["n"]),
+        _json_int(params["n"], "n"),
         parse_rational(params["nu1"]),
         parse_rational(params["nun"]),
     )
@@ -414,12 +421,8 @@ def _cmd_verify(args) -> int:
         first_mismatch = None
         for lvl in range(form.cutoff + 1):
             g = gram(lvl, ctx)
-            coords = [state.coefficient(p) for p in g.partitions]
-            for i, lam in enumerate(g.partitions):
-                pairing = sum(
-                    (g.entries[i][j] * coords[j] for j in range(len(coords))),
-                    Fraction(0),
-                )
+            pairings = g.pair([state.coefficient(p) for p in g.partitions])
+            for lam, pairing in zip(g.partitions, pairings):
                 expected = f_dec.level_terms(lvl).get(lam, Fraction(0))
                 if pairing != expected:
                     roundtrip_ok = False

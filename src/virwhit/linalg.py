@@ -1,9 +1,11 @@
 """Exact linear algebra over the rationals.
 
 One fraction-free (Bareiss) forward elimination serves every exact solve:
-rows are scaled to integers, columns without a pivot are skipped (rank
-profile), and each update divides exactly by the previous pivot, so no
-intermediate denominators grow.  One back substitution over the pivot
+rows are scaled to primitive integer rows (denominators cleared, then the
+gcd of the row divided out, so entries carry as few bits as the row
+allows), columns without a pivot are skipped (rank profile), and each
+update divides exactly by the previous pivot, so no intermediate
+denominators grow.  One back substitution over the pivot
 columns brings fractions back at the end.  Square solves, the
 determinant, the rank and nullspace bases (among them the large, sparse
 Whittaker-condition systems of the universal searches) wrap these two
@@ -16,7 +18,7 @@ nonzero coefficients; ``accumulate`` is the one update rule they share.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 Matrix = list[list[Fraction]]
 
@@ -45,15 +47,24 @@ def _exact_div(a: int, b: int) -> int:
     return q
 
 
-def _integer_rows(rows) -> tuple[list[list[int]], int]:
-    """Each row times the lcm of its denominators, and the product of those lcms."""
+def _integer_rows(rows) -> tuple[list[list[int]], Fraction]:
+    """Each row as a primitive integer row, and the product of the row factors.
+
+    A row is multiplied by the lcm of its denominators and divided by the
+    gcd of the resulting integers (its content); zero rows stay zero.
+    """
     out = []
-    scale = 1
+    num = den = 1
     for row in rows:
         mult = lcm(*(x.denominator for x in row))
-        scale *= mult
-        out.append([x.numerator * (mult // x.denominator) for x in row])
-    return out, scale
+        ints = [x.numerator * (mult // x.denominator) for x in row]
+        content = gcd(*ints) or 1
+        if content > 1:
+            ints = [x // content for x in ints]
+        num *= mult
+        den *= content
+        out.append(ints)
+    return out, Fraction(num, den)
 
 
 def _eliminate(rows: list[list[int]]) -> tuple[list[int], int]:
@@ -124,7 +135,7 @@ def det(matrix: Matrix) -> Fraction:
     pivots, sign = _eliminate(work)
     if len(pivots) < len(matrix):
         return Fraction(0)
-    return Fraction(sign * work[-1][-1], scale) if work else Fraction(1)
+    return sign * work[-1][-1] / scale if work else Fraction(1)
 
 
 def rank(matrix: Matrix) -> int:

@@ -10,26 +10,34 @@ Matrices are built by the Shapovalov recursion: for lambda = (k, rest),
     G_N[lambda][mu] = sum_nu G_{N-k}[rest][nu] * (L_k L_{-mu}|Delta>)_nu,
 
 so row lambda is row ``rest`` of the lower Gram matrix applied to the
-images of the level-N basis under the single generator L_k.  Matrices are
-memoized per process.  Degeneracy is reported through SingularGramError,
-never worked around: callers wanting to raise indices at a degenerate
-weight must pick a different (c, Delta).
+images of the level-N basis under the single generator L_k.
+
+A GramMatrix stores integer rows: rows[lambda] = s^{len lambda} G_N[lambda]
+with s = lcm(2 den c, den Delta).  For k > 0 every coefficient of
+L_k L_{-mu}|Delta> lies in Z + Z Delta + Z c/2 (the central term is
+c m(m^2-1)/12 and m(m^2-1)/12 is in Z/2), so s clears it, and each part of
+lambda adds one such factor.  Fractions appear only in the views
+(``entries``, ``fraction_rows``, ``entry``, ``pair``) and in solutions.
+Matrices are memoized per process.  Degeneracy is
+reported through SingularGramError, never worked around: callers wanting
+to raise indices at a degenerate weight must pick a different (c, Delta).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from . import linalg
 from .verma import (
     Partition,
     VermaContext,
-    basis_vector,
+    _act_monomial,
     enumerate_partitions,
     partition_index,
 )
-from .verma import act as verma_act
 
 
 class SingularGramError(ValueError):
@@ -42,14 +50,60 @@ class SingularGramError(ValueError):
 
 @dataclass(frozen=True)
 class GramMatrix:
+    """G_N as integer rows: rows[i] = scale^{len partitions[i]} G_N[i]."""
+
     level: int
     context: VermaContext
     partitions: tuple[Partition, ...]
-    entries: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
+    scale: int
+
+    def _row_scales(self) -> list[int]:
+        return [self.scale ** len(lam) for lam in self.partitions]
+
+    def fraction_rows(self):
+        """The rows of G_N as Fractions, one at a time and never cached."""
+        for row, d in zip(self.rows, self._row_scales()):
+            yield tuple(Fraction(x, d) for x in row)
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(self.fraction_rows())
 
     def entry(self, row_partition, col_partition) -> Fraction:
-        order = {p: i for i, p in enumerate(self.partitions)}
-        return self.entries[order[tuple(row_partition)]][order[tuple(col_partition)]]
+        order = partition_index(self.level)
+        lam = tuple(row_partition)
+        value = self.rows[order[lam]][order[tuple(col_partition)]]
+        return Fraction(value, self.scale ** len(lam))
+
+    def pair(self, coords) -> list[Fraction]:
+        """G_N x for x given by its coordinates in partition order."""
+        coords = [Fraction(x) for x in coords]
+        den = lcm(*(x.denominator for x in coords))
+        ints = [x.numerator * (den // x.denominator) for x in coords]
+        return [
+            Fraction(sum(a * x for a, x in zip(row, ints) if x), den * d)
+            for row, d in zip(self.rows, self._row_scales())
+        ]
+
+
+def _scaled_images(k: int, level: int, ctx: VermaContext, scale: int) -> list:
+    # scale * (L_k L_{-mu}|Delta>) for every mu of the level, as
+    # (index at level - k, integer) pairs.
+    index = partition_index(level - k)
+    images = []
+    for mu in enumerate_partitions(level):
+        image = []
+        for nu, coeff in _act_monomial(k, mu, ctx.c, ctx.delta):
+            value = coeff * scale
+            if value.denominator != 1:
+                raise ArithmeticError(
+                    f"L_{k} image coefficient {coeff} of {mu} is not integral "
+                    f"after scaling by {scale}"
+                )
+            image.append((index[nu], value.numerator))
+        images.append(image)
+    return images
 
 
 _CACHE: dict[tuple[int, VermaContext], GramMatrix] = {}
@@ -61,38 +115,32 @@ def gram(level: int, ctx: VermaContext) -> GramMatrix:
     cached = _CACHE.get(key)
     if cached is not None:
         return cached
+    scale = lcm(2 * ctx.c.denominator, ctx.delta.denominator)
     partitions = enumerate_partitions(level)
-    basis = [basis_vector(ctx, mu) for mu in partitions]
-    images: dict[int, list[dict[Partition, Fraction]]] = {}
+    images: dict[int, list] = {}
     rows = []
     for lam in partitions:
         if not lam:
-            rows.append((Fraction(1),))  # <Delta|Delta> = 1
+            rows.append((1,))  # <Delta|Delta> = 1
             continue
         k, rest = lam[0], lam[1:]
         if k not in images:
-            images[k] = [verma_act(k, v).terms for v in basis]
-        lower = gram(level - k, ctx)
-        position = partition_index(level - k)
-        row = lower.entries[position[rest]]
-        rows.append(
-            tuple(
-                sum((row[position[nu]] * c for nu, c in image.items()), Fraction(0))
-                for image in images[k]
-            )
-        )
-    result = GramMatrix(level, ctx, partitions, tuple(rows))
+            images[k] = _scaled_images(k, level, ctx, scale)
+        row = gram(level - k, ctx).rows[partition_index(level - k)[rest]]
+        rows.append(tuple(sum(row[i] * a for i, a in image) for image in images[k]))
+    result = GramMatrix(level, ctx, partitions, tuple(rows), scale)
     _CACHE[key] = result
     return result
 
 
 def solve(g: GramMatrix, rhs: list[Fraction]) -> list[Fraction]:
-    """Exact x with g x = rhs, by fraction-free elimination."""
+    """Exact x with g x = rhs, by fraction-free elimination of the integer rows."""
     if len(rhs) != len(g.partitions):
         raise ValueError(
             f"rhs has length {len(rhs)}, expected {len(g.partitions)}"
         )
+    scaled = [b * d for b, d in zip(rhs, g._row_scales())]
     try:
-        return linalg.bareiss_solve([list(row) for row in g.entries], list(rhs))
+        return linalg.bareiss_solve(g.rows, scaled)
     except linalg.SingularMatrixError as exc:
         raise SingularGramError(g.level) from exc

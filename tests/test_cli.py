@@ -286,6 +286,34 @@ def _repeated_state_partition(doc):
     doc["state"]["terms"].append(dict(doc["state"]["terms"][0], coefficient="5"))
 
 
+def _non_integral_r(doc):
+    doc["parameters"]["r"] = 1.7
+
+
+def _non_integral_cutoff(doc):
+    doc["form"]["cutoff"] += 0.2
+
+
+def _non_integral_level(doc):
+    (block,) = [b for b in doc["form"]["levels"] if b["level"] == 2]
+    block["level"] = 2.5
+
+
+def _string_level(doc):
+    (block,) = [b for b in doc["form"]["levels"] if b["level"] == 2]
+    block["level"] = "2"
+
+
+def _float_partition_part(doc):
+    (term,) = [t for t in doc["state"]["terms"] if t["partition"] == [2]]
+    term["partition"] = [2.0]
+
+
+def _boolean_exponent(doc):
+    (block,) = [b for b in doc["form"]["levels"] if b["level"] == 1]
+    block["terms"][0]["exponents"] = [True]
+
+
 @pytest.mark.parametrize(
     "tamper",
     [
@@ -299,6 +327,12 @@ def _repeated_state_partition(doc):
         _repeated_form_label,
         _repeated_label_across_blocks,
         _repeated_state_partition,
+        _non_integral_r,
+        _non_integral_cutoff,
+        _non_integral_level,
+        _string_level,
+        _float_partition_part,
+        _boolean_exponent,
     ],
     ids=[
         "missing-coefficient",
@@ -311,6 +345,12 @@ def _repeated_state_partition(doc):
         "repeated-form-label",
         "repeated-label-across-blocks",
         "repeated-state-partition",
+        "non-integral-r",
+        "non-integral-cutoff",
+        "non-integral-level",
+        "string-level",
+        "float-partition-part",
+        "boolean-exponent",
     ],
 )
 def test_verify_rejects_malformed_document(tmp_path, capsys, tamper):
@@ -353,6 +393,9 @@ def test_verify_rejects_malformed_document(tmp_path, capsys, tamper):
         '[{"exponents": [0, 0], "coefficient": 1}]',
         '[{"exponents": [0, 0], "coefficient": "1"},'
         ' {"exponents": [0, 0], "coefficient": "5"}]',
+        '[{"exponents": [0.9, 0], "coefficient": "1"}]',
+        '[{"exponents": [true, 0], "coefficient": "1"}]',
+        '[{"exponents": ["1", 0], "coefficient": "1"}]',
     ],
     ids=[
         "empty-entry",
@@ -360,6 +403,9 @@ def test_verify_rejects_malformed_document(tmp_path, capsys, tamper):
         "missing-coefficient",
         "numeric-coefficient",
         "repeated-exponents",
+        "float-exponent",
+        "boolean-exponent",
+        "string-exponent",
     ],
 )
 def test_malformed_coeffs_exit_2(capsys, command, coeffs):

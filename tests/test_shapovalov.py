@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from virwhit import linalg
 from virwhit.shapovalov import SingularGramError, gram, solve
-from virwhit.verma import VermaContext
+from virwhit.verma import VermaContext, enumerate_partitions
 from virwhit.virasoro import normal_order
 
 CONTEXTS = [
@@ -138,3 +139,111 @@ def test_singular_gram_detected():
 def test_gram_is_memoized():
     ctx = CONTEXTS[0]
     assert gram(3, ctx) is gram(3, ctx)
+
+
+# Seed-0 contexts of the gram-gaiotto and bmt benchmark workloads.
+BENCH_CONTEXTS = [
+    VermaContext(Fraction(-11, 5), Fraction(11, 7)),
+    VermaContext(Fraction(11, 5), Fraction(13, 5)),
+]
+
+# c with an even denominator, so the c/2 of the central term sets the
+# scale s = lcm(2 den c, den Delta): 2048 * 9 and 12.
+EVEN_DENOMINATOR_SCALES = {
+    VermaContext(Fraction(7, 1024), Fraction(-5, 9)): 18432,
+    VermaContext(Fraction(5, 6), Fraction(-2, 3)): 12,
+}
+EVEN_DENOMINATOR_CONTEXTS = list(EVEN_DENOMINATOR_SCALES)
+
+
+def test_solve_matches_fraction_elimination():
+    rng = random.Random(5)
+    for ctx in BENCH_CONTEXTS:
+        for level in range(11):
+            g = gram(level, ctx)
+            rhs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in g.partitions]
+            oracle = linalg.bareiss_solve([list(row) for row in g.entries], rhs)
+            assert solve(g, rhs) == oracle, (ctx, level)
+
+
+def test_even_denominator_c_gives_integral_rows():
+    for ctx in EVEN_DENOMINATOR_CONTEXTS:
+        for level in range(7):
+            g = gram(level, ctx)
+            assert g.scale == EVEN_DENOMINATOR_SCALES[ctx]
+            assert all(type(x) is int for row in g.rows for x in row)
+            for i, lam in enumerate(g.partitions):
+                for j, mu in enumerate(g.partitions):
+                    assert g.entries[i][j] == oracle_entry(lam, mu, ctx), (ctx, lam, mu)
+
+
+def test_gram_views_agree():
+    rng = random.Random(3)
+    for ctx in CONTEXTS + EVEN_DENOMINATOR_CONTEXTS:
+        for level in range(7):
+            g = gram(level, ctx)
+            for i, lam in enumerate(g.partitions):
+                for j, mu in enumerate(g.partitions):
+                    value = Fraction(g.rows[i][j], g.scale ** len(lam))
+                    assert g.entries[i][j] == g.entry(lam, mu) == value
+            x = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in g.partitions]
+            assert g.pair(x) == [
+                sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in g.entries
+            ]
+
+
+def kac_product(level, ctx):
+    """prod over 1 <= rs <= N of (Delta - Delta_{r,s})^{p(N - rs)}, exactly.
+
+    With u = t + 1/t = (13 - c)/6, Delta_{r,s} = ((r^2-1) t + (s^2-1)/t)/4
+    - (rs-1)/2.  Delta_{r,r} is rational; for r < s the factors for (r,s)
+    and (s,r) multiply to Delta^2 - S Delta + P with rational S and P.
+    """
+    d = ctx.delta
+    u = (13 - ctx.c) / 6
+    total = Fraction(1)
+    for r in range(1, level + 1):
+        for s in range(r, level // r + 1):
+            power = len(enumerate_partitions(level - r * s))
+            a, b, m = r * r - 1, s * s - 1, r * s - 1
+            if r == s:
+                factor = d - a * (u - 2) / 4
+            else:
+                total_s = (a + b) * u / 4 - m
+                product = (
+                    a * b * (u * u - 2) / 16
+                    + Fraction(a * a + b * b, 16)
+                    - m * (a + b) * u / 8
+                    + Fraction(m * m, 4)
+                )
+                factor = d * d - total_s * d + product
+            total *= factor**power
+    return total
+
+
+KAC_CONTEXTS = [
+    CONTEXTS[0],
+    *BENCH_CONTEXTS,
+    *EVEN_DENOMINATOR_CONTEXTS,
+]
+
+
+def test_kac_determinant():
+    # det G_N / Kac product depends on N only.
+    for level in range(9):
+        ratios = set()
+        for ctx in KAC_CONTEXTS:
+            kac = kac_product(level, ctx)
+            assert kac != 0, (ctx, level)
+            ratios.add(linalg.det(gram(level, ctx).entries) / kac)
+        assert len(ratios) == 1, (level, ratios)
+        assert ratios != {0}
+
+
+def test_kac_determinant_vanishes_with_kac_product():
+    # c = 1: t = 1 and Delta_{r,s} = (r - s)^2/4, so Delta = 1 = Delta_{1,3}
+    # first degenerates at level 3.
+    ctx = VermaContext(Fraction(1), Fraction(1))
+    for level in range(7):
+        assert (linalg.det(gram(level, ctx).entries) == 0) == (level >= 3)
+        assert (kac_product(level, ctx) == 0) == (level >= 3)
