@@ -1,7 +1,7 @@
 """Exact computations in Virasoro Verma and universal Whittaker modules.
 
 Everything runs over arbitrary-precision rationals: PBW normal ordering,
-Verma-module actions, Shapovalov Gram matrices with fraction-free solves,
+Verma-module actions, Shapovalov Gram matrices with certified p-adic solves,
 Gaiotto and BMT states as level-truncated dual forms and as raised module
 vectors, and the explicit Whittaker-vector families of the universal
 modules, all verified by exact residual checks.

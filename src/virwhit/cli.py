@@ -15,6 +15,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from math import comb
 
 from . import forms, universal
 from .rational import format_rational, parse_rational
@@ -32,6 +33,10 @@ from .whittaker import VerificationReport, WhittakerType1N, WhittakerTypeR
 
 SCHEMA = "virwhit/1"
 HARD_CUTOFF_LIMIT = 12
+# Most ansatz words a universal search may build.  On a 2-vCPU host 219
+# words (n = 5, length 9) took 1 s and 454 words (n = 5, length 12) 5 s;
+# 1715 words (n = 9, length 6) took six minutes.
+MAX_ANSATZ_WORDS = 500
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -494,6 +499,14 @@ def _cmd_universal_search(args) -> int:
     length = args.length
     if length < 1 or length > HARD_CUTOFF_LIMIT:
         raise ConfigError(f"--length must lie in 1..{HARD_CUTOFF_LIMIT}")
+    # Nonempty multisets of at most `length` letters from 2..n-1:
+    # sum_{k=1}^{length} C(n-3+k, k) = C(n-2+length, length) - 1.
+    words = comb(psi.n - 2 + length, length) - 1
+    if words > MAX_ANSATZ_WORDS:
+        raise ConfigError(
+            f"the ansatz would have {words} words, more than the limit "
+            f"{MAX_ANSATZ_WORDS}; lower --n or --length"
+        )
     ansatz = universal.level0_words(2, psi.n - 1, length)
     result = universal.search_whittaker(psi, ansatz, psi, args.c)
     doc = {

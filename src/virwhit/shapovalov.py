@@ -134,7 +134,13 @@ def gram(level: int, ctx: VermaContext) -> GramMatrix:
 
 
 def solve(g: GramMatrix, rhs: list[Fraction]) -> list[Fraction]:
-    """Exact x with g x = rhs, by fraction-free elimination of the integer rows."""
+    """Exact x with g x = rhs.
+
+    The integer rows and rhs scaled row by row by s^{len lambda} go to
+    ``linalg.bareiss_solve``: an LU modulo a prime below 2^30, p-adic
+    lifting and rational reconstruction, returned only once the exact
+    integer check holds.  A degenerate level raises SingularGramError.
+    """
     if len(rhs) != len(g.partitions):
         raise ValueError(
             f"rhs has length {len(rhs)}, expected {len(g.partitions)}"

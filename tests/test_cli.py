@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from virwhit import universal
 from virwhit.cli import main
 
 
@@ -120,6 +121,21 @@ def test_universal_search_document(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["nullspace_dimension"] == 0
+
+
+def test_oversized_universal_search_exits_2_before_building(capsys, monkeypatch):
+    # 28 letters, lengths 1..12: sum_k C(27 + k, k) = C(40, 12) - 1 words.
+    def no_words(*args):
+        raise AssertionError("ansatz built before the size check")
+
+    monkeypatch.setattr(universal, "level0_words", no_words)
+    code = main(
+        ["universal", "search", "--n", "30", "--nu1", "1", "--nun", "2", "--length", "12"]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "5586853479 words" in err
+    assert err.count("\n") == 1
 
 
 def test_universal_family_document(capsys):

@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fraction_oracle import reference_rref, reference_solve
+from virwhit import linalg
 from virwhit.linalg import (
     SingularMatrixError,
     bareiss_solve,
@@ -86,28 +89,56 @@ def test_nullspace_empty_matrix_is_identity():
         assert vec[i] == 1 and sum(map(abs, vec)) == 1
 
 
-# Fraction Gauss-Jordan reduction, the elimination's independent oracle.
-def _reference_rref(matrix, ncols):
-    rows = [list(row) for row in matrix]
-    pivots = []
-    for col in range(ncols):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-    return rows, pivots
+def test_solve_regular_matrix_singular_mod_first_prime():
+    p = linalg.PRIMES[0]
+    a = [[1, 1], [1, 1 + p]]  # det = p
+    assert linalg._lu_mod(a, p) is None
+    x = bareiss_solve(_mat(a), [Fraction(2), Fraction(3)])
+    assert x == [2 - Fraction(1, p), Fraction(1, p)]
+
+
+
+def test_solve_certificate_rejects_early_reconstruction():
+    # x = p + 1 reads as 1 after one p-digit; the exact check must reject
+    # that and lift on.
+    p = linalg.PRIMES[0]
+    assert bareiss_solve(_mat([[1]]), [Fraction(p + 1)]) == [p + 1]
+
+def test_solve_regular_matrix_singular_mod_every_prime_raises():
+    with pytest.raises(ArithmeticError):
+        bareiss_solve(_mat([[prod(linalg.PRIMES)]]), [Fraction(1)])
+
+
+def test_solve_singular_with_zero_rhs_raises():
+    with pytest.raises(SingularMatrixError):
+        bareiss_solve(_mat([[1, 2, 3], [4, 5, 6], [7, 8, 9]]), [Fraction(0)] * 3)
+
+
+def test_solve_empty_system():
+    assert bareiss_solve([], []) == []
+
+
+def test_solve_zero_rhs_gives_zeros():
+    a = _mat([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+    assert bareiss_solve(a, [Fraction(0)] * 3) == [Fraction(0)] * 3
+
+
+def test_solve_hilbert_matrix_matches_gauss_jordan():
+    # Coordinates many p-digits wide: the lifting runs for several steps.
+    n = 12
+    a = [[Fraction(1, i + j + 1) for j in range(n)] for i in range(n)]
+    rhs = [Fraction(i - 5, i + 2) for i in range(n)]
+    assert bareiss_solve(a, rhs) == reference_solve(a, rhs)
+
+
+def test_lifting_stops_at_hadamard_bound(monkeypatch):
+    monkeypatch.setattr(linalg, "_reconstruct", lambda residues, modulus: None)
+    with pytest.raises(ArithmeticError):
+        bareiss_solve(_mat([[2, 1], [1, 3]]), [Fraction(5), Fraction(10)])
 
 
 def _reference_nullspace(matrix, ncols):
-    reduced, pivots = _reference_rref(matrix, ncols)
+    reduced, pivots = reference_rref(matrix, ncols)
     basis = []
     for free in range(ncols):
         if free in pivots:
@@ -169,7 +200,7 @@ def test_nullspace_and_rank_match_gauss_jordan(case):
 def test_bareiss_solve_satisfies_system(matrix, data):
     n = len(matrix)
     rhs = data.draw(st.lists(_ENTRIES, min_size=n, max_size=n))
-    if len(_reference_rref(matrix, n)[1]) < n:
+    if len(reference_rref(matrix, n)[1]) < n:
         with pytest.raises(SingularMatrixError):
             bareiss_solve(matrix, rhs)
         return
