@@ -37,6 +37,9 @@ HARD_CUTOFF_LIMIT = 12
 # words (n = 5, length 9) took 1 s and 454 words (n = 5, length 12) 5 s;
 # 1715 words (n = 9, length 6) took six minutes.
 MAX_ANSATZ_WORDS = 500
+# Most samples a check-lemmas run may draw.  On a 2-vCPU host 1000 samples
+# at --max-level 12 --max-length 12 took 7 s for r = 2 and 12 s for r = 3.
+MAX_LEMMA_SAMPLES = 1000
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -66,12 +69,14 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _check_range(name: str, value: int, low: int, high: int) -> int:
+    if value < low or value > high:
+        raise ConfigError(f"{name} must lie in {low}..{high}, got {value}")
+    return value
+
+
 def _check_cutoff(cutoff: int) -> int:
-    if cutoff < 0 or cutoff > HARD_CUTOFF_LIMIT:
-        raise ConfigError(
-            f"cutoff must lie in 0..{HARD_CUTOFF_LIMIT}, got {cutoff}"
-        )
-    return cutoff
+    return _check_range("cutoff", cutoff, 0, HARD_CUTOFF_LIMIT)
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +501,7 @@ def _cmd_universal_family(args) -> int:
 
 def _cmd_universal_search(args) -> int:
     psi = _make_pair_type(args)
-    length = args.length
-    if length < 1 or length > HARD_CUTOFF_LIMIT:
-        raise ConfigError(f"--length must lie in 1..{HARD_CUTOFF_LIMIT}")
+    length = _check_range("--length", args.length, 1, HARD_CUTOFF_LIMIT)
     # Nonempty multisets of at most `length` letters from 2..n-1:
     # sum_{k=1}^{length} C(n-3+k, k) = C(n-2+length, length) - 1.
     words = comb(psi.n - 2 + length, length) - 1
@@ -544,6 +547,9 @@ def _random_pseudo_partition(rng: random.Random, r: int, max_level: int, max_len
 
 
 def _cmd_check_lemmas(args) -> int:
+    _check_range("--samples", args.samples, 1, MAX_LEMMA_SAMPLES)
+    _check_range("--max-level", args.max_level, 0, HARD_CUTOFF_LIMIT)
+    _check_range("--max-length", args.max_length, 0, HARD_CUTOFF_LIMIT)
     psi = WhittakerTypeR(args.r, tuple(args.mu))
     rng = random.Random(args.seed)
     s = psi.rank

@@ -9,15 +9,17 @@ one LU mod p, then x is lifted one p-digit at a time against the integer
 rows, each coordinate is recovered by rational reconstruction over a
 running common denominator, and the answer is returned only when the
 exact integer check A x = b holds.  A Hadamard bound caps the lifting.
+Primes are drawn largest first by a deterministic Miller-Rabin test.
 
-The determinant, the rank, nullspace bases (among them the large, sparse
-Whittaker-condition systems of the universal searches) and the
-singularity decision of a solve use one fraction-free (Bareiss) forward
-elimination: columns without a pivot are skipped (rank profile) and each
-update divides exactly by the previous pivot, so no intermediate
-denominators grow; one back substitution over the pivot columns brings
-fractions back at the end.  There is no inverse: verma inverts the basis
-change by signs.
+The determinant, the rank, nullspace bases and the singularity decision
+of a solve share one sparse exact elimination (``_echelon``) on
+{column: int} rows: columns left to right (so the pivot columns are the
+rank profile), updates only on the rows holding the pivot column, and
+each updated row divided by its content.  Such a row is the primitive
+vector of a line (its combinations with the pivot rows that vanish on
+the pivot columns), so it is never larger than the fraction-free
+(Bareiss) row on that line.  There is no inverse: verma inverts the
+basis change by signs.
 
 Sparse vectors throughout the package are dicts from basis labels to
 nonzero coefficients; ``accumulate`` is the one update rule they share.
@@ -26,17 +28,33 @@ nonzero coefficients; ``accumulate`` is the one update rule they share.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 Matrix = list[list[Fraction]]
 
 
-# Primes for the modular solve, first choice first: the five largest below
-# 2^30, so that residues are single-digit CPython ints.  On level-12 Gram
-# systems the LU mod such a prime ran twice as fast as mod 2^61 - 1, which
-# more than pays for twice as many lifting steps.
-PRIMES = (2**30 - 35, 2**30 - 41, 2**30 - 83, 2**30 - 101, 2**30 - 105)
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin: the bases 2, 3, 5, 7 decide every n < 3,215,031,751."""
+    bases = (2, 3, 5, 7)
+    if n < 2 or any(n % q == 0 for q in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    for a in bases:
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 2**k, n) != n - 1 for k in range(s)):
+            return False
+    return True
+
+
+def primes():
+    """The primes below 2^30, largest first, for the modular solve.
+
+    Their residues are single-digit CPython ints: on level-12 Gram systems
+    the LU ran twice as fast as mod 2^61 - 1, which pays for the doubled
+    number of lifting steps.
+    """
+    return filter(_is_prime, range(2**30 - 1, 1, -1))
 
 
 class SingularMatrixError(ValueError):
@@ -56,80 +74,66 @@ def accumulate(acc: dict, items, scalar=1) -> dict:
     return acc
 
 
-def _exact_div(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    if r:
-        raise ArithmeticError("inexact division in fraction-free elimination")
-    return q
-
-
-def _integer_rows(rows) -> tuple[list[list[int]], Fraction]:
-    """Each row as a primitive integer row, and the product of the row factors.
+def _integer_rows(rows) -> tuple[list[dict[int, int]], Fraction]:
+    """Each row as a primitive integer row {column: int}, and the product of the row factors.
 
     A row is multiplied by the lcm of its denominators and divided by the
-    gcd of the resulting integers (its content); zero rows stay zero.
+    gcd of the resulting integers (its content); zero rows stay empty.
     """
     out = []
     num = den = 1
     for row in rows:
-        mult = lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (mult // x.denominator) for x in row]
-        content = gcd(*ints) or 1
+        entries = {j: x for j, x in enumerate(row) if x}
+        mult = lcm(*(x.denominator for x in entries.values()))
+        ints = {j: x.numerator * (mult // x.denominator) for j, x in entries.items()}
+        content = gcd(*ints.values()) or 1
         if content > 1:
-            ints = [x // content for x in ints]
+            ints = {j: x // content for j, x in ints.items()}
         num *= mult
         den *= content
         out.append(ints)
     return out, Fraction(num, den)
 
 
-def _eliminate(rows: list[list[int]]) -> tuple[list[int], int]:
-    """Fraction-free forward elimination of integer rows, in place.
+def _echelon(matrix, ncols: int, reduce: bool):
+    """Sparse exact elimination of the primitive integer rows of matrix.
 
-    Returns the pivot columns, pivot k sitting in row k, and the sign of
-    the row permutation.  Rows below the last pivot end up zero.
+    Columns go left to right; the pivot is the row without a pivot that
+    holds the column and has the fewest nonzeros (the first on a tie).
+    Every other such row -- with ``reduce``, every earlier pivot row too
+    -- becomes (a row - b pivot_row) / content, a / b being the pivot
+    entry over the row's entry in lowest terms.  Returns the rows, the
+    pivots as (column, row index) in column order, and the F with
+    det(matrix) = det(rows) F when ``reduce`` is off.
     """
-    nrows = len(rows)
-    pivots: list[int] = []
-    sign = 1
-    prev = 1
-    for col in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
-        if r == nrows:
-            break
-        pivot = next((i for i in range(r, nrows) if rows[i][col]), None)
-        if pivot is None:
+    rows, scale = _integer_rows(matrix)
+    factor = 1 / scale
+    waiting = list(range(len(rows)))
+    pivots: list[tuple[int, int]] = []
+    for col in range(ncols):
+        holders = [i for i in waiting if col in rows[i]]
+        if not holders:
             continue
-        if pivot != r:
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            sign = -sign
-        top = rows[r]
+        piv = min(holders, key=lambda i: len(rows[i]))
+        waiting.remove(piv)
+        top = rows[piv]
         p = top[col]
-        tail = top[col + 1 :]
-        for i in range(r + 1, nrows):
-            row = rows[i]
-            f = row[col]
-            row[col:] = [0] + [
-                _exact_div(p * x - f * y, prev) if x or y else 0
-                for x, y in zip(row[col + 1 :], tail)
-            ]
-        pivots.append(col)
-        prev = p
-    return pivots, sign
-
-
-def _back_substitute(rows: list[list[int]], pivots: list[int], col: int) -> list[Fraction]:
-    """y with sum_j rows[i][pivots[j]] * y[j] == rows[i][col] for every pivot row i."""
-    k = len(pivots)
-    y = [Fraction(0)] * k
-    for i in range(k - 1, -1, -1):
-        row = rows[i]
-        acc = Fraction(row[col])
-        for j in range(i + 1, k):
-            if row[pivots[j]] and y[j]:
-                acc -= row[pivots[j]] * y[j]
-        y[i] = acc / row[pivots[i]]
-    return y
+        earlier = [i for _, i in pivots if col in rows[i]] if reduce else []
+        for i in holders + earlier:
+            if i == piv:
+                continue
+            f = rows[i][col]
+            g = gcd(p, f)
+            a = p // g
+            row = accumulate({j: a * v for j, v in rows[i].items()}, top.items(), -(f // g))
+            content = gcd(*row.values()) or 1
+            if content > 1:
+                row = {j: v // content for j, v in row.items()}
+            rows[i] = row
+            if i in holders:
+                factor *= Fraction(content, a)
+        pivots.append((col, piv))
+    return rows, pivots, factor
 
 
 def _lu_mod(rows: list[list[int]], p: int):
@@ -240,11 +244,11 @@ def bareiss_solve(matrix: Matrix, rhs: list[Fraction]) -> list[Fraction]:
     """Exact solution of the square system matrix * x = rhs.
 
     The primitive integer rows of the augmented system are factored once
-    mod the first prime of ``PRIMES``, then x is lifted p-adically and
+    mod the first of ``primes()``, then x is lifted p-adically and
     certified by the exact integer check (``_dixon``).  When the LU finds
-    no pivot mod p, the fraction-free ``rank`` decides: short rank raises
-    SingularMatrixError, full rank moves on to the next prime; a regular
-    matrix singular modulo every prime raises ArithmeticError.
+    no pivot mod p, the exact ``rank`` decides: short rank raises
+    SingularMatrixError, full rank moves on through the next primes until
+    one does not divide the determinant.
 
     The name is that of the fraction-free (Bareiss) solve this method
     replaced.  It stays because ``perfbench/traced_job.py`` traces the
@@ -255,48 +259,54 @@ def bareiss_solve(matrix: Matrix, rhs: list[Fraction]) -> list[Fraction]:
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("expected a square system")
     aug, _ = _integer_rows(list(row) + [b] for row, b in zip(matrix, rhs))
-    a = [row[:n] for row in aug]
-    b = [row[n] for row in aug]
-    for p in PRIMES:
+    a = [[row.get(j, 0) for j in range(n)] for row in aug]
+    b = [row.get(n, 0) for row in aug]
+    for k, p in enumerate(primes()):
         factors = _lu_mod(a, p)
         if factors is not None:
             return _dixon(a, b, factors, p)
-        r = rank(a)
-        if r < n:
+        if k == 0 and (r := rank(a)) < n:
             raise SingularMatrixError(f"rank {r} < {n}")
-    raise ArithmeticError("regular matrix singular modulo every prime in PRIMES")
+    raise AssertionError("a nonzero determinant has finitely many prime factors")
 
 
 def det(matrix: Matrix) -> Fraction:
-    """Determinant by fraction-free elimination."""
-    work, scale = _integer_rows(matrix)
-    pivots, sign = _eliminate(work)
-    if len(pivots) < len(matrix):
+    """Determinant: the pivot rows in column order are upper triangular."""
+    n = len(matrix)
+    rows, pivots, factor = _echelon(matrix, n, reduce=False)
+    if len(pivots) < n:
         return Fraction(0)
-    return sign * work[-1][-1] / scale if work else Fraction(1)
+    order = [i for _, i in pivots]
+    inversions = sum(x > y for k, x in enumerate(order) for y in order[k + 1 :])
+    return (-1) ** inversions * prod(rows[i][c] for c, i in pivots) * factor
 
 
 def rank(matrix: Matrix) -> int:
-    return len(_eliminate(_integer_rows(matrix)[0])[0])
+    ncols = len(matrix[0]) if matrix else 0
+    return len(_echelon(matrix, ncols, reduce=False)[1])
 
 
 def nullspace(matrix: Matrix, ncols: int | None = None) -> list[list[Fraction]]:
     """Basis of the kernel, one vector per free (non-pivot) column.
 
     The vector for a free column holds 1 there and 0 at every other free
-    column, which makes the basis unique: it is the reduced-row-echelon one.
+    column, which makes the basis unique: it is the reduced-row-echelon one,
+    with -R_c[f] / R_c[c] at pivot column c for the reduced pivot row R_c.
     """
     if ncols is None:
         if not matrix:
             raise ValueError("ncols required for an empty matrix")
         ncols = len(matrix[0])
-    work, _ = _integer_rows(matrix)
-    pivots, _ = _eliminate(work)
+    rows, pivots, _ = _echelon(matrix, ncols, reduce=True)
+    pivot_columns = {c for c, _ in pivots}
     basis = []
-    for free in sorted(set(range(ncols)) - set(pivots)):
+    for free in range(ncols):
+        if free in pivot_columns:
+            continue
         vec = [Fraction(0)] * ncols
         vec[free] = Fraction(1)
-        for piv, value in zip(pivots, _back_substitute(work, pivots, free)):
-            vec[piv] = -value
+        for c, i in pivots:
+            if free in rows[i]:
+                vec[c] = Fraction(-rows[i][free], rows[i][c])
         basis.append(vec)
     return basis

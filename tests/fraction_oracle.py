@@ -4,6 +4,8 @@ It shares no code with ``virwhit.linalg``: no integer rows, no modular
 arithmetic, only Fraction row operations.
 """
 
+from fractions import Fraction
+
 
 def reference_rref(matrix, ncols):
     """Reduced row echelon form of the first ncols columns and its pivot columns."""
@@ -23,6 +25,26 @@ def reference_rref(matrix, ncols):
                 rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
         pivots.append(col)
     return rows, pivots
+
+
+def reference_det(matrix):
+    """Determinant by Fraction Gaussian elimination, negated at each row swap."""
+    rows = [list(row) for row in matrix]
+    n = len(rows)
+    result = Fraction(1)
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if rows[i][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            result = -result
+        result *= rows[col][col]
+        for i in range(col + 1, n):
+            if rows[i][col]:
+                factor = rows[i][col] / rows[col][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[col])]
+    return result
 
 
 def reference_solve(matrix, rhs):

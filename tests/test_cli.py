@@ -1,9 +1,11 @@
 import json
 from fractions import Fraction
+from itertools import islice
+from math import prod
 
 import pytest
 
-from virwhit import universal
+from virwhit import linalg, universal
 from virwhit.cli import main
 
 
@@ -165,6 +167,48 @@ def test_check_lemmas_exit(capsys):
         "--samples", "10",
         "--seed", "3",
     )
+    assert code == 0
+    assert json.loads(out)["passed"]
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--samples", "-5"),
+        ("--samples", "1001"),
+        ("--max-level", "-1"),
+        ("--max-length", "1500"),
+    ],
+    ids=["negative-samples", "samples-over-cap", "negative-max-level", "deep-max-length"],
+)
+def test_check_lemmas_limits_exit_2(capsys, option, value):
+    argv = ["check-lemmas", "--r", "2", "--mu", "1,2,3", "--c", "1"]
+    argv += ["--samples", "3", "--max-level", "0", "--max-length", "0"]
+    code = main(argv + [option, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {option} must lie in ")
+    assert captured.err.count("\n") == 1
+
+
+def test_gram_divisible_by_the_first_primes_solves(tmp_path, capsys):
+    # G_1 = 2 Delta = the product of the first five primes of the modular
+    # solve: the LU finds no pivot modulo any of them.
+    big = prod(islice(linalg.primes(), 5))
+    out_path = tmp_path / "state.json"
+    code, _ = run_cli(
+        capsys,
+        "gaiotto",
+        "--r=1",
+        "--mu=1,0",
+        "--c=1",
+        f"--delta={big}/2",
+        "--cutoff=2",
+        f"--out={out_path}",
+    )
+    assert code == 0
+    code, out = run_cli(capsys, "verify", "--input", str(out_path))
     assert code == 0
     assert json.loads(out)["passed"]
 

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
-from math import prod
+from itertools import islice
+from math import isqrt, prod
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraction_oracle import reference_rref, reference_solve
+from fraction_oracle import reference_det, reference_rref, reference_solve
 from virwhit import linalg
 from virwhit.linalg import (
     SingularMatrixError,
@@ -15,6 +16,8 @@ from virwhit.linalg import (
     nullspace,
     rank,
 )
+from virwhit.universal import level0_words, search_whittaker
+from virwhit.whittaker import WhittakerType1N
 
 
 def _mat(rows):
@@ -90,7 +93,7 @@ def test_nullspace_empty_matrix_is_identity():
 
 
 def test_solve_regular_matrix_singular_mod_first_prime():
-    p = linalg.PRIMES[0]
+    p = next(linalg.primes())
     a = [[1, 1], [1, 1 + p]]  # det = p
     assert linalg._lu_mod(a, p) is None
     x = bareiss_solve(_mat(a), [Fraction(2), Fraction(3)])
@@ -101,12 +104,14 @@ def test_solve_regular_matrix_singular_mod_first_prime():
 def test_solve_certificate_rejects_early_reconstruction():
     # x = p + 1 reads as 1 after one p-digit; the exact check must reject
     # that and lift on.
-    p = linalg.PRIMES[0]
+    p = next(linalg.primes())
     assert bareiss_solve(_mat([[1]]), [Fraction(p + 1)]) == [p + 1]
 
-def test_solve_regular_matrix_singular_mod_every_prime_raises():
-    with pytest.raises(ArithmeticError):
-        bareiss_solve(_mat([[prod(linalg.PRIMES)]]), [Fraction(1)])
+def test_solve_regular_matrix_singular_mod_first_five_primes():
+    # det = the product of the first five primes: the solve moves on to
+    # the sixth and returns the exact answer.
+    big = prod(islice(linalg.primes(), 5))
+    assert bareiss_solve(_mat([[big]]), [Fraction(1)]) == [Fraction(1, big)]
 
 
 def test_solve_singular_with_zero_rhs_raises():
@@ -211,3 +216,90 @@ def test_bareiss_solve_satisfies_system(matrix, data):
 @given(_square(max_size=4))
 def test_det_matches_cofactor_expansion(matrix):
     assert det(matrix) == _cofactor_det(matrix)
+
+
+_NONZERO = st.fractions(min_value=-6, max_value=6, max_denominator=5).filter(bool)
+
+
+def _dense(ncols, cells):
+    row = [Fraction(0)] * ncols
+    for j, value in cells.items():
+        row[j] = value
+    return row
+
+
+@st.composite
+def _sparse_matrices(draw, max_size=30):
+    """(rows, ncols): up to 30 x 30, 1-3 nonzeros per row, up to 3 rows combining two others."""
+    ncols = draw(st.integers(1, max_size))
+    cells = st.dictionaries(st.integers(0, ncols - 1), _NONZERO, min_size=1, max_size=3)
+    rows = [_dense(ncols, c) for c in draw(st.lists(cells, max_size=max_size))]
+    if len(rows) >= 2:
+        pairs = st.tuples(st.integers(0, len(rows) - 1), st.integers(0, len(rows) - 1), _NONZERO)
+        for i, j, w in draw(st.lists(pairs, max_size=3)):
+            rows.append([a + w * b for a, b in zip(rows[i], rows[j])])
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order], ncols
+
+
+@st.composite
+def _sparse_square(draw, max_size=30):
+    """A permuted diagonal of nonzeros plus 0-2 more entries per row; sometimes a dependent row."""
+    n = draw(st.integers(0, max_size))
+    diagonal = draw(st.permutations(range(n)))
+    extra = st.dictionaries(st.integers(0, max(n - 1, 0)), _NONZERO, max_size=2)
+    rows = [_dense(n, {**draw(extra), col: draw(_NONZERO)}) for col in diagonal]
+    if n >= 3 and draw(st.booleans()):
+        w = draw(_NONZERO)
+        rows[0] = [a + w * b for a, b in zip(rows[1], rows[2])]
+    return rows
+
+
+@settings(deadline=None, max_examples=50)
+@given(_sparse_matrices())
+def test_sparse_nullspace_and_rank_match_gauss_jordan(case):
+    matrix, ncols = case
+    expected = _reference_nullspace(matrix, ncols)
+    assert nullspace(matrix, ncols=ncols) == expected
+    assert rank(matrix) == ncols - len(expected)
+
+
+@settings(deadline=None, max_examples=50)
+@given(_sparse_square(), st.data())
+def test_sparse_det_matches_fraction_elimination_under_row_permutations(matrix, data):
+    assert det(matrix) == reference_det(matrix)
+    order = data.draw(st.permutations(range(len(matrix))))
+    permuted = [matrix[i] for i in order]
+    assert det(permuted) == reference_det(permuted)
+
+
+@given(_square(max_size=4))
+def test_reference_det_matches_cofactor_expansion(matrix):
+    assert reference_det(matrix) == _cofactor_det(matrix)
+
+
+def test_search_whittaker_basis_matches_gauss_jordan(monkeypatch):
+    systems = []
+    exact = linalg.nullspace
+
+    def recording(matrix, ncols=None):
+        systems.append((matrix, ncols))
+        return exact(matrix, ncols)
+
+    monkeypatch.setattr(linalg, "nullspace", recording)
+    psi = WhittakerType1N(5, Fraction(3, 7), Fraction(-2, 5))
+    result = search_whittaker(psi, level0_words(2, 4, 5), psi, Fraction(5, 3))
+    ((matrix, ncols),) = systems
+    found = [[vec.terms.get(w, Fraction(0)) for w in result.ansatz] for vec in result.basis]
+    assert result.dimension > 0
+    assert found == _reference_nullspace(matrix, ncols)
+
+
+def test_primes_are_the_primes_below_2_30_largest_first():
+    assert list(islice(linalg.primes(), 5)) == [
+        2**30 - 35, 2**30 - 41, 2**30 - 83, 2**30 - 101, 2**30 - 105
+    ]
+    trial = [n for n in range(2, 3000) if all(n % d for d in range(2, isqrt(n) + 1))]
+    assert [n for n in range(3000) if linalg._is_prime(n)] == trial
+    # Strong pseudoprimes to the bases 2; 2, 3; and 2, 3, 5.
+    assert not any(map(linalg._is_prime, (2047, 1373653, 25326001)))
