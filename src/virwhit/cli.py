@@ -300,6 +300,24 @@ def _coeff_map_json(coeffs: dict) -> list:
     ]
 
 
+def _emit_state(command: str, parameters: dict, form, psi, out_path) -> int:
+    """Raise the form to its state, verify both and emit the document."""
+    state = forms.raise_indices(form)
+    form_report = forms.verify_whittaker_form(form, psi)
+    state_report = forms.verify_whittaker_state(state, psi, form.cutoff)
+    doc = {
+        "schema": SCHEMA,
+        "command": command,
+        "parameters": parameters,
+        "form": _form_json(form),
+        "state": _state_json(state),
+        "verification": _report_json(form_report),
+        "state_verification": _report_json(state_report),
+    }
+    _emit(doc, out_path)
+    return EXIT_OK if form_report.passed and state_report.passed else EXIT_VERIFICATION
+
+
 def _cmd_gaiotto(args) -> int:
     cutoff = _check_cutoff(args.cutoff)
     psi = WhittakerTypeR(args.r, tuple(args.mu))
@@ -309,27 +327,15 @@ def _cmd_gaiotto(args) -> int:
     else:
         coeffs = {(0,) * (psi.r - 1): Fraction(1)}
     form = forms.gaiotto_form(psi, coeffs, cutoff, ctx)
-    state = forms.raise_indices(form)
-    form_report = forms.verify_whittaker_form(form, psi)
-    state_report = forms.verify_whittaker_state(state, psi, cutoff)
-    doc = {
-        "schema": SCHEMA,
-        "command": "gaiotto",
-        "parameters": {
-            "r": psi.r,
-            "mu": [format_rational(v) for v in psi.mu],
-            "central_charge": format_rational(ctx.c),
-            "conformal_weight": format_rational(ctx.delta),
-            "cutoff": cutoff,
-            "coefficients": _coeff_map_json(coeffs),
-        },
-        "form": _form_json(form),
-        "state": _state_json(state),
-        "verification": _report_json(form_report),
-        "state_verification": _report_json(state_report),
+    parameters = {
+        "r": psi.r,
+        "mu": [format_rational(v) for v in psi.mu],
+        "central_charge": format_rational(ctx.c),
+        "conformal_weight": format_rational(ctx.delta),
+        "cutoff": cutoff,
+        "coefficients": _coeff_map_json(coeffs),
     }
-    _emit(doc, args.out)
-    return EXIT_OK if form_report.passed and state_report.passed else EXIT_VERIFICATION
+    return _emit_state("gaiotto", parameters, form, psi, args.out)
 
 
 def _cmd_bmt(args) -> int:
@@ -353,28 +359,16 @@ def _cmd_bmt(args) -> int:
             coeffs = {(0,) * (psi.n - 2): Fraction(1)}
         form = forms.bmt_form(psi, coeffs, cutoff, ctx)
         coeff_doc = {"coefficients": _coeff_map_json(coeffs)}
-    state = forms.raise_indices(form)
-    form_report = forms.verify_whittaker_form(form, psi)
-    state_report = forms.verify_whittaker_state(state, psi, cutoff)
-    doc = {
-        "schema": SCHEMA,
-        "command": "bmt",
-        "parameters": {
-            "n": psi.n,
-            "nu1": format_rational(psi.nu1),
-            "nun": format_rational(psi.nun),
-            "central_charge": format_rational(ctx.c),
-            "conformal_weight": format_rational(ctx.delta),
-            "cutoff": cutoff,
-            **coeff_doc,
-        },
-        "form": _form_json(form),
-        "state": _state_json(state),
-        "verification": _report_json(form_report),
-        "state_verification": _report_json(state_report),
+    parameters = {
+        "n": psi.n,
+        "nu1": format_rational(psi.nu1),
+        "nun": format_rational(psi.nun),
+        "central_charge": format_rational(ctx.c),
+        "conformal_weight": format_rational(ctx.delta),
+        "cutoff": cutoff,
+        **coeff_doc,
     }
-    _emit(doc, args.out)
-    return EXIT_OK if form_report.passed and state_report.passed else EXIT_VERIFICATION
+    return _emit_state("bmt", parameters, form, psi, args.out)
 
 
 def _type_from_parameters(params: dict):
@@ -464,6 +458,7 @@ def _make_pair_type(args) -> WhittakerType1N:
 
 
 def _cmd_universal_family(args) -> int:
+    _check_range("--l", args.l, 0, HARD_CUTOFF_LIMIT)
     psi = _make_pair_type(args)
     c = args.c
     name = args.family
@@ -547,6 +542,7 @@ def _random_pseudo_partition(rng: random.Random, r: int, max_level: int, max_len
 
 
 def _cmd_check_lemmas(args) -> int:
+    _check_range("--r", args.r, 1, HARD_CUTOFF_LIMIT)
     _check_range("--samples", args.samples, 1, MAX_LEMMA_SAMPLES)
     _check_range("--max-level", args.max_level, 0, HARD_CUTOFF_LIMIT)
     _check_range("--max-length", args.max_length, 0, HARD_CUTOFF_LIMIT)

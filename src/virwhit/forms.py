@@ -28,6 +28,7 @@ side, where L_{-1} acts on the dual labels by a plain exponent shift.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -38,9 +39,9 @@ from .verma import (
     Partition,
     VermaContext,
     VermaVector,
-    basis_vector,
     enumerate_partitions,
     reversed_monomial,
+    straightener,
 )
 from .verma import act as verma_act
 from .whittaker import (
@@ -189,11 +190,14 @@ def convert_form(f: DualForm, side: str) -> DualForm:
 def act_on_form(m: int, f: DualForm) -> DualForm:
     """(L_m f)(v) = f(L_{-m} v); the cutoff drops by max(m, 0).
 
-    Computed on the decreasing side for either basis side.  For m above the cutoff every reachable evaluation lands outside the
-    stored window and the result is the zero form of cutoff 0.
+    Computed on the decreasing side for either basis side, reading
+    L_{-m} L_{-mu}|Delta> from the straightener for each mu.  For m above
+    the cutoff every reachable evaluation lands outside the stored window
+    and the result is the zero form of cutoff 0.
     """
     new_cutoff = max(0, f.cutoff - max(m, 0))
     f_dec = convert_form(f, DECREASING)
+    rule = straightener(f.context)
     levels: dict[int, dict[Partition, Fraction]] = {}
     for lvl in range(new_cutoff + 1):
         src = lvl + m
@@ -202,9 +206,8 @@ def act_on_form(m: int, f: DualForm) -> DualForm:
             continue
         component_terms: dict[Partition, Fraction] = {}
         for mu in enumerate_partitions(lvl):
-            image = verma_act(-m, basis_vector(f.context, mu))
             value = sum(
-                (coeffs[p] * c for p, c in image.terms.items() if p in coeffs),
+                (coeffs[p] * c for p, c in rule.times(m, mu) if p in coeffs),
                 Fraction(0),
             )
             if value:
@@ -214,13 +217,6 @@ def act_on_form(m: int, f: DualForm) -> DualForm:
     return convert_form(
         DualForm(f.context, new_cutoff, DECREASING, levels), f.basis_side
     )
-
-
-def _counts(partition: Partition) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for part in partition:
-        out[part] = out.get(part, 0) + 1
-    return out
 
 
 def gaiotto_basic_form(
@@ -247,7 +243,7 @@ def gaiotto_basic_form(
     for lvl in range(cutoff + 1):
         terms: dict[Partition, Fraction] = {}
         for partition in enumerate_partitions(lvl):
-            counts = _counts(partition)
+            counts = Counter(partition)
             if any(counts.get(i, 0) != required[i] for i in required):
                 continue
             if any(part > s for part in counts):
@@ -273,14 +269,16 @@ def gaiotto_form(
     ctx: VermaContext,
 ) -> DualForm:
     """Finite combination of basic Gaiotto forms, truncated at the cutoff."""
-    total = zero_form(ctx, cutoff, DECREASING)
+    return _combination(gaiotto_basic_form, DECREASING, psi, coefficients, cutoff, ctx)
+
+
+def _combination(basic, side, psi, coefficients, cutoff, ctx) -> DualForm:
+    # sum of coeff * basic(psi, exponents, cutoff, ctx) in exponent order.
+    total = zero_form(ctx, cutoff, side)
     for exponents, coeff in sorted(coefficients.items()):
-        coeff = Fraction(coeff)
-        if not coeff:
-            continue
-        total = form_combine(
-            total, gaiotto_basic_form(psi, exponents, cutoff, ctx), coeff
-        )
+        if coeff:
+            form = basic(psi, exponents, cutoff, ctx)
+            total = form_combine(total, form, Fraction(coeff))
     return total
 
 
@@ -306,7 +304,7 @@ def bmt_basic_form(
     for lvl in range(cutoff + 1):
         terms: dict[Partition, Fraction] = {}
         for partition in enumerate_partitions(lvl):
-            counts = _counts(partition)
+            counts = Counter(partition)
             if any(counts.get(j, 0) != exponents[j - 2] for j in range(2, n)):
                 continue
             if any(part > n for part in counts):
@@ -325,13 +323,7 @@ def bmt_form(
     ctx: VermaContext,
 ) -> DualForm:
     """Finite combination of basic BMT forms, truncated at the cutoff."""
-    total = zero_form(ctx, cutoff, INCREASING)
-    for exponents, coeff in sorted(coefficients.items()):
-        coeff = Fraction(coeff)
-        if not coeff:
-            continue
-        total = form_combine(total, bmt_basic_form(psi, exponents, cutoff, ctx), coeff)
-    return total
+    return _combination(bmt_basic_form, INCREASING, psi, coefficients, cutoff, ctx)
 
 
 def bmt_special_form(
@@ -473,24 +465,21 @@ def whittaker_form_nullspace(
     dimension and a deterministic basis of forms.
     """
     side = DECREASING if isinstance(typ, WhittakerTypeR) else INCREASING
-    unknowns: list[tuple[int, Partition]] = []
-    for lvl in range(cutoff + 1):
-        for part in enumerate_partitions(lvl):
-            unknowns.append((lvl, part))
+    unknowns = [(lvl, p) for lvl in range(cutoff + 1) for p in enumerate_partitions(lvl)]
     index = {u: i for i, u in enumerate(unknowns)}
 
     # Each equation is f(L_{-k} v - psi(L_k) v) = 0 for a canonical basis
     # vector v; per (k, level) these span the same rows as the equations
     # taken at the side's own basis vectors, since basis_change is invertible.
+    rule = straightener(ctx)
     rows: list[list[Fraction]] = []
     for k in _check_indices(typ, cutoff):
         expected = typ.value(k)
         for lo in range(cutoff - k + 1):
             for mu in enumerate_partitions(lo):
-                v = basis_vector(ctx, mu)
-                residual = verma_act(-k, v) - v.scale(expected)
+                residual = linalg.accumulate(dict(rule.times(k, mu)), ((mu, -expected),))
                 row = [Fraction(0)] * len(unknowns)
-                for part, value in _side_coords(side, residual.terms).items():
+                for part, value in _side_coords(side, residual).items():
                     row[index[(sum(part), part)]] += value
                 if any(row):
                     rows.append(row)
@@ -520,7 +509,7 @@ def _basic_mu_derivative(
     for lvl in range(cutoff + 1):
         terms: dict[Partition, Fraction] = {}
         for partition in enumerate_partitions(lvl):
-            counts = _counts(partition)
+            counts = Counter(partition)
             if any(part < r or part > s for part in counts):
                 continue
             n_wrt = counts.get(wrt, 0)

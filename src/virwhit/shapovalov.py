@@ -34,9 +34,9 @@ from . import linalg
 from .verma import (
     Partition,
     VermaContext,
-    _act_monomial,
     enumerate_partitions,
     partition_index,
+    straightener,
 )
 
 
@@ -91,10 +91,11 @@ def _scaled_images(k: int, level: int, ctx: VermaContext, scale: int) -> list:
     # scale * (L_k L_{-mu}|Delta>) for every mu of the level, as
     # (index at level - k, integer) pairs.
     index = partition_index(level - k)
+    rule = straightener(ctx)
     images = []
     for mu in enumerate_partitions(level):
         image = []
-        for nu, coeff in _act_monomial(k, mu, ctx.c, ctx.delta):
+        for nu, coeff in rule.times(-k, mu):
             value = coeff * scale
             if value.denominator != 1:
                 raise ArithmeticError(

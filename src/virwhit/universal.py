@@ -7,15 +7,12 @@ all integers below n except 1).  The tuple (a_1 <= ... <= a_k) stands for
 L_{a_1} ... L_{a_k} |w>, with |w> the generating Whittaker vector; the
 empty tuple is |w> itself.
 
-The module action is computed by PBW rewriting: a word of generator
-indices applied to |w> is straightened with the commutation rule
-
-    L_a L_b = L_b L_a + (a - b) L_{a+b} + (c/12) a (a^2-1) delta_{a+b,0},
-
-and whenever a subalgebra letter reaches the right end it is replaced by
-its scalar psi(L_k).  Each step either shortens the word or lowers its
-inversion count under an order that ranks subalgebra letters rightmost,
-so the rewriting terminates; results are memoized per (type, charge).
+The module is induced from the Whittaker subalgebra p with the end rule
+chi = psi: a letter of p that reaches |w> becomes psi(L_k).  The action
+is virasoro.Straightener with that rule, one per (type, central charge);
+a word is applied by folding its letters in from the right.  The letter
+order is the index order, except that for a pair type letter 1 ranks just
+below n, so that every letter of p ranks above the basis letters.
 
 Statistics of a pseudo-partition: level = minus the sum of its negative
 letters, length = the number of nonnegative letters, and l-value = the
@@ -27,11 +24,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import pos
 
 from . import linalg
 from .linalg import accumulate
+from .virasoro import Straightener, Straighteners
 from .whittaker import (
-    IndexOutsideSubalgebraError,
     ResidualCheck,
     VerificationReport,
     WhittakerType,
@@ -70,18 +68,12 @@ def pp_counts(word: PseudoPartition) -> list[tuple[int, int]]:
     return out
 
 
-def _allowed_letter(typ: WhittakerType, letter: int) -> bool:
-    if isinstance(typ, WhittakerTypeR):
-        return letter < typ.r
-    return letter < typ.n and letter != 1
-
-
 def validate_pseudo_partition(typ: WhittakerType, word) -> PseudoPartition:
     word = tuple(word)
     if list(word) != sorted(word):
         raise ValueError(f"letters must be non-decreasing: {word}")
     for letter in word:
-        if not _allowed_letter(typ, letter):
+        if typ.in_subalgebra(letter):
             raise ValueError(f"letter {letter} is not a basis letter for {typ}")
     return word
 
@@ -143,85 +135,27 @@ def basis_vector(typ: WhittakerType, c: Fraction, word) -> UniversalVector:
     )
 
 
-class _Rewriter:
-    """Memoized PBW straightening for one (type, central charge) pair."""
-
-    def __init__(self, typ: WhittakerType, c: Fraction):
-        self.typ = typ
-        self.c = Fraction(c)
-        self._cache: dict[tuple[int, ...], dict[PseudoPartition, Fraction]] = {}
-        if isinstance(typ, WhittakerTypeR):
-            self._special = None
-        else:
-            # Letter 1 belongs to the subalgebra; rank it just below n so it
-            # migrates past the basis letters 2..n-1 toward |w>.
-            self._special = typ.n
-
-    def _key(self, letter: int) -> tuple[int, int]:
-        if self._special is not None and letter == 1:
-            return (self._special - 1, 1)
-        return (letter, 0)
-
-    def reduce(self, word: tuple[int, ...]) -> dict[PseudoPartition, Fraction]:
-        cached = self._cache.get(word)
-        if cached is not None:
-            return cached
-        result = self._reduce(word)
-        self._cache[word] = result
-        return result
-
-    def _reduce(self, word: tuple[int, ...]) -> dict[PseudoPartition, Fraction]:
-        if not word:
-            return {(): Fraction(1)}
-        last = word[-1]
-        if self.typ.in_subalgebra(last):
-            scalar = self.typ.value(last)
-            if not scalar:
-                return {}
-            return {
-                w: c * scalar for w, c in self.reduce(word[:-1]).items()
-            }
-        swap_at = -1
-        for i in range(len(word) - 2, -1, -1):
-            if self._key(word[i]) > self._key(word[i + 1]):
-                swap_at = i
-                break
-        if swap_at < 0:
-            return {word: Fraction(1)}
-        a, b = word[swap_at], word[swap_at + 1]
-        head, tail = word[:swap_at], word[swap_at + 2:]
-        acc: dict[PseudoPartition, Fraction] = {}
-        accumulate(acc, self.reduce(head + (b, a) + tail).items())
-        accumulate(acc, self.reduce(head + (a + b,) + tail).items(), Fraction(a - b))
-        if a + b == 0:
-            central = self.c * Fraction(a * (a * a - 1), 12)
-            accumulate(acc, self.reduce(head + tail).items(), central)
-        return acc
+def _psi_rule(key) -> Straightener:
+    # Letters are modes and end as psi; for pair types letter 1 ranks just
+    # below n, above the basis letters 2..n-1.
+    typ, c = key
+    rank = pos
+    if isinstance(typ, WhittakerType1N):
+        n = typ.n
+        rank = lambda x: 2 * n - 1 if x == 1 else 2 * x
+    return Straightener(
+        c, rank=rank, end=lambda x: typ.value(x) if typ.in_subalgebra(x) else None
+    )
 
 
-_REWRITERS: dict[tuple, _Rewriter] = {}
-
-
-def _rewriter(typ: WhittakerType, c: Fraction) -> _Rewriter:
-    if isinstance(typ, WhittakerTypeR):
-        key = ("r", typ.r, typ.mu, Fraction(c))
-    else:
-        key = ("1n", typ.n, typ.nu1, typ.nun, Fraction(c))
-    rewriter = _REWRITERS.get(key)
-    if rewriter is None:
-        rewriter = _Rewriter(typ, c)
-        _REWRITERS[key] = rewriter
-    return rewriter
+# One straightener per (type, central charge).
+_REWRITERS = Straighteners(_psi_rule)
 
 
 def apply_word(word, v: UniversalVector) -> UniversalVector:
     """Left-multiply by L_{word[0]} ... L_{word[-1]}, exactly."""
-    word = tuple(word)
-    rewriter = _rewriter(v.whittaker_type, v.central_charge)
-    acc: dict[PseudoPartition, Fraction] = {}
-    for base, coeff in v.terms.items():
-        accumulate(acc, rewriter.reduce(word + base).items(), coeff)
-    return UniversalVector(v.whittaker_type, v.central_charge, acc)
+    terms = _REWRITERS[v.whittaker_type, v.central_charge].apply(tuple(word), v.terms)
+    return UniversalVector(v.whittaker_type, v.central_charge, dict(terms))
 
 
 def act_universal(m: int, v: UniversalVector) -> UniversalVector:
@@ -230,18 +164,12 @@ def act_universal(m: int, v: UniversalVector) -> UniversalVector:
 
 
 def dot_act(m: int, v: UniversalVector) -> UniversalVector:
-    """Shifted action (L_m - psi(L_m)) v for subalgebra generators."""
-    typ = v.whittaker_type
-    if isinstance(typ, WhittakerTypeR):
-        if m < typ.r:
-            raise IndexOutsideSubalgebraError(
-                f"dot action needs m >= {typ.r}, got {m}"
-            )
-    elif not typ.in_subalgebra(m):
-        raise IndexOutsideSubalgebraError(
-            f"L_{m} lies outside the subalgebra generated by L_1 and L_{typ.n}"
-        )
-    return act_universal(m, v) - v.scale(typ.value(m))
+    """Shifted action (L_m - psi(L_m)) v for subalgebra generators.
+
+    A generator outside the subalgebra raises IndexOutsideSubalgebraError.
+    """
+    scalar = v.whittaker_type.value(m)
+    return act_universal(m, v) - v.scale(scalar)
 
 
 def nilpotency_index(m: int, v: UniversalVector, limit: int = 10_000) -> int:
@@ -274,13 +202,13 @@ def dot_nilpotency_bound(
     word = validate_pseudo_partition(typ, word)
     minus = tuple(x for x in word if x < 0)
     plus = tuple(x for x in word if x >= 0)
-    rewriter = _rewriter(typ, c)
+    rewriter = _REWRITERS[typ, Fraction(c)]
     lm = virasoro.generator(m, Fraction(c))
 
     def applied_nonzero(element) -> bool:
         acc: dict[PseudoPartition, Fraction] = {}
         for mono, coeff in element.terms.items():
-            accumulate(acc, rewriter.reduce(mono).items(), coeff)
+            accumulate(acc, rewriter.apply(mono, {(): Fraction(1)}).items(), coeff)
         return bool(acc)
 
     def last_nonzero(part: tuple[int, ...]) -> int:
@@ -406,22 +334,11 @@ def family_w_l_2(
     """The n = 4 Whittaker family: sum_k alpha_k L_2^{l-k} L_3^{2k} |w>.
 
     alpha_k = -(l+1-k) / (4 k nu_4) * alpha_{k-1}; l = 0 degenerates to
-    alpha_0 |w>.
+    alpha_0 |w>.  It is family_w_l_2_n's formula at n = 4.
     """
     if psi.n != 4:
         raise ValueError("this family lives in the n = 4 module")
-    if l < 0:
-        raise ValueError("l must be nonnegative")
-    alpha0 = Fraction(alpha0)
-    if not alpha0:
-        raise ValueError("alpha0 must be nonzero")
-    terms: dict[PseudoPartition, Fraction] = {}
-    alpha = alpha0
-    for k in range(l + 1):
-        if k:
-            alpha *= Fraction(-(l + 1 - k)) / (4 * k * psi.nun)
-        terms[(2,) * (l - k) + (3,) * (2 * k)] = alpha
-    return UniversalVector(psi, Fraction(c), terms)
+    return _family_w_l(psi, l, c, alpha0)
 
 
 def family_w_l_2_n(
@@ -431,16 +348,19 @@ def family_w_l_2_n(
 
     alpha_{k+1} = -(n-3)(l-k) / (2 (n-2) (k+1) nu_n) * alpha_k.
     """
-    n = psi.n
-    if n <= 4:
+    if psi.n <= 4:
         raise ValueError("this family needs n > 4")
+    return _family_w_l(psi, l, c, alpha0)
+
+
+def _family_w_l(psi: WhittakerType1N, l: int, c, alpha0) -> UniversalVector:
+    n = psi.n
     if l < 0:
         raise ValueError("l must be nonnegative")
-    alpha0 = Fraction(alpha0)
-    if not alpha0:
+    alpha = Fraction(alpha0)
+    if not alpha:
         raise ValueError("alpha0 must be nonzero")
     terms: dict[PseudoPartition, Fraction] = {}
-    alpha = alpha0
     for k in range(l + 1):
         if k:
             alpha *= Fraction(-(n - 3) * (l - k + 1)) / (2 * (n - 2) * k * psi.nun)
@@ -661,24 +581,18 @@ def search_whittaker(
     max_level = max((pp_level(w) for w in words), default=0)
     ks = _checked_indices(psi, max_level, target)
 
-    residuals = []
+    rule = _REWRITERS[psi, Fraction(c)]
+    rows: list[list[Fraction]] = []
     row_index: dict[tuple[int, PseudoPartition], int] = {}
     for j, word in enumerate(words):
-        vec = basis_vector(psi, c, word)
-        per_word = {}
         for k in ks:
-            residual = act_universal(k, vec) - vec.scale(target.value(k))
-            for out, coeff in residual.terms.items():
-                key = (k, out)
-                if key not in row_index:
-                    row_index[key] = len(row_index)
-                per_word[row_index[key]] = coeff
-        residuals.append(per_word)
+            residual = accumulate(dict(rule.times(k, word)), ((word, -target.value(k)),))
+            for out, coeff in residual.items():
+                i = row_index.setdefault((k, out), len(rows))
+                if i == len(rows):
+                    rows.append([Fraction(0)] * len(words))
+                rows[i][j] = coeff
 
-    rows = [
-        [residuals[j].get(i, Fraction(0)) for j in range(len(words))]
-        for i in range(len(row_index))
-    ]
     kernel = linalg.nullspace(rows, ncols=len(words))
     basis = []
     for vec in kernel:

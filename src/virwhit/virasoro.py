@@ -1,4 +1,4 @@
-"""Virasoro generators, their bracket, and PBW normal ordering.
+"""Virasoro generators, their bracket, and the one PBW straightener.
 
 Generators are written L_n for integer n.  The bracket is
 
@@ -7,26 +7,40 @@ Generators are written L_n for integer n.  The bracket is
 with the central element specialized to a rational value c at element
 construction time, so coefficients stay plain rationals throughout.
 
+Every module the package computes in is induced,
+U(Vir) (x)_{U(p)} C_chi: a vector is a combination of ordered words of
+letters outside p, and a letter of p that reaches the right end becomes
+its scalar chi.  Straightener computes "L_m times an ordered word" for a
+letter order and such an end rule, memoized, and is the only place the
+commutation rule is applied.  Three end rules use it:
+
+- none (p = 0): U(Vir) itself; words ordered by index, this module;
+- highest weight (p = span{L_n, n >= 0}, chi(L_0) = Delta,
+  chi(L_{n>0}) = 0): the Verma module, see verma;
+- psi on a Whittaker subalgebra: the universal Whittaker modules, see
+  universal.
+
 A word is a tuple of generator indices read left to right as a product
 of generators.  An EnvelopingElement stores a sparse combination of
 normal-ordered monomials: index sequences that are weakly increasing
-left to right (most negative index leftmost).  Normal ordering rewrites
-an arbitrary word into that form by repeatedly swapping the leftmost
-adjacent strictly decreasing pair, which terminates because each swap
-reduces the word's inversion count or its length.
+left to right (most negative index leftmost).  Normal ordering folds the
+letters of a word into the identity from the right, one L_m times an
+ordered word at a time.
 
 All operations are pure and elements are treated as immutable.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from operator import pos
 
 from .linalg import accumulate
 
 Word = tuple[int, ...]
+_ONE = Fraction(1)
 
 
 class ContextMismatchError(ValueError):
@@ -101,35 +115,125 @@ def bracket(m: int, n: int, c: Fraction) -> EnvelopingElement:
     terms: dict[Word, Fraction] = {}
     if m != n:
         terms[(m + n,)] = Fraction(m - n)
-    if m + n == 0:
-        central = c * Fraction(m * (m * m - 1), 12)
-        if central:
-            terms[()] = terms.get((), Fraction(0)) + central
-            if not terms[()]:
-                del terms[()]
+    if m + n == 0 and c * m * (m * m - 1):
+        terms[()] = c * Fraction(m * (m * m - 1), 12)
     return EnvelopingElement(c, terms)
 
 
-@lru_cache(maxsize=None)
-def _normal_order(word: Word, c: Fraction) -> tuple[tuple[Word, Fraction], ...]:
-    swap_at = -1
-    for i in range(len(word) - 1):
-        if word[i] > word[i + 1]:
-            swap_at = i
-            break
-    if swap_at < 0:
-        return ((word, Fraction(1)),)
+class Straightener:
+    """L_m times the ordered words of one induced module U(Vir) (x)_{U(p)} C_chi.
 
-    a, b = word[swap_at], word[swap_at + 1]
-    head, tail = word[:swap_at], word[swap_at + 2:]
-    acc: dict[Word, Fraction] = {}
-    accumulate(acc, _normal_order(head + (b, a) + tail, c))
-    accumulate(acc, _normal_order(head + (a + b,) + tail, c), Fraction(a - b))
-    if a + b == 0:
-        central = c * Fraction(a * (a * a - 1), 12)
-        if central:
-            accumulate(acc, _normal_order(head + tail, c), central)
-    return tuple(sorted(acc.items()))
+    A letter x stands for the generator L_{sign x}.  ``rank`` orders the
+    letters: a word is ordered when its ranks do not decrease.  ``end`` is
+    the end rule: end(x) is chi(L_{sign x}) for a letter of p and None for
+    a letter that stays; no rule means p = 0.  Letters of p must rank above
+    all others, so an ordered word holds none of them.
+
+    The commutation rule is applied here and nowhere else.  For the first
+    letter a of the word and rank(m) > rank(a),
+
+        L_m L_a rest = L_a (L_m rest) + [L_m, L_a] rest,
+
+    and each product on the right is again L_x times an ordered word.  The
+    products are memoized and evaluated on an explicit stack, so no word
+    is too long for the interpreter's recursion limit.
+    """
+
+    def __init__(self, c, sign: int = 1, rank=pos, end=None):
+        self.c, self.sign, self.rank, self.end = c, sign, rank, end
+        self._cache: dict[tuple[int, Word], tuple[tuple[Word, Fraction], ...]] = {}
+        self._words: dict[Word, Word] = {}  # one stored copy of each word
+        self.hits = 0  # memo lookups answered; every entry was one miss
+
+    def _lookup(self, m: int, word: Word):
+        # The image if it needs no commutation or is memoized, else None.
+        if not word:
+            value = None if self.end is None else self.end(m)
+            if value is None:
+                return (((m,), _ONE),)
+            return (((), value),) if value else ()
+        if self.rank(m) <= self.rank(word[0]):
+            return (((m,) + word, _ONE),)
+        found = self._cache.get((m, word))
+        if found is not None:
+            self.hits += 1
+        return found
+
+    def _steps(self, m: int, word: Word):
+        # Yields each product the image needs that _lookup cannot give.
+        a, rest = word[0], word[1:]
+        lookup = self._lookup
+        tail = lookup(m, rest)
+        if tail is None:
+            tail = yield (m, rest)
+        acc: dict[Word, Fraction] = {}
+        for u, coeff in tail:
+            image = lookup(a, u)
+            if image is None:
+                image = yield (a, u)
+            accumulate(acc, image, coeff)
+        merged = lookup(m + a, rest)
+        if merged is None:
+            merged = yield (m + a, rest)
+        accumulate(acc, merged, self.sign * (m - a))
+        if m + a == 0:
+            central = self.sign * self.c * Fraction(m * (m * m - 1), 12)
+            accumulate(acc, ((rest, _ONE),), central)
+        words = self._words
+        return tuple((words.setdefault(w, w), coeff) for w, coeff in acc.items())
+
+    def times(self, m: int, word: Word) -> tuple[tuple[Word, Fraction], ...]:
+        """L_m times the ordered ``word``, as (ordered word, coefficient) pairs."""
+        image = self._lookup(m, word)
+        if image is not None:
+            return image
+        stack = [((m, word), self._steps(m, word))]
+        while stack:
+            key, steps = stack[-1]
+            try:
+                need = steps.send(image)
+                stack.append((need, self._steps(*need)))
+                image = None
+            except StopIteration as done:
+                image = self._cache[key] = done.value
+                stack.pop()
+        return image
+
+    def apply(self, word: Word, terms: dict[Word, Fraction]) -> dict[Word, Fraction]:
+        """L_{word[0]} ... L_{word[-1]} times a combination of ordered words,
+        folding the letters in from the right."""
+        for x in reversed(word):
+            acc: dict[Word, Fraction] = {}
+            for u, coeff in terms.items():
+                accumulate(acc, self.times(x, u), coeff)
+            terms = acc
+        return terms
+
+
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class Straighteners(dict):
+    """The straighteners of one family of modules, made on first use from
+    their parameters; each keeps its own memo."""
+
+    def __init__(self, make):
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key):
+        rule = self[key] = self._make(key)
+        return rule
+
+    def cache_info(self) -> CacheInfo:
+        """Memo hits and misses pooled over the family; misses are entries."""
+        entries = sum(len(r._cache) for r in self.values())
+        return CacheInfo(sum(r.hits for r in self.values()), entries, None, entries)
+
+
+# U(Vir) itself: p = 0, letters are modes.  The name is the one the
+# benchmark's tracer reads cache_info() from.
+_normal_order = Straighteners(Straightener)
 
 
 def normal_order(word, c: Fraction) -> EnvelopingElement:
@@ -140,17 +244,17 @@ def normal_order(word, c: Fraction) -> EnvelopingElement:
     increasing.  Normal ordering is a projection: rerunning it on any
     monomial it produced returns that monomial unchanged.
     """
-    return EnvelopingElement(c, dict(_normal_order(tuple(word), c)))
+    return EnvelopingElement(c, _normal_order[c].apply(tuple(word), {(): _ONE}))
 
 
 def multiply(a: EnvelopingElement, b: EnvelopingElement) -> EnvelopingElement:
     """Product in the enveloping algebra, re-normal-ordered."""
     _require_same_charge(a, b)
     c = a.central_charge
+    rule = _normal_order[c]
     acc: dict[Word, Fraction] = {}
     for wa, ca in a.terms.items():
-        for wb, cb in b.terms.items():
-            accumulate(acc, _normal_order(wa + wb, c), ca * cb)
+        accumulate(acc, rule.apply(wa, b.terms).items(), ca)
     return EnvelopingElement(c, acc)
 
 

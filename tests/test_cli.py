@@ -192,6 +192,36 @@ def test_check_lemmas_limits_exit_2(capsys, option, value):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", ["-1", "13", "60"])
+def test_universal_family_l_limit_exits_2_before_building(capsys, monkeypatch, value):
+    def no_family(*args):
+        raise AssertionError("family built before the limit check")
+
+    monkeypatch.setattr(universal, "family_w_l_2", no_family)
+    code = main(
+        ["universal", "family", "--family", "w-l-2", "--n", "4"]
+        + ["--nu1", "2/5", "--nun", "-3", "--l", value]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --l must lie in 0..12, got {value}\n"
+
+
+@pytest.mark.parametrize("r", [0, 13, 20])
+def test_check_lemmas_r_limit_exits_2_before_sampling(capsys, monkeypatch, r):
+    def no_check(*args):
+        raise AssertionError("sample checked before the limit check")
+
+    monkeypatch.setattr(universal, "check_lemma_bounds", no_check)
+    mu = ",".join(["1"] * (r + 1))
+    code = main(["check-lemmas", "--r", str(r), "--mu", mu, "--c", "1", "--samples", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --r must lie in 1..12, got {r}\n"
+
+
 def test_gram_divisible_by_the_first_primes_solves(tmp_path, capsys):
     # G_1 = 2 Delta = the product of the first five primes of the modular
     # solve: the LU finds no pivot modulo any of them.
