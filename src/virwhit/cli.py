@@ -24,10 +24,9 @@ from .verma import (
     VermaContext,
     VermaVector,
     basis_vector,
-    enumerate_partitions,
     exponents_partition,
     partition_exponents,
-    partition_index,
+    partition_key,
 )
 from .whittaker import VerificationReport, WhittakerType1N, WhittakerTypeR
 
@@ -40,6 +39,10 @@ MAX_ANSATZ_WORDS = 500
 # Most samples a check-lemmas run may draw.  On a 2-vCPU host 1000 samples
 # at --max-level 12 --max-length 12 took 7 s for r = 2 and 12 s for r = 3.
 MAX_LEMMA_SAMPLES = 1000
+# Largest n of a universal family.  On a 2-vCPU host the w-1-l-n family
+# at --l 2 took 1.2 s and 73 MB at n = 100, and 12.4 s and 734 MB at
+# n = 200.
+MAX_FAMILY_N = 100
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -100,22 +103,17 @@ def _partition_from_exponents(exponents, side: str):
 
 
 def _form_json(f: forms.DualForm) -> dict:
-    levels = []
-    for lvl in range(f.cutoff + 1):
-        terms = f.level_terms(lvl)
-        if not terms:
-            continue
-        entries = []
-        for part in enumerate_partitions(lvl):
-            coeff = terms.get(part)
-            if coeff:
-                entries.append(
-                    {
-                        "exponents": _exponents_json(part, lvl, f.basis_side),
-                        "coefficient": format_rational(coeff),
-                    }
-                )
-        levels.append({"level": lvl, "terms": entries})
+    levels: list[dict] = []
+    for part in sorted(f.terms, key=partition_key):
+        lvl = sum(part)
+        if not levels or levels[-1]["level"] != lvl:
+            levels.append({"level": lvl, "terms": []})
+        levels[-1]["terms"].append(
+            {
+                "exponents": _exponents_json(part, lvl, f.basis_side),
+                "coefficient": format_rational(f.terms[part]),
+            }
+        )
     return {"basis_side": f.basis_side, "cutoff": f.cutoff, "levels": levels}
 
 
@@ -124,12 +122,11 @@ def _form_from_json(obj: dict, ctx: VermaContext) -> forms.DualForm:
     if side not in (forms.DECREASING, forms.INCREASING):
         raise ConfigError(f"unknown basis side {side!r}")
     cutoff = _check_cutoff(_json_int(obj["cutoff"], "cutoff"))
-    levels: dict[int, dict] = {}
+    terms: dict = {}  # a repeated level block adds to its level
     for block in obj.get("levels", []):
         lvl = _json_int(block["level"], "level")
         if not 0 <= lvl <= cutoff:
             raise ConfigError(f"form level {lvl} lies outside 0..{cutoff}")
-        terms = levels.setdefault(lvl, {})  # a repeated block adds to its level
         for entry in block.get("terms", []):
             part = _partition_from_exponents(entry["exponents"], side)
             if sum(part) != lvl:
@@ -137,12 +134,12 @@ def _form_from_json(obj: dict, ctx: VermaContext) -> forms.DualForm:
             if part in terms:
                 raise ConfigError(f"level {lvl} repeats exponents {entry['exponents']}")
             terms[part] = parse_rational(entry["coefficient"])
-    return forms.DualForm(ctx, cutoff, side, {lvl: t for lvl, t in levels.items() if t})
+    return forms.DualForm(ctx, cutoff, side, {p: c for p, c in terms.items() if c})
 
 
 def _state_json(w: VermaVector) -> dict:
     terms = []
-    for part in sorted(w.terms, key=lambda p: (sum(p), partition_index(sum(p))[p])):
+    for part in sorted(w.terms, key=partition_key):
         terms.append(
             {"partition": list(part), "coefficient": format_rational(w.terms[part])}
         )
@@ -427,7 +424,7 @@ def _cmd_verify(args) -> int:
             g = gram(lvl, ctx)
             pairings = g.pair([state.coefficient(p) for p in g.partitions])
             for lam, pairing in zip(g.partitions, pairings):
-                expected = f_dec.level_terms(lvl).get(lam, Fraction(0))
+                expected = f_dec.coefficient(lam)
                 if pairing != expected:
                     roundtrip_ok = False
                     first_mismatch = {
@@ -451,39 +448,33 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if passed else EXIT_VERIFICATION
 
 
-def _make_pair_type(args) -> WhittakerType1N:
-    if args.nu1 is None or args.nun is None:
-        raise ConfigError("--nu1 and --nun are required")
-    return WhittakerType1N(args.n, args.nu1, args.nun)
+# The universal families by their --family name.  Each builder looks its
+# function up in universal when called, so a function replaced there
+# takes effect.
+FAMILIES = {
+    "w-l-2": lambda psi, a: universal.family_w_l_2(psi, a.l, a.c, a.alpha0),
+    "w-l-2-n": lambda psi, a: universal.family_w_l_2_n(psi, a.l, a.c, a.alpha0),
+    "w-1-l-n": lambda psi, a: universal.family_w_1_l_n(psi, a.l, a.c, a.alpha0),
+    "example-n5-w11-23": lambda psi, a: universal.example_n5("w_11_23", psi, a.c),
+    "example-n5-w2-2": lambda psi, a: universal.example_n5("w_2_2", psi, a.c),
+}
 
 
 def _cmd_universal_family(args) -> int:
     _check_range("--l", args.l, 0, HARD_CUTOFF_LIMIT)
-    psi = _make_pair_type(args)
-    c = args.c
-    name = args.family
-    if name == "w-l-2":
-        vector = universal.family_w_l_2(psi, args.l, c, args.alpha0)
-    elif name == "w-l-2-n":
-        vector = universal.family_w_l_2_n(psi, args.l, c, args.alpha0)
-    elif name == "w-1-l-n":
-        vector = universal.family_w_1_l_n(psi, args.l, c, args.alpha0)
-    elif name == "example-n5-w11-23":
-        vector = universal.example_n5("w_11_23", psi, c)
-    elif name == "example-n5-w2-2":
-        vector = universal.example_n5("w_2_2", psi, c)
-    else:
-        raise ConfigError(f"unknown family {name!r}")
+    _check_range("--n", args.n, 3, MAX_FAMILY_N)
+    psi = WhittakerType1N(args.n, args.nu1, args.nun)
+    vector = FAMILIES[args.family](psi, args)
     report = universal.verify_whittaker_vector(vector, psi)
     doc = {
         "schema": SCHEMA,
         "command": "universal-family",
         "parameters": {
-            "family": name,
+            "family": args.family,
             "n": psi.n,
             "nu1": format_rational(psi.nu1),
             "nun": format_rational(psi.nun),
-            "central_charge": format_rational(c),
+            "central_charge": format_rational(args.c),
             "l": args.l,
             "alpha0": format_rational(args.alpha0),
         },
@@ -495,7 +486,7 @@ def _cmd_universal_family(args) -> int:
 
 
 def _cmd_universal_search(args) -> int:
-    psi = _make_pair_type(args)
+    psi = WhittakerType1N(args.n, args.nu1, args.nun)
     length = _check_range("--length", args.length, 1, HARD_CUTOFF_LIMIT)
     # Nonempty multisets of at most `length` letters from 2..n-1:
     # sum_{k=1}^{length} C(n-3+k, k) = C(n-2+length, length) - 1.
@@ -662,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--family",
         required=True,
-        choices=["w-l-2", "w-l-2-n", "w-1-l-n", "example-n5-w11-23", "example-n5-w2-2"],
+        choices=list(FAMILIES),
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--nu1", type=_rat, required=True)

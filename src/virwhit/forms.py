@@ -1,11 +1,14 @@
 """Level-truncated dual forms on a Verma module: Gaiotto and BMT states.
 
-A DualForm stores, for each level up to its cutoff, coefficients with
+A DualForm is a linalg.SparseVector: one flat map from partition labels
+of level <= cutoff (a label's level is its sum) to coefficients with
 respect to one of the two dual bases: the "decreasing" side is dual to
 the canonical monomials L_{-i_1}...L_{-i_k}|Delta> (i_1 >= ... >= i_k),
 the "increasing" side is dual to the reversed monomials
 L_{-1}^{m_1}...L_{-k}^{m_k}|Delta>.  Both sides label coefficients by the
-partition (the exponent multiset).  Conversion between sides is a
+partition (the exponent multiset).  Context, cutoff and side name the
+form's module, so only forms that agree on all three add; form_combine
+truncates to the smaller cutoff first.  Conversion between sides is a
 product with the transpose of the basis change B, or of B^-1 = D B D
 (D = diag((-1)^{len lambda}), see verma), level by level: it reads only
 the nonzero integer entries of the cached columns
@@ -40,6 +43,7 @@ from .verma import (
     VermaContext,
     VermaVector,
     enumerate_partitions,
+    partition_key,
     reversed_monomial,
     straightener,
 )
@@ -61,31 +65,17 @@ class CutoffExceededError(ValueError):
 
 
 @dataclass(frozen=True)
-class DualForm:
+class DualForm(linalg.SparseVector):
     """Finitely truncated functional on V_{c,Delta}.
 
-    ``levels`` maps each level to a sparse map partition -> coefficient in
-    the dual basis selected by ``basis_side``.  Missing levels are zero.
+    ``terms`` maps partitions of level <= cutoff to their nonzero
+    coefficients in the dual basis selected by ``basis_side``.
     """
 
     context: VermaContext
     cutoff: int
     basis_side: str
-    levels: dict[int, dict[Partition, Fraction]]
-
-    def level_terms(self, level: int) -> dict[Partition, Fraction]:
-        return self.levels.get(level, {})
-
-    def is_zero(self) -> bool:
-        return all(not terms for terms in self.levels.values())
-
-
-def _trimmed(levels: dict[int, dict[Partition, Fraction]]) -> dict:
-    return {
-        lvl: {p: c for p, c in terms.items() if c}
-        for lvl, terms in sorted(levels.items())
-        if any(terms.values())
-    }
+    terms: dict[Partition, Fraction]
 
 
 def zero_form(ctx: VermaContext, cutoff: int, basis_side: str = DECREASING) -> DualForm:
@@ -94,36 +84,16 @@ def zero_form(ctx: VermaContext, cutoff: int, basis_side: str = DECREASING) -> D
 
 def form_combine(a: DualForm, b: DualForm, sb: Fraction = Fraction(1)) -> DualForm:
     """a + sb * b, truncated to the smaller cutoff."""
-    if a.basis_side != b.basis_side or a.context != b.context:
-        raise ValueError("forms live on different bases or contexts")
     cutoff = min(a.cutoff, b.cutoff)
-    levels = {
-        lvl: linalg.accumulate(dict(a.level_terms(lvl)), b.level_terms(lvl).items(), sb)
-        for lvl in range(cutoff + 1)
-    }
-    return DualForm(a.context, cutoff, a.basis_side, _trimmed(levels))
-
-
-def form_scale(f: DualForm, scalar: Fraction) -> DualForm:
-    scalar = Fraction(scalar)
-    if not scalar:
-        return zero_form(f.context, f.cutoff, f.basis_side)
-    return DualForm(
-        f.context,
-        f.cutoff,
-        f.basis_side,
-        {lvl: {p: c * scalar for p, c in t.items()} for lvl, t in f.levels.items()},
-    )
+    return restrict_form(a, cutoff).add_scaled(restrict_form(b, cutoff), sb)
 
 
 def restrict_form(f: DualForm, cutoff: int) -> DualForm:
     cutoff = max(0, cutoff)
-    return DualForm(
-        f.context,
-        cutoff,
-        f.basis_side,
-        {lvl: dict(t) for lvl, t in f.levels.items() if lvl <= cutoff},
-    )
+    if cutoff == f.cutoff:
+        return f
+    terms = {p: c for p, c in f.terms.items() if sum(p) <= cutoff}
+    return DualForm(f.context, cutoff, f.basis_side, terms)
 
 
 def _flip(terms: dict[Partition, Fraction]) -> dict[Partition, Fraction]:
@@ -152,7 +122,7 @@ def eval_form(f: DualForm, v: VermaVector) -> Fraction:
         raise CutoffExceededError(f"argument has level {top} above cutoff {f.cutoff}")
     return sum(
         (
-            f.level_terms(sum(p)).get(p, 0) * value
+            f.terms.get(p, 0) * value
             for p, value in _side_coords(f.basis_side, v.terms).items()
         ),
         Fraction(0),
@@ -168,23 +138,17 @@ def convert_form(f: DualForm, side: str) -> DualForm:
     """
     if side == f.basis_side:
         return f
-    levels: dict[int, dict[Partition, Fraction]] = {}
-    for lvl in range(f.cutoff + 1):
-        terms = f.level_terms(lvl)
-        if not terms:
-            continue
-        if side == DECREASING:
-            terms = _flip(terms)
-        # Over one common denominator every column sum is an integer sum.
-        den = lcm(*(c.denominator for c in terms.values()))
-        ints = {p: c.numerator * (den // c.denominator) for p, c in terms.items()}
-        out = {}
+    terms = _flip(f.terms) if side == DECREASING else f.terms
+    # Over one common denominator every column sum is an integer sum.
+    den = lcm(*(c.denominator for c in terms.values()))
+    ints = {p: c.numerator * (den // c.denominator) for p, c in terms.items()}
+    out = {}
+    for lvl in sorted({sum(p) for p in ints}):
         for mu in enumerate_partitions(lvl):
             value = sum(ints[lam] * b for lam, b in reversed_monomial(mu) if lam in ints)
             if value:
                 out[mu] = Fraction(value, den)
-        levels[lvl] = _flip(out) if side == DECREASING else out
-    return DualForm(f.context, f.cutoff, side, _trimmed(levels))
+    return DualForm(f.context, f.cutoff, side, _flip(out) if side == DECREASING else out)
 
 
 def act_on_form(m: int, f: DualForm) -> DualForm:
@@ -196,27 +160,21 @@ def act_on_form(m: int, f: DualForm) -> DualForm:
     and the result is the zero form of cutoff 0.
     """
     new_cutoff = max(0, f.cutoff - max(m, 0))
-    f_dec = convert_form(f, DECREASING)
+    coeffs = convert_form(f, DECREASING).terms
+    sources = {sum(p) for p in coeffs}
     rule = straightener(f.context)
-    levels: dict[int, dict[Partition, Fraction]] = {}
+    terms: dict[Partition, Fraction] = {}
     for lvl in range(new_cutoff + 1):
-        src = lvl + m
-        coeffs = f_dec.level_terms(src) if 0 <= src else {}
-        if not coeffs:
+        if lvl + m not in sources:
             continue
-        component_terms: dict[Partition, Fraction] = {}
         for mu in enumerate_partitions(lvl):
             value = sum(
                 (coeffs[p] * c for p, c in rule.times(m, mu) if p in coeffs),
                 Fraction(0),
             )
             if value:
-                component_terms[mu] = value
-        if component_terms:
-            levels[lvl] = component_terms
-    return convert_form(
-        DualForm(f.context, new_cutoff, DECREASING, levels), f.basis_side
-    )
+                terms[mu] = value
+    return convert_form(DualForm(f.context, new_cutoff, DECREASING, terms), f.basis_side)
 
 
 def gaiotto_basic_form(
@@ -239,9 +197,8 @@ def gaiotto_basic_form(
     if any(e < 0 for e in exponents):
         raise ValueError("exponents must be nonnegative")
     required = {r - 1 - j: exponents[j] for j in range(r - 1)}  # part -> multiplicity
-    levels: dict[int, dict[Partition, Fraction]] = {}
+    terms: dict[Partition, Fraction] = {}
     for lvl in range(cutoff + 1):
-        terms: dict[Partition, Fraction] = {}
         for partition in enumerate_partitions(lvl):
             counts = Counter(partition)
             if any(counts.get(i, 0) != required[i] for i in required):
@@ -257,9 +214,7 @@ def gaiotto_basic_form(
                     break
             if coeff:
                 terms[partition] = coeff
-        if terms:
-            levels[lvl] = terms
-    return DualForm(ctx, cutoff, DECREASING, levels)
+    return DualForm(ctx, cutoff, DECREASING, terms)
 
 
 def gaiotto_form(
@@ -300,20 +255,16 @@ def bmt_basic_form(
         raise ValueError(f"expected {n - 2} exponents (m_2..m_{n - 1})")
     if any(e < 0 for e in exponents):
         raise ValueError("exponents must be nonnegative")
-    levels: dict[int, dict[Partition, Fraction]] = {}
+    terms: dict[Partition, Fraction] = {}
     for lvl in range(cutoff + 1):
-        terms: dict[Partition, Fraction] = {}
         for partition in enumerate_partitions(lvl):
             counts = Counter(partition)
             if any(counts.get(j, 0) != exponents[j - 2] for j in range(2, n)):
                 continue
             if any(part > n for part in counts):
                 continue
-            coeff = psi.nu1 ** counts.get(1, 0) * psi.nun ** counts.get(n, 0)
-            terms[partition] = coeff
-        if terms:
-            levels[lvl] = terms
-    return DualForm(ctx, cutoff, INCREASING, levels)
+            terms[partition] = psi.nu1 ** counts.get(1, 0) * psi.nun ** counts.get(n, 0)
+    return DualForm(ctx, cutoff, INCREASING, terms)
 
 
 def bmt_form(
@@ -366,18 +317,14 @@ def raise_indices(f: DualForm) -> VermaVector:
     degenerate at some level.
     """
     ctx = f.context
-    f_dec = convert_form(f, DECREASING)
+    coeffs = convert_form(f, DECREASING).terms
     terms: dict[Partition, Fraction] = {}
-    for lvl in range(f.cutoff + 1):
-        coeffs = f_dec.level_terms(lvl)
-        if not coeffs:
-            continue
+    for lvl in sorted({sum(p) for p in coeffs}):
         order = enumerate_partitions(lvl)
         rhs = [coeffs.get(p, Fraction(0)) for p in order]
-        component = solve(gram(lvl, ctx), rhs)
-        for idx, part in enumerate(order):
-            if component[idx]:
-                terms[part] = component[idx]
+        for part, value in zip(order, solve(gram(lvl, ctx), rhs)):
+            if value:
+                terms[part] = value
     return VermaVector(ctx, terms)
 
 
@@ -388,12 +335,10 @@ def _check_indices(typ: WhittakerType, cutoff: int) -> list[int]:
 
 
 def _first_nonzero(f: DualForm) -> tuple | None:
-    for lvl in sorted(f.levels):
-        terms = f.levels[lvl]
-        for part in enumerate_partitions(lvl):
-            if terms.get(part):
-                return (lvl, part, terms[part])
-    return None
+    if not f.terms:
+        return None
+    part = min(f.terms, key=partition_key)
+    return (sum(part), part, f.terms[part])
 
 
 def verify_whittaker_form(f: DualForm, typ: WhittakerType) -> VerificationReport:
@@ -415,7 +360,6 @@ def verify_whittaker_form(f: DualForm, typ: WhittakerType) -> VerificationReport
                 operator_index=k,
                 expected=expected,
                 complete_levels=window,
-                residual_zero=failure is None,
                 first_failure=failure,
             )
         )
@@ -435,9 +379,9 @@ def verify_whittaker_state(
         expected = typ.value(k)
         failure = None
         for lvl in range(cutoff - k + 1):
-            residual = verma_act(k, w.level_component(lvl + k)) - w.level_component(
-                lvl
-            ).scale(expected)
+            residual = verma_act(k, w.level_component(lvl + k)).add_scaled(
+                w.level_component(lvl), -expected
+            )
             if not residual.is_zero():
                 part = min(residual.terms)
                 failure = (lvl, part, residual.terms[part])
@@ -447,7 +391,6 @@ def verify_whittaker_state(
                 operator_index=k,
                 expected=expected,
                 complete_levels=cutoff - k,
-                residual_zero=failure is None,
                 first_failure=failure,
             )
         )
@@ -465,33 +408,29 @@ def whittaker_form_nullspace(
     dimension and a deterministic basis of forms.
     """
     side = DECREASING if isinstance(typ, WhittakerTypeR) else INCREASING
-    unknowns = [(lvl, p) for lvl in range(cutoff + 1) for p in enumerate_partitions(lvl)]
-    index = {u: i for i, u in enumerate(unknowns)}
+    unknowns = [p for lvl in range(cutoff + 1) for p in enumerate_partitions(lvl)]
+    index = {p: i for i, p in enumerate(unknowns)}
 
     # Each equation is f(L_{-k} v - psi(L_k) v) = 0 for a canonical basis
     # vector v; per (k, level) these span the same rows as the equations
     # taken at the side's own basis vectors, since basis_change is invertible.
     rule = straightener(ctx)
-    rows: list[list[Fraction]] = []
+    rows: list[dict[int, Fraction]] = []
     for k in _check_indices(typ, cutoff):
         expected = typ.value(k)
         for lo in range(cutoff - k + 1):
             for mu in enumerate_partitions(lo):
                 residual = linalg.accumulate(dict(rule.times(k, mu)), ((mu, -expected),))
-                row = [Fraction(0)] * len(unknowns)
-                for part, value in _side_coords(side, residual).items():
-                    row[index[(sum(part), part)]] += value
-                if any(row):
+                coords = _side_coords(side, residual).items()
+                row = linalg.accumulate({}, ((index[p], value) for p, value in coords))
+                if row:
                     rows.append(row)
 
     kernel = linalg.nullspace(rows, ncols=len(unknowns))
-    basis = []
-    for vec in kernel:
-        levels: dict[int, dict[Partition, Fraction]] = {}
-        for (lvl, part), value in zip(unknowns, vec):
-            if value:
-                levels.setdefault(lvl, {})[part] = value
-        basis.append(DualForm(ctx, cutoff, side, levels))
+    basis = [
+        DualForm(ctx, cutoff, side, {p: value for p, value in zip(unknowns, vec) if value})
+        for vec in kernel
+    ]
     return len(kernel), basis
 
 
@@ -505,9 +444,8 @@ def _basic_mu_derivative(
     coefficient as n * mu_wrt^(n-1) * (other factors), zero when n = 0.
     """
     r, s = psi.r, psi.rank
-    levels: dict[int, dict[Partition, Fraction]] = {}
+    terms: dict[Partition, Fraction] = {}
     for lvl in range(cutoff + 1):
-        terms: dict[Partition, Fraction] = {}
         for partition in enumerate_partitions(lvl):
             counts = Counter(partition)
             if any(part < r or part > s for part in counts):
@@ -524,18 +462,13 @@ def _basic_mu_derivative(
                     coeff *= psi.mu[j - r] ** n_j
             if coeff:
                 terms[partition] = coeff
-        if terms:
-            levels[lvl] = terms
-    return DualForm(ctx, cutoff, DECREASING, levels)
+    return DualForm(ctx, cutoff, DECREASING, terms)
 
 
 def _restrict_support(f: DualForm, min_part: int) -> DualForm:
     """Component of the form along labels whose parts all reach min_part."""
-    levels = {
-        lvl: {p: c for p, c in terms.items() if all(part >= min_part for part in p)}
-        for lvl, terms in f.levels.items()
-    }
-    return DualForm(f.context, f.cutoff, f.basis_side, _trimmed(levels))
+    terms = {p: c for p, c in f.terms.items() if all(part >= min_part for part in p)}
+    return DualForm(f.context, f.cutoff, f.basis_side, terms)
 
 
 def check_L0_Li_on_basic(
@@ -563,7 +496,7 @@ def check_L0_Li_on_basic(
     }
     checks = []
 
-    rhs = form_scale(basic, ctx.delta)
+    rhs = basic.scale(ctx.delta)
     for l in range(r, s + 1):
         scalar = Fraction(l) * psi.mu[l - r]
         if scalar:
@@ -577,7 +510,6 @@ def check_L0_Li_on_basic(
             operator_index=0,
             expected=ctx.delta,
             complete_levels=cutoff,
-            residual_zero=failure is None,
             first_failure=failure,
         )
     )
@@ -587,7 +519,7 @@ def check_L0_Li_on_basic(
         for l in range(r, s - i + 1):
             scalar = Fraction(l - i) * psi.mu[i + l - r]
             if scalar:
-                rhs = form_combine(rhs, restrict_form(derivatives[l], cutoff - i), scalar)
+                rhs = form_combine(rhs, derivatives[l], scalar)
         residual = _restrict_support(
             form_combine(act_on_form(i, basic), rhs, Fraction(-1)), r
         )
@@ -597,7 +529,6 @@ def check_L0_Li_on_basic(
                 operator_index=i,
                 expected=Fraction(0),
                 complete_levels=cutoff - i,
-                residual_zero=failure is None,
                 first_failure=failure,
             )
         )

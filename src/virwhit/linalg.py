@@ -23,13 +23,17 @@ basis change by signs.
 
 Sparse vectors throughout the package are dicts from basis labels to
 nonzero coefficients; ``accumulate`` is the one update rule they share.
+SparseVector is the one vector type built on it: U(Vir) elements, Verma
+vectors, dual forms and universal Whittaker vectors all inherit its
+arithmetic and its same-module check.  Nullspace rows may be dense lists
+or such sparse {column: value} dicts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
-from operator import mul
+from operator import attrgetter, mul
 
 Matrix = list[list[Fraction]]
 
@@ -61,6 +65,10 @@ class SingularMatrixError(ValueError):
     """Raised when a square system has no unique solution."""
 
 
+class ContextMismatchError(ValueError):
+    """Raised when vectors of different modules are combined."""
+
+
 def accumulate(acc: dict, items, scalar=1) -> dict:
     """acc += scalar * items for (key, coefficient) pairs; zeros are dropped."""
     if not scalar:
@@ -74,16 +82,72 @@ def accumulate(acc: dict, items, scalar=1) -> dict:
     return acc
 
 
+class SparseVector:
+    """Base of the frozen dataclasses whose last field is ``terms``, a dict
+    from basis label to nonzero coefficient; the other fields name the module.
+
+    ``module`` is the tuple of those other fields.  Results are built with
+    the class constructor from the module and new terms; combining vectors
+    of different modules raises ContextMismatchError.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        *names, last = cls.__annotations__
+        if last != "terms":
+            raise TypeError(f"{cls.__name__}: the last field must be terms")
+        get = attrgetter(*names)
+        cls.module = property(get if len(names) > 1 else lambda v: (get(v),))
+
+    def shared_module(self, other: "SparseVector") -> tuple:
+        """The module both vectors belong to."""
+        module = self.module
+        if module != other.module:
+            raise ContextMismatchError(
+                f"{type(self).__name__}s of different modules: {module} vs {other.module}"
+            )
+        return module
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def coefficient(self, label) -> Fraction:
+        return self.terms.get(tuple(label), Fraction(0))
+
+    def add_scaled(self, other, scalar=1):
+        """self + scalar * other."""
+        module = self.shared_module(other)
+        return type(self)(*module, accumulate(dict(self.terms), other.terms.items(), scalar))
+
+    def __add__(self, other):
+        return self.add_scaled(other)
+
+    def __sub__(self, other):
+        return self.add_scaled(other, -1)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, scalar):
+        scalar = Fraction(scalar)
+        terms = {k: c * scalar for k, c in self.terms.items()} if scalar else {}
+        return type(self)(*self.module, terms)
+
+
 def _integer_rows(rows) -> tuple[list[dict[int, int]], Fraction]:
     """Each row as a primitive integer row {column: int}, and the product of the row factors.
 
-    A row is multiplied by the lcm of its denominators and divided by the
-    gcd of the resulting integers (its content); zero rows stay empty.
+    A row is a dense list or a sparse {column: value} dict.  It is
+    multiplied by the lcm of its denominators and divided by the gcd of
+    the resulting integers (its content); zero rows stay empty.
     """
     out = []
     num = den = 1
     for row in rows:
-        entries = {j: x for j, x in enumerate(row) if x}
+        pairs = row.items() if isinstance(row, dict) else enumerate(row)
+        entries = {j: x for j, x in pairs if x}
         mult = lcm(*(x.denominator for x in entries.values()))
         ints = {j: x.numerator * (mult // x.denominator) for j, x in entries.items()}
         content = gcd(*ints.values()) or 1
@@ -289,13 +353,15 @@ def rank(matrix: Matrix) -> int:
 def nullspace(matrix: Matrix, ncols: int | None = None) -> list[list[Fraction]]:
     """Basis of the kernel, one vector per free (non-pivot) column.
 
+    Rows may be sparse {column: value} dicts; ncols is then required.
+
     The vector for a free column holds 1 there and 0 at every other free
     column, which makes the basis unique: it is the reduced-row-echelon one,
     with -R_c[f] / R_c[c] at pivot column c for the reduced pivot row R_c.
     """
     if ncols is None:
-        if not matrix:
-            raise ValueError("ncols required for an empty matrix")
+        if not matrix or isinstance(matrix[0], dict):
+            raise ValueError("ncols required for an empty or sparse matrix")
         ncols = len(matrix[0])
     rows, pivots, _ = _echelon(matrix, ncols, reduce=True)
     pivot_columns = {c for c, _ in pivots}

@@ -27,7 +27,7 @@ from fractions import Fraction
 from operator import pos
 
 from . import linalg
-from .linalg import accumulate
+from .linalg import SparseVector, accumulate
 from .virasoro import Straightener, Straighteners
 from .whittaker import (
     ResidualCheck,
@@ -79,49 +79,18 @@ def validate_pseudo_partition(typ: WhittakerType, word) -> PseudoPartition:
 
 
 @dataclass(frozen=True)
-class UniversalVector:
+class UniversalVector(SparseVector):
     """Sparse vector in a universal Whittaker module."""
 
     whittaker_type: WhittakerType
     central_charge: Fraction
     terms: dict[PseudoPartition, Fraction] = field(default_factory=dict)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, word) -> Fraction:
-        return self.terms.get(tuple(word), Fraction(0))
-
     def max_level(self) -> int:
         return max((pp_level(w) for w in self.terms), default=0)
 
     def max_length(self) -> int:
         return max((pp_length(w) for w in self.terms), default=0)
-
-    def __add__(self, other: "UniversalVector") -> "UniversalVector":
-        if (
-            self.whittaker_type != other.whittaker_type
-            or self.central_charge != other.central_charge
-        ):
-            raise ValueError("mixing vectors from different modules")
-        merged = accumulate(dict(self.terms), other.terms.items())
-        return UniversalVector(self.whittaker_type, self.central_charge, merged)
-
-    def __neg__(self) -> "UniversalVector":
-        return self.scale(Fraction(-1))
-
-    def __sub__(self, other: "UniversalVector") -> "UniversalVector":
-        return self + (-other)
-
-    def scale(self, scalar: Fraction | int) -> "UniversalVector":
-        scalar = Fraction(scalar)
-        if not scalar:
-            return UniversalVector(self.whittaker_type, self.central_charge, {})
-        return UniversalVector(
-            self.whittaker_type,
-            self.central_charge,
-            {w: c * scalar for w, c in self.terms.items()},
-        )
 
 
 def generating_vector(typ: WhittakerType, c: Fraction) -> UniversalVector:
@@ -169,7 +138,7 @@ def dot_act(m: int, v: UniversalVector) -> UniversalVector:
     A generator outside the subalgebra raises IndexOutsideSubalgebraError.
     """
     scalar = v.whittaker_type.value(m)
-    return act_universal(m, v) - v.scale(scalar)
+    return act_universal(m, v).add_scaled(v, -scalar)
 
 
 def nilpotency_index(m: int, v: UniversalVector, limit: int = 10_000) -> int:
@@ -259,7 +228,7 @@ def verify_whittaker_vector(
     checks = []
     for k in _checked_indices(v.whittaker_type, v.max_level(), target):
         expected = target.value(k)
-        residual = act_universal(k, v) - v.scale(expected)
+        residual = act_universal(k, v).add_scaled(v, -expected)
         failure = None
         if not residual.is_zero():
             word = min(residual.terms)
@@ -269,7 +238,6 @@ def verify_whittaker_vector(
                 operator_index=k,
                 expected=expected,
                 complete_levels=None,
-                residual_zero=failure is None,
                 first_failure=failure,
             )
         )
@@ -535,7 +503,7 @@ def check_lemma_bounds(
                 f"coefficient on {leading_word} is {actual}, expected {expected}",
             )
         )
-        remainder = comm_minus - basis_vector(psi, c, leading_word).scale(expected)
+        remainder = comm_minus.add_scaled(basis_vector(psi, c, leading_word), -expected)
         ok = True
         detail = "remainder splits into the level/length classes"
         for out_word, coeff in remainder.terms.items():
@@ -582,18 +550,14 @@ def search_whittaker(
     ks = _checked_indices(psi, max_level, target)
 
     rule = _REWRITERS[psi, Fraction(c)]
-    rows: list[list[Fraction]] = []
-    row_index: dict[tuple[int, PseudoPartition], int] = {}
+    rows: dict[tuple[int, PseudoPartition], dict[int, Fraction]] = {}
     for j, word in enumerate(words):
         for k in ks:
             residual = accumulate(dict(rule.times(k, word)), ((word, -target.value(k)),))
             for out, coeff in residual.items():
-                i = row_index.setdefault((k, out), len(rows))
-                if i == len(rows):
-                    rows.append([Fraction(0)] * len(words))
-                rows[i][j] = coeff
+                rows.setdefault((k, out), {})[j] = coeff
 
-    kernel = linalg.nullspace(rows, ncols=len(words))
+    kernel = linalg.nullspace(list(rows.values()), ncols=len(words))
     basis = []
     for vec in kernel:
         terms = {w: coeff for w, coeff in zip(words, vec) if coeff}

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import neg
 
-from .linalg import accumulate
+from .linalg import SparseVector, accumulate
 from .virasoro import Straightener, Straighteners
 
 Partition = tuple[int, ...]
@@ -44,7 +44,7 @@ class VermaContext:
 
 
 @dataclass(frozen=True)
-class VermaVector:
+class VermaVector(SparseVector):
     """Sparse vector in V_{c,Delta}, expanded in canonical partition monomials.
 
     Terms may mix levels; zero coefficients are never stored.
@@ -53,12 +53,6 @@ class VermaVector:
     context: VermaContext
     terms: dict[Partition, Fraction] = field(default_factory=dict)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, partition) -> Fraction:
-        return self.terms.get(tuple(partition), Fraction(0))
-
     def levels(self) -> set[int]:
         return {sum(p) for p in self.terms}
 
@@ -66,26 +60,6 @@ class VermaVector:
         return VermaVector(
             self.context,
             {p: c for p, c in self.terms.items() if sum(p) == level},
-        )
-
-    def __add__(self, other: "VermaVector") -> "VermaVector":
-        if self.context != other.context:
-            raise ValueError("mixing Verma vectors from different contexts")
-        merged = accumulate(dict(self.terms), other.terms.items())
-        return VermaVector(self.context, merged)
-
-    def __neg__(self) -> "VermaVector":
-        return self.scale(Fraction(-1))
-
-    def __sub__(self, other: "VermaVector") -> "VermaVector":
-        return self + (-other)
-
-    def scale(self, scalar: Fraction | int) -> "VermaVector":
-        scalar = Fraction(scalar)
-        if not scalar:
-            return VermaVector(self.context, {})
-        return VermaVector(
-            self.context, {p: c * scalar for p, c in self.terms.items()}
         )
 
 
@@ -120,6 +94,12 @@ def enumerate_partitions(level: int) -> tuple[Partition, ...]:
 @lru_cache(maxsize=None)
 def partition_index(level: int) -> dict[Partition, int]:
     return {p: i for i, p in enumerate(enumerate_partitions(level))}
+
+
+def partition_key(partition: Partition) -> tuple[int, int]:
+    """Sort key of the canonical order: level, then place in enumerate_partitions."""
+    level = sum(partition)
+    return level, partition_index(level)[partition]
 
 
 def partition_exponents(partition, size: int | None = None) -> tuple[int, ...]:

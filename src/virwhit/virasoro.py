@@ -21,11 +21,13 @@ commutation rule is applied.  Three end rules use it:
   universal.
 
 A word is a tuple of generator indices read left to right as a product
-of generators.  An EnvelopingElement stores a sparse combination of
-normal-ordered monomials: index sequences that are weakly increasing
-left to right (most negative index leftmost).  Normal ordering folds the
-letters of a word into the identity from the right, one L_m times an
-ordered word at a time.
+of generators.  An EnvelopingElement is a linalg.SparseVector over one
+central charge: a sparse combination of normal-ordered monomials, index
+sequences that are weakly increasing left to right (most negative index
+leftmost).  Combining elements of two central charges raises
+ContextMismatchError, re-exported here from linalg.  Normal ordering
+folds the letters of a word into the identity from the right, one L_m
+times an ordered word at a time.
 
 All operations are pure and elements are treated as immutable.
 """
@@ -37,18 +39,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import pos
 
-from .linalg import accumulate
+from .linalg import ContextMismatchError, SparseVector, accumulate
 
 Word = tuple[int, ...]
 _ONE = Fraction(1)
 
 
-class ContextMismatchError(ValueError):
-    """Raised when elements with different central charges are combined."""
-
-
 @dataclass(frozen=True)
-class EnvelopingElement:
+class EnvelopingElement(SparseVector):
     """Sparse combination of normal-ordered monomials over one central charge.
 
     ``terms`` maps each monomial (weakly increasing index tuple) to a nonzero
@@ -58,32 +56,6 @@ class EnvelopingElement:
     central_charge: Fraction
     terms: dict[Word, Fraction]
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, word: Word) -> Fraction:
-        return self.terms.get(tuple(word), Fraction(0))
-
-    def __add__(self, other: "EnvelopingElement") -> "EnvelopingElement":
-        _require_same_charge(self, other)
-        merged = accumulate(dict(self.terms), other.terms.items())
-        return EnvelopingElement(self.central_charge, merged)
-
-    def __neg__(self) -> "EnvelopingElement":
-        return self.scale(Fraction(-1))
-
-    def __sub__(self, other: "EnvelopingElement") -> "EnvelopingElement":
-        return self + (-other)
-
-    def scale(self, scalar: Fraction | int) -> "EnvelopingElement":
-        scalar = Fraction(scalar)
-        if not scalar:
-            return EnvelopingElement(self.central_charge, {})
-        return EnvelopingElement(
-            self.central_charge,
-            {word: coeff * scalar for word, coeff in self.terms.items()},
-        )
-
     def __mul__(self, other):
         if isinstance(other, EnvelopingElement):
             return multiply(self, other)
@@ -91,13 +63,6 @@ class EnvelopingElement:
 
     def __rmul__(self, scalar) -> "EnvelopingElement":
         return self.scale(scalar)
-
-
-def _require_same_charge(a: EnvelopingElement, b: EnvelopingElement) -> None:
-    if a.central_charge != b.central_charge:
-        raise ContextMismatchError(
-            f"central charges differ: {a.central_charge} vs {b.central_charge}"
-        )
 
 
 def unit(c: Fraction) -> EnvelopingElement:
@@ -249,8 +214,7 @@ def normal_order(word, c: Fraction) -> EnvelopingElement:
 
 def multiply(a: EnvelopingElement, b: EnvelopingElement) -> EnvelopingElement:
     """Product in the enveloping algebra, re-normal-ordered."""
-    _require_same_charge(a, b)
-    c = a.central_charge
+    (c,) = a.shared_module(b)
     rule = _normal_order[c]
     acc: dict[Word, Fraction] = {}
     for wa, ca in a.terms.items():

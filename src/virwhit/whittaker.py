@@ -104,8 +104,11 @@ class ResidualCheck:
     operator_index: int
     expected: Fraction
     complete_levels: int | None
-    residual_zero: bool
     first_failure: tuple | None = None
+
+    @property
+    def residual_zero(self) -> bool:
+        return self.first_failure is None
 
     @property
     def name(self) -> str:

@@ -198,7 +198,7 @@ def test_c06_raise_indices_round_trip():
                         (g.entries[i][j] * coords[j] for j in range(len(coords))),
                         Fraction(0),
                     )
-                    assert pairing == f_dec.level_terms(level).get(lam, Fraction(0))
+                    assert pairing == f_dec.coefficient(lam)
         state1 = raise_indices(next(_criterion3_forms())[0])
         assert state1.coefficient((1,)) == PSI_R1.mu[0] / (2 * CTX.delta)
 

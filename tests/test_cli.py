@@ -208,6 +208,22 @@ def test_universal_family_l_limit_exits_2_before_building(capsys, monkeypatch, v
     assert captured.err == f"error: --l must lie in 0..12, got {value}\n"
 
 
+@pytest.mark.parametrize("value", ["2", "101"])
+def test_universal_family_n_limit_exits_2_before_building(capsys, monkeypatch, value):
+    def no_family(*args):
+        raise AssertionError("family built before the limit check")
+
+    monkeypatch.setattr(universal, "family_w_1_l_n", no_family)
+    code = main(
+        ["universal", "family", "--family", "w-1-l-n", "--n", value]
+        + ["--nu1", "1", "--nun", "2", "--l", "2"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --n must lie in 3..100, got {value}\n"
+
+
 @pytest.mark.parametrize("r", [0, 13, 20])
 def test_check_lemmas_r_limit_exits_2_before_sampling(capsys, monkeypatch, r):
     def no_check(*args):

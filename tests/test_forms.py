@@ -44,8 +44,15 @@ PSI_N4 = WhittakerType1N(4, Fraction(2, 5), Fraction(-3))
 
 
 def dual_element(partition, cutoff, side=DECREASING):
-    level = sum(partition)
-    return DualForm(CTX, cutoff, side, {level: {tuple(partition): Fraction(1)}})
+    return DualForm(CTX, cutoff, side, {tuple(partition): Fraction(1)})
+
+
+def by_level(f):
+    """The form's terms grouped by level."""
+    levels = {}
+    for part, coeff in f.terms.items():
+        levels.setdefault(sum(part), {})[part] = coeff
+    return levels
 
 
 def pairing(w, form):
@@ -59,7 +66,7 @@ def pairing(w, form):
                 (g.entries[i][j] * coords[j] for j in range(len(coords))),
                 Fraction(0),
             )
-            yield lam, lhs, f_dec.level_terms(level).get(lam, Fraction(0))
+            yield lam, lhs, f_dec.coefficient(lam)
 
 
 def test_eval_duality():
@@ -88,7 +95,7 @@ def test_eval_invariant_under_side_conversion():
     rng = random.Random(4)
     f = bmt_form(PSI_N4, {(0, 0): Fraction(1), (1, 0): Fraction(2, 3)}, 5, CTX)
     g = convert_form(f, DECREASING)
-    assert convert_form(g, INCREASING).levels == f.levels
+    assert convert_form(g, INCREASING).terms == f.terms
     for _ in range(10):
         terms = {}
         for _ in range(3):
@@ -104,12 +111,11 @@ def _sparse_forms(draw, max_cutoff=8):
     cutoff = draw(st.integers(0, max_cutoff))
     side = draw(st.sampled_from([DECREASING, INCREASING]))
     coeff = st.fractions(min_value=-6, max_value=6, max_denominator=5).filter(bool)
-    levels = {}
+    terms = {}
     for lvl in range(cutoff + 1):
         labels = draw(st.sets(st.sampled_from(enumerate_partitions(lvl)), max_size=4))
-        if labels:
-            levels[lvl] = {p: draw(coeff) for p in sorted(labels, reverse=True)}
-    return DualForm(CTX, cutoff, side, levels)
+        terms.update((p, draw(coeff)) for p in sorted(labels, reverse=True))
+    return DualForm(CTX, cutoff, side, terms)
 
 
 @settings(deadline=None)
@@ -118,7 +124,7 @@ def test_convert_form_round_trip_matches_dense_product(f):
     other = INCREASING if f.basis_side == DECREASING else DECREASING
     g = convert_form(f, other)
     assert g.basis_side == other
-    assert convert_form(g, f.basis_side).levels == f.levels
+    assert convert_form(g, f.basis_side).terms == f.terms
     for lvl in range(f.cutoff + 1):
         # f_inc = B^T f_dec and f_dec = (B^-1)^T f_inc, as dense products.
         if other == INCREASING:
@@ -126,16 +132,16 @@ def test_convert_form_round_trip_matches_dense_product(f):
         else:
             matrix = basis_change_inverse(lvl)
         order = enumerate_partitions(lvl)
-        vec = [f.level_terms(lvl).get(p, Fraction(0)) for p in order]
+        vec = [f.coefficient(p) for p in order]
         for j, mu in enumerate(order):
             expected = sum((row[j] * x for row, x in zip(matrix, vec)), Fraction(0))
-            assert g.level_terms(lvl).get(mu, Fraction(0)) == expected
+            assert g.coefficient(mu) == expected
 
 
 def test_act_on_form_l0_eigenvalue():
     f = dual_element((1,), 4)
     out = act_on_form(0, f)
-    assert out.level_terms(1) == {(1,): CTX.delta + 1}
+    assert by_level(out)[1] == {(1,): CTX.delta + 1}
 
 
 def test_act_on_form_above_cutoff_gives_zero_form():
@@ -148,29 +154,29 @@ def test_act_on_form_above_cutoff_gives_zero_form():
 def test_act_on_form_gaiotto_eigenvalue_at_level_zero():
     f = gaiotto_basic_form(PSI_R1, (), 4, CTX)
     out = act_on_form(1, f)
-    assert out.level_terms(0) == {(): PSI_R1.mu[0] * f.level_terms(0)[()]}
+    assert by_level(out)[0] == {(): PSI_R1.mu[0] * f.terms[()]}
 
 
 def test_gaiotto_basic_coefficients():
     f = gaiotto_basic_form(PSI_R1, (), 6, CTX)
     mu1, mu2 = PSI_R1.mu
-    assert f.level_terms(0) == {(): Fraction(1)}
-    assert f.level_terms(3)[(2, 1)] == mu2 * mu1
-    assert f.level_terms(3)[(1, 1, 1)] == mu1**3
-    assert (3,) not in f.level_terms(3)  # index above the rank
+    assert by_level(f)[0] == {(): Fraction(1)}
+    assert f.terms[(2, 1)] == mu2 * mu1
+    assert f.terms[(1, 1, 1)] == mu1**3
+    assert (3,) not in f.terms  # index above the rank
 
 
 def test_gaiotto_basic_with_fixed_exponents():
     psi = PSI_R2
     f = gaiotto_basic_form(psi, (1,), 6, CTX)  # n_1 frozen to 1
-    assert f.level_terms(5)[(4, 1)] == psi.mu[2]
-    assert (4,) not in f.level_terms(4)  # n_1 = 0 labels excluded
-    assert f.level_terms(1) == {(1,): Fraction(1)}
+    assert f.terms[(4, 1)] == psi.mu[2]
+    assert (4,) not in f.terms  # n_1 = 0 labels excluded
+    assert by_level(f)[1] == {(1,): Fraction(1)}
 
 
 def test_gaiotto_form_combination():
     basic = gaiotto_basic_form(PSI_R1, (), 5, CTX)
-    assert gaiotto_form(PSI_R1, {(): Fraction(1)}, 5, CTX).levels == basic.levels
+    assert gaiotto_form(PSI_R1, {(): Fraction(1)}, 5, CTX).terms == basic.terms
     assert gaiotto_form(PSI_R1, {}, 5, CTX).is_zero()
 
 
@@ -202,11 +208,11 @@ def test_single_dual_element_fails_verification():
 def test_bmt_basic_coefficients():
     f = bmt_basic_form(PSI_N3, (0,), 6, CTX)
     nu1, nu3 = PSI_N3.nu1, PSI_N3.nun
-    assert f.level_terms(0) == {(): Fraction(1)}
-    assert f.level_terms(4)[(3, 1)] == nu1 * nu3
-    assert f.level_terms(2) == {(1, 1): nu1**2}
+    assert by_level(f)[0] == {(): Fraction(1)}
+    assert f.terms[(3, 1)] == nu1 * nu3
+    assert by_level(f)[2] == {(1, 1): nu1**2}
     f4 = bmt_basic_form(PSI_N4, (1, 0), 4, CTX)
-    assert f4.level_terms(2) == {(2,): Fraction(1)}
+    assert by_level(f4)[2] == {(2,): Fraction(1)}
 
 
 def test_bmt_form_empty_is_zero():
@@ -217,10 +223,10 @@ def test_bmt_special_form_support():
     # all lambdas zero keeps only the all-zero basic form
     plain = bmt_special_form(PSI_N4, (Fraction(0), Fraction(0)), 4, CTX)
     basic = bmt_basic_form(PSI_N4, (0, 0), 4, CTX)
-    assert plain.levels == basic.levels
+    assert plain.terms == basic.terms
     # n = 3 has the single lambda_2; zero leaves the lone basic form
     single = bmt_special_form(PSI_N3, (Fraction(0),), 4, CTX)
-    assert single.levels == bmt_basic_form(PSI_N3, (0,), 4, CTX).levels
+    assert single.terms == bmt_basic_form(PSI_N3, (0,), 4, CTX).terms
     # lambda_2 = 1, lambda_3 = 0 at cutoff 4: support m_2 <= 2
     mixed = bmt_special_form(PSI_N4, (Fraction(1), Fraction(0)), 4, CTX)
     expected = bmt_form(
@@ -229,7 +235,7 @@ def test_bmt_special_form_support():
         4,
         CTX,
     )
-    assert mixed.levels == expected.levels
+    assert mixed.terms == expected.terms
 
 
 def test_bmt_forms_pass_verification():
@@ -281,11 +287,8 @@ def test_whittaker_form_nullspace_dimensions():
     assert dim1 == 1
     # the solution is proportional to the basic form
     basic = gaiotto_basic_form(PSI_R1, (), 3, CTX)
-    scale = basis1[0].level_terms(0)[()]
-    for lvl in range(4):
-        got = basis1[0].level_terms(lvl)
-        want = basic.level_terms(lvl)
-        assert got == {p: c * scale for p, c in want.items()}
+    scale = basis1[0].terms[()]
+    assert basis1[0].terms == {p: c * scale for p, c in basic.terms.items()}
 
     dim2, _ = whittaker_form_nullspace(PSI_R2, CTX, 3)
     assert dim2 == 4  # admissible n_1 tuples: 0..3
@@ -337,7 +340,7 @@ def test_whittaker_form_nullspace_pair_basis_pinned():
     dim, basis = whittaker_form_nullspace(PSI_N4, CTX, 5)
     assert dim == 5
     assert [f.basis_side for f in basis] == [INCREASING] * 5
-    assert [f.levels for f in basis] == [
+    assert [by_level(f) for f in basis] == [
         {5: {(3, 2): F(1)}},
         {3: {(3,): F(25, 4)}, 4: {(3, 1): F(5, 2)}, 5: {(3, 1, 1): F(1)}},
         {4: {(2, 2): F(5, 2)}, 5: {(2, 2, 1): F(1)}},

@@ -16,6 +16,7 @@ from virwhit.linalg import (
     nullspace,
     rank,
 )
+from virwhit import forms, universal, verma, virasoro
 from virwhit.universal import level0_words, search_whittaker
 from virwhit.whittaker import WhittakerType1N
 
@@ -290,9 +291,10 @@ def test_search_whittaker_basis_matches_gauss_jordan(monkeypatch):
     psi = WhittakerType1N(5, Fraction(3, 7), Fraction(-2, 5))
     result = search_whittaker(psi, level0_words(2, 4, 5), psi, Fraction(5, 3))
     ((matrix, ncols),) = systems
+    dense = [[row.get(j, Fraction(0)) for j in range(ncols)] for row in matrix]
     found = [[vec.terms.get(w, Fraction(0)) for w in result.ansatz] for vec in result.basis]
     assert result.dimension > 0
-    assert found == _reference_nullspace(matrix, ncols)
+    assert found == _reference_nullspace(dense, ncols)
 
 
 def test_primes_are_the_primes_below_2_30_largest_first():
@@ -303,3 +305,52 @@ def test_primes_are_the_primes_below_2_30_largest_first():
     assert [n for n in range(3000) if linalg._is_prime(n)] == trial
     # Strong pseudoprimes to the bases 2; 2, 3; and 2, 3, 5.
     assert not any(map(linalg._is_prime, (2047, 1373653, 25326001)))
+
+
+def test_sparse_rows_give_the_dense_nullspace():
+    rng = random.Random(11)
+    for _ in range(20):
+        ncols = rng.randint(1, 7)
+        dense = [
+            [Fraction(rng.choice([0, 0, 1, -2, 3]), rng.randint(1, 4)) for _ in range(ncols)]
+            for _ in range(rng.randint(1, 6))
+        ]
+        sparse = [{j: x for j, x in enumerate(row) if x} for row in dense]
+        assert nullspace(sparse, ncols) == nullspace(dense, ncols)
+    with pytest.raises(ValueError):
+        nullspace([{0: Fraction(1)}])
+
+
+_CTX = verma.VermaContext(Fraction(1), Fraction(2))
+_PSI = WhittakerType1N(4, Fraction(2), Fraction(3))
+
+
+@pytest.mark.parametrize(
+    "combine",
+    [
+        lambda: virasoro.generator(1, Fraction(1)) + virasoro.generator(1, Fraction(2)),
+        lambda: virasoro.multiply(virasoro.unit(Fraction(1)), virasoro.unit(Fraction(2))),
+        lambda: verma.highest_weight_vector(_CTX)
+        - verma.highest_weight_vector(verma.VermaContext(Fraction(1), Fraction(3))),
+        lambda: universal.generating_vector(_PSI, Fraction(1))
+        + universal.generating_vector(WhittakerType1N(4, Fraction(2), Fraction(5)), Fraction(1)),
+        lambda: universal.generating_vector(_PSI, Fraction(1))
+        - universal.generating_vector(_PSI, Fraction(2)),
+        lambda: forms.form_combine(
+            forms.zero_form(_CTX, 3, forms.DECREASING), forms.zero_form(_CTX, 3, forms.INCREASING)
+        ),
+        lambda: forms.zero_form(_CTX, 3) + forms.zero_form(_CTX, 2),
+    ],
+    ids=[
+        "enveloping-charge",
+        "enveloping-multiply",
+        "verma-context",
+        "universal-type",
+        "universal-charge",
+        "form-basis-side",
+        "form-cutoff",
+    ],
+)
+def test_combining_vectors_of_different_modules_raises(combine):
+    with pytest.raises(linalg.ContextMismatchError):
+        combine()
