@@ -14,8 +14,6 @@ from .virasoro import (
     Word,
     bracket,
     commutator,
-    element_from_jsonable,
-    element_to_jsonable,
     generator,
     multiply,
     normal_order,

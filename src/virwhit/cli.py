@@ -1,8 +1,12 @@
 """Command-line interface with exact-rational JSON I/O.
 
-Rationals cross this boundary as "p/q" strings, never floats.  Every
-document carries {"schema": "virwhit/1"}; orderings are fixed everywhere,
-so identical configs produce byte-identical output.
+Rationals cross this boundary as "p/q" strings, never floats; orderings are
+fixed everywhere, so identical configs produce byte-identical output.  Each
+JSON object (the Whittaker type and the Verma context, flat keys of
+"parameters"; the form; the state; the --coeffs map) has one writer and one
+reader, which first checks for a JSON object or list.  A command returns its
+document body and whether it passed; ``main`` alone adds {"schema":
+"virwhit/1", "command": ...}, writes stdout and --out and picks the exit code.
 
 Exit codes: 0 all requested verifications pass, 1 a verification failed,
 2 unusable configuration, 3 degenerate Shapovalov form at some level.
@@ -15,6 +19,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 from . import forms, universal
@@ -28,7 +33,7 @@ from .verma import (
     partition_exponents,
     partition_key,
 )
-from .whittaker import VerificationReport, WhittakerType1N, WhittakerTypeR
+from .whittaker import VerificationReport, WhittakerType, WhittakerType1N, WhittakerTypeR
 
 SCHEMA = "virwhit/1"
 HARD_CUTOFF_LIMIT = 12
@@ -39,10 +44,10 @@ MAX_ANSATZ_WORDS = 500
 # Most samples a check-lemmas run may draw.  On a 2-vCPU host 1000 samples
 # at --max-level 12 --max-length 12 took 7 s for r = 2 and 12 s for r = 3.
 MAX_LEMMA_SAMPLES = 1000
-# Largest n of a universal family.  On a 2-vCPU host the w-1-l-n family
-# at --l 2 took 1.2 s and 73 MB at n = 100, and 12.4 s and 734 MB at
-# n = 200.
-MAX_FAMILY_N = 100
+# Largest --n of bmt and universal family.  On a 2-vCPU host the w-1-l-n
+# family at --l 2 took 1.2 s and 73 MB at n = 100, and 12.4 s and 734 MB at
+# n = 200; bmt at n = 100 and cutoff 12 took 0.3 s.
+MAX_PAIR_N = 100
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -57,7 +62,7 @@ class ConfigError(ValueError):
 def _rat(text: str) -> Fraction:
     try:
         return parse_rational(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 
@@ -72,6 +77,13 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _require(value, kind: type, message: str):
+    """``value`` if it is a JSON object (kind dict) or list (kind list)."""
+    if not isinstance(value, kind):
+        raise ConfigError(message)
+    return value
+
+
 def _check_range(name: str, value: int, low: int, high: int) -> int:
     if value < low or value > high:
         raise ConfigError(f"{name} must lie in {low}..{high}, got {value}")
@@ -83,7 +95,37 @@ def _check_cutoff(cutoff: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization (deterministic orderings throughout)
+# Codecs: one writer and one reader per JSON object, deterministic orderings
+
+
+def _type_json(psi: WhittakerType) -> dict:
+    if isinstance(psi, WhittakerTypeR):
+        return {"r": psi.r, "mu": [format_rational(v) for v in psi.mu]}
+    return {"n": psi.n, "nu1": format_rational(psi.nu1), "nun": format_rational(psi.nun)}
+
+
+def _type_from_json(obj) -> WhittakerType:
+    _require(obj, dict, "parameters must be a JSON object")
+    if "r" in obj:
+        mu = _require(obj["mu"], list, "mu must be a JSON list")
+        return WhittakerTypeR(_json_int(obj["r"], "r"), tuple(map(parse_rational, mu)))
+    return WhittakerType1N(
+        _json_int(obj["n"], "n"), parse_rational(obj["nu1"]), parse_rational(obj["nun"])
+    )
+
+
+def _context_json(ctx: VermaContext) -> dict:
+    return {
+        "central_charge": format_rational(ctx.c),
+        "conformal_weight": format_rational(ctx.delta),
+    }
+
+
+def _context_from_json(obj) -> VermaContext:
+    _require(obj, dict, "parameters must be a JSON object")
+    return VermaContext(
+        parse_rational(obj["central_charge"]), parse_rational(obj["conformal_weight"])
+    )
 
 
 def _exponents_json(partition, level: int, side: str) -> list[int]:
@@ -117,7 +159,8 @@ def _form_json(f: forms.DualForm) -> dict:
     return {"basis_side": f.basis_side, "cutoff": f.cutoff, "levels": levels}
 
 
-def _form_from_json(obj: dict, ctx: VermaContext) -> forms.DualForm:
+def _form_from_json(obj, ctx: VermaContext) -> forms.DualForm:
+    _require(obj, dict, "form must be a JSON object")
     side = obj["basis_side"]
     if side not in (forms.DECREASING, forms.INCREASING):
         raise ConfigError(f"unknown basis side {side!r}")
@@ -146,7 +189,8 @@ def _state_json(w: VermaVector) -> dict:
     return {"terms": terms}
 
 
-def _state_from_json(obj: dict, ctx: VermaContext, cutoff: int) -> VermaVector:
+def _state_from_json(obj, ctx: VermaContext, cutoff: int) -> VermaVector:
+    _require(obj, dict, "state must be a JSON object")
     terms = {}
     for entry in obj.get("terms", []):
         part = tuple(_json_int(p, "partition part") for p in entry["partition"])
@@ -157,6 +201,32 @@ def _state_from_json(obj: dict, ctx: VermaContext, cutoff: int) -> VermaVector:
             raise ConfigError(f"state repeats partition {list(part)}")
         terms[part] = parse_rational(entry["coefficient"])
     return VermaVector(ctx, terms)
+
+
+def _coeffs_json(coeffs: dict) -> list:
+    return [
+        {"exponents": list(exps), "coefficient": format_rational(value)}
+        for exps, value in sorted(coeffs.items())
+    ]
+
+
+def _coeffs_from_json(raw, length: int) -> dict:
+    _require(raw, list, "coefficients must be a list of entries")
+    out = {}
+    for entry in raw:
+        bad = f"malformed coefficients entry {entry!r}"
+        try:
+            exps = tuple(_json_int(e, "exponent") for e in entry["exponents"])
+            value = parse_rational(entry["coefficient"])
+        except (KeyError, TypeError) as exc:
+            raise ConfigError(f"{bad}: {exc!r}")
+        # Not left to the basic forms: they never see a zero coefficient.
+        if len(exps) != length:
+            raise ConfigError(f"coefficients exponent tuples must have length {length}")
+        if exps in out:
+            raise ConfigError(f"{bad}: repeated exponents")
+        out[exps] = value
+    return out
 
 
 def _failure_json(failure) -> dict | None:
@@ -227,21 +297,37 @@ def _lemma_report_json(report: universal.CommutatorBoundsReport) -> dict:
     }
 
 
-def _emit(doc: dict, out_path: str | None) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
-    sys.stdout.write(text)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-
-
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns (document body, whether every verification passed);
+# a command's docstring is its --help text.
 
 
-def _cmd_gram(args) -> int:
+def _whittaker_type(args) -> WhittakerType:
+    """The order type of --r/--mu, or else the pair type of --n/--nu1/--nun."""
+    if "r" in vars(args):
+        return WhittakerTypeR(args.r, tuple(args.mu))
+    return WhittakerType1N(args.n, args.nu1, args.nun)
+
+
+def _context(args) -> VermaContext:
+    return VermaContext(args.c, args.delta)
+
+
+def _coefficients(args, length: int) -> dict:
+    """The --coeffs map, or the one basic form with zero exponents without it."""
+    if not args.coeffs:
+        return {(0,) * length: Fraction(1)}
+    try:
+        raw = json.loads(args.coeffs)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"bad coefficients JSON: {exc}")
+    return _coeffs_from_json(raw, length)
+
+
+def _cmd_gram(args):
+    """Shapovalov Gram matrices for levels 0..N"""
     level = _check_cutoff(args.level)
-    ctx = VermaContext(args.c, args.delta)
+    ctx = _context(args)
     blocks = []
     for lvl in range(level + 1):
         g = gram(lvl, ctx)
@@ -254,151 +340,89 @@ def _cmd_gram(args) -> int:
                 ],
             }
         )
-    doc = {
-        "schema": SCHEMA,
-        "command": "gram",
-        "central_charge": format_rational(args.c),
-        "conformal_weight": format_rational(args.delta),
-        "max_level": level,
-        "levels": blocks,
-    }
-    _emit(doc, args.out)
-    return EXIT_OK
+    return {**_context_json(ctx), "max_level": level, "levels": blocks}, True
 
 
-def _parse_coeff_map(text: str, expected_len: int, what: str) -> dict:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"bad {what} JSON: {exc}")
-    out = {}
-    if not isinstance(raw, list):
-        raise ConfigError(f"{what} must be a list of entries")
-    for entry in raw:
-        try:
-            exps = tuple(_json_int(e, "exponent") for e in entry["exponents"])
-            value = parse_rational(entry["coefficient"])
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"malformed {what} entry {entry!r}: {exc!r}")
-        if len(exps) != expected_len:
-            raise ConfigError(
-                f"{what} exponent tuples must have length {expected_len}"
-            )
-        if exps in out:
-            raise ConfigError(f"malformed {what} entry {entry!r}: repeated exponents")
-        out[exps] = value
-    return out
-
-
-def _coeff_map_json(coeffs: dict) -> list:
-    return [
-        {"exponents": list(exps), "coefficient": format_rational(value)}
-        for exps, value in sorted(coeffs.items())
-    ]
-
-
-def _emit_state(command: str, parameters: dict, form, psi, out_path) -> int:
-    """Raise the form to its state, verify both and emit the document."""
+def _state_document(psi: WhittakerType, form: forms.DualForm, coefficients: dict):
+    """Raise the form to its state and verify both."""
     state = forms.raise_indices(form)
     form_report = forms.verify_whittaker_form(form, psi)
     state_report = forms.verify_whittaker_state(state, psi, form.cutoff)
-    doc = {
-        "schema": SCHEMA,
-        "command": command,
+    parameters = {
+        **_type_json(psi),
+        **_context_json(form.context),
+        "cutoff": form.cutoff,
+        **coefficients,
+    }
+    body = {
         "parameters": parameters,
         "form": _form_json(form),
         "state": _state_json(state),
         "verification": _report_json(form_report),
         "state_verification": _report_json(state_report),
     }
-    _emit(doc, out_path)
-    return EXIT_OK if form_report.passed and state_report.passed else EXIT_VERIFICATION
+    return body, form_report.passed and state_report.passed
 
 
-def _cmd_gaiotto(args) -> int:
+def _cmd_gaiotto(args):
+    """build, raise and verify a Gaiotto state"""
     cutoff = _check_cutoff(args.cutoff)
-    psi = WhittakerTypeR(args.r, tuple(args.mu))
-    ctx = VermaContext(args.c, args.delta)
-    if args.coeffs:
-        coeffs = _parse_coeff_map(args.coeffs, psi.r - 1, "coefficients")
-    else:
-        coeffs = {(0,) * (psi.r - 1): Fraction(1)}
+    psi, ctx = _whittaker_type(args), _context(args)
+    coeffs = _coefficients(args, psi.r - 1)
     form = forms.gaiotto_form(psi, coeffs, cutoff, ctx)
-    parameters = {
-        "r": psi.r,
-        "mu": [format_rational(v) for v in psi.mu],
-        "central_charge": format_rational(ctx.c),
-        "conformal_weight": format_rational(ctx.delta),
-        "cutoff": cutoff,
-        "coefficients": _coeff_map_json(coeffs),
-    }
-    return _emit_state("gaiotto", parameters, form, psi, args.out)
+    return _state_document(psi, form, {"coefficients": _coeffs_json(coeffs)})
 
 
-def _cmd_bmt(args) -> int:
+def _cmd_bmt(args):
+    """build, raise and verify a BMT state"""
     cutoff = _check_cutoff(args.cutoff)
-    psi = WhittakerType1N(args.n, args.nu1, args.nun)
-    ctx = VermaContext(args.c, args.delta)
+    _check_range("--n", args.n, 3, MAX_PAIR_N)
+    psi, ctx = _whittaker_type(args), _context(args)
     if args.coeffs and args.lambdas:
         raise ConfigError("give either --coeffs or --lambdas, not both")
     if args.lambdas is not None:
-        lambdas = tuple(args.lambdas)
-        if len(lambdas) != psi.n - 2:
-            raise ConfigError(
-                f"--lambdas needs {psi.n - 2} values lambda_2..lambda_{psi.n - 1}"
-            )
-        form = forms.bmt_special_form(psi, lambdas, cutoff, ctx)
-        coeff_doc = {"lambdas": [format_rational(v) for v in lambdas]}
+        form = forms.bmt_special_form(psi, tuple(args.lambdas), cutoff, ctx)
+        coefficients = {"lambdas": [format_rational(v) for v in args.lambdas]}
     else:
-        if args.coeffs:
-            coeffs = _parse_coeff_map(args.coeffs, psi.n - 2, "coefficients")
-        else:
-            coeffs = {(0,) * (psi.n - 2): Fraction(1)}
+        coeffs = _coefficients(args, psi.n - 2)
         form = forms.bmt_form(psi, coeffs, cutoff, ctx)
-        coeff_doc = {"coefficients": _coeff_map_json(coeffs)}
-    parameters = {
-        "n": psi.n,
-        "nu1": format_rational(psi.nu1),
-        "nun": format_rational(psi.nun),
-        "central_charge": format_rational(ctx.c),
-        "conformal_weight": format_rational(ctx.delta),
-        "cutoff": cutoff,
-        **coeff_doc,
-    }
-    return _emit_state("bmt", parameters, form, psi, args.out)
+        coefficients = {"coefficients": _coeffs_json(coeffs)}
+    return _state_document(psi, form, coefficients)
 
 
-def _type_from_parameters(params: dict):
-    if "r" in params:
-        return WhittakerTypeR(
-            _json_int(params["r"], "r"), tuple(parse_rational(v) for v in params["mu"])
-        )
-    return WhittakerType1N(
-        _json_int(params["n"], "n"),
-        parse_rational(params["nu1"]),
-        parse_rational(params["nun"]),
-    )
+def _first_pairing_mismatch(state: VermaVector, form: forms.DualForm) -> dict | None:
+    """First label, level by level, where <label, state> differs from the form."""
+    f_dec = forms.convert_form(form, forms.DECREASING)
+    for lvl in range(form.cutoff + 1):
+        g = gram(lvl, state.context)
+        pairings = g.pair([state.coefficient(p) for p in g.partitions])
+        for lam, pairing in zip(g.partitions, pairings):
+            expected = f_dec.coefficient(lam)
+            if pairing != expected:
+                return {
+                    "level": lvl,
+                    "label": list(lam),
+                    "pairing": format_rational(pairing),
+                    "form_value": format_rational(expected),
+                }
+    return None
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
+    """re-verify a serialized state or form"""
     try:
         with open(args.input, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read document: {exc}")
-    if not isinstance(doc, dict):
-        raise ConfigError("malformed document: expected a JSON object")
+    _require(doc, dict, "malformed document: expected a JSON object")
     if doc.get("schema") != SCHEMA:
         raise ConfigError(f"unsupported schema {doc.get('schema')!r}")
-    params = doc.get("parameters", {})
+    params, state = doc.get("parameters", {}), None
     try:
-        typ = _type_from_parameters(params)
-        ctx = VermaContext(
-            parse_rational(params["central_charge"]),
-            parse_rational(params["conformal_weight"]),
-        )
+        typ = _type_from_json(params)
+        ctx = _context_from_json(params)
         form = _form_from_json(doc["form"], ctx)
-        state = None
         if "state" in doc:
             state = _state_from_json(doc["state"], ctx, form.cutoff)
     except KeyError as exc:
@@ -406,46 +430,17 @@ def _cmd_verify(args) -> int:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed document: {exc}")
 
-    form_report = forms.verify_whittaker_form(form, typ)
-    results = {
-        "schema": SCHEMA,
-        "command": "verify",
-        "input": doc.get("command", "unknown"),
-        "verification": _report_json(form_report),
-    }
-    passed = form_report.passed
-
+    report = forms.verify_whittaker_form(form, typ)
+    body = {"input": doc.get("command", "unknown"), "verification": _report_json(report)}
+    passed = report.passed
     if state is not None:
         state_report = forms.verify_whittaker_state(state, typ, form.cutoff)
-        f_dec = forms.convert_form(form, forms.DECREASING)
-        roundtrip_ok = True
-        first_mismatch = None
-        for lvl in range(form.cutoff + 1):
-            g = gram(lvl, ctx)
-            pairings = g.pair([state.coefficient(p) for p in g.partitions])
-            for lam, pairing in zip(g.partitions, pairings):
-                expected = f_dec.coefficient(lam)
-                if pairing != expected:
-                    roundtrip_ok = False
-                    first_mismatch = {
-                        "level": lvl,
-                        "label": list(lam),
-                        "pairing": format_rational(pairing),
-                        "form_value": format_rational(expected),
-                    }
-                    break
-            if not roundtrip_ok:
-                break
-        results["state_verification"] = _report_json(state_report)
-        results["raise_roundtrip"] = {
-            "passed": roundtrip_ok,
-            "first_mismatch": first_mismatch,
-        }
-        passed = passed and state_report.passed and roundtrip_ok
-
-    results["passed"] = passed
-    _emit(results, args.out)
-    return EXIT_OK if passed else EXIT_VERIFICATION
+        mismatch = _first_pairing_mismatch(state, form)
+        body["state_verification"] = _report_json(state_report)
+        body["raise_roundtrip"] = {"passed": mismatch is None, "first_mismatch": mismatch}
+        passed = passed and state_report.passed and mismatch is None
+    body["passed"] = passed
+    return body, passed
 
 
 # The universal families by their --family name.  Each builder looks its
@@ -460,33 +455,31 @@ FAMILIES = {
 }
 
 
-def _cmd_universal_family(args) -> int:
+def _cmd_universal_family(args):
+    """construct and verify a family vector"""
     _check_range("--l", args.l, 0, HARD_CUTOFF_LIMIT)
-    _check_range("--n", args.n, 3, MAX_FAMILY_N)
-    psi = WhittakerType1N(args.n, args.nu1, args.nun)
+    _check_range("--n", args.n, 3, MAX_PAIR_N)
+    psi = _whittaker_type(args)
     vector = FAMILIES[args.family](psi, args)
     report = universal.verify_whittaker_vector(vector, psi)
-    doc = {
-        "schema": SCHEMA,
-        "command": "universal-family",
-        "parameters": {
-            "family": args.family,
-            "n": psi.n,
-            "nu1": format_rational(psi.nu1),
-            "nun": format_rational(psi.nun),
-            "central_charge": format_rational(args.c),
-            "l": args.l,
-            "alpha0": format_rational(args.alpha0),
-        },
+    parameters = {
+        "family": args.family,
+        **_type_json(psi),
+        "central_charge": format_rational(args.c),
+        "l": args.l,
+        "alpha0": format_rational(args.alpha0),
+    }
+    body = {
+        "parameters": parameters,
         "vector": _universal_vector_json(vector),
         "verification": _report_json(report),
     }
-    _emit(doc, args.out)
-    return EXIT_OK if report.passed else EXIT_VERIFICATION
+    return body, report.passed
 
 
-def _cmd_universal_search(args) -> int:
-    psi = WhittakerType1N(args.n, args.nu1, args.nun)
+def _cmd_universal_search(args):
+    """exact Whittaker-vector search"""
+    psi = _whittaker_type(args)
     length = _check_range("--length", args.length, 1, HARD_CUTOFF_LIMIT)
     # Nonempty multisets of at most `length` letters from 2..n-1:
     # sum_{k=1}^{length} C(n-3+k, k) = C(n-2+length, length) - 1.
@@ -498,13 +491,9 @@ def _cmd_universal_search(args) -> int:
         )
     ansatz = universal.level0_words(2, psi.n - 1, length)
     result = universal.search_whittaker(psi, ansatz, psi, args.c)
-    doc = {
-        "schema": SCHEMA,
-        "command": "universal-search",
+    body = {
         "parameters": {
-            "n": psi.n,
-            "nu1": format_rational(psi.nu1),
-            "nun": format_rational(psi.nun),
+            **_type_json(psi),
             "central_charge": format_rational(args.c),
             "max_length": length,
         },
@@ -517,8 +506,7 @@ def _cmd_universal_search(args) -> int:
         "nullspace_dimension": result.dimension,
         "basis": [_universal_vector_json(v) for v in result.basis],
     }
-    _emit(doc, args.out)
-    return EXIT_OK
+    return body, True
 
 
 def _random_pseudo_partition(rng: random.Random, r: int, max_level: int, max_length: int):
@@ -532,12 +520,13 @@ def _random_pseudo_partition(rng: random.Random, r: int, max_level: int, max_len
     return tuple(sorted(letters))
 
 
-def _cmd_check_lemmas(args) -> int:
+def _cmd_check_lemmas(args):
+    """randomized commutator bound checks"""
     _check_range("--r", args.r, 1, HARD_CUTOFF_LIMIT)
     _check_range("--samples", args.samples, 1, MAX_LEMMA_SAMPLES)
     _check_range("--max-level", args.max_level, 0, HARD_CUTOFF_LIMIT)
     _check_range("--max-length", args.max_length, 0, HARD_CUTOFF_LIMIT)
-    psi = WhittakerTypeR(args.r, tuple(args.mu))
+    psi = _whittaker_type(args)
     rng = random.Random(args.seed)
     s = psi.rank
     failures = []
@@ -558,12 +547,9 @@ def _cmd_check_lemmas(args) -> int:
                 clause_counts[clause.clause] = clause_counts.get(clause.clause, 0) + 1
                 if not clause.passed:
                     failures.append(_lemma_report_json(report))
-    doc = {
-        "schema": SCHEMA,
-        "command": "check-lemmas",
+    body = {
         "parameters": {
-            "r": psi.r,
-            "mu": [format_rational(v) for v in psi.mu],
+            **_type_json(psi),
             "central_charge": format_rational(args.c),
             "samples": args.samples,
             "seed": args.seed,
@@ -574,35 +560,45 @@ def _cmd_check_lemmas(args) -> int:
         "failures": failures,
         "passed": not failures,
     }
-    _emit(doc, args.out)
-    return EXIT_OK if not failures else EXIT_VERIFICATION
+    return body, not failures
 
 
-def _cmd_check_l0_li(args) -> int:
+def _cmd_check_l0_li(args):
+    """closed-form L_0 and L_i identities"""
     cutoff = _check_cutoff(args.cutoff)
-    psi = WhittakerTypeR(args.r, tuple(args.mu))
-    ctx = VermaContext(args.c, args.delta)
+    psi, ctx = _whittaker_type(args), _context(args)
     report = forms.check_L0_Li_on_basic(psi, cutoff, ctx)
-    doc = {
-        "schema": SCHEMA,
-        "command": "check-l0-li",
-        "parameters": {
-            "r": psi.r,
-            "mu": [format_rational(v) for v in psi.mu],
-            "central_charge": format_rational(ctx.c),
-            "conformal_weight": format_rational(ctx.delta),
-            "cutoff": cutoff,
-        },
+    body = {
+        "parameters": {**_type_json(psi), **_context_json(ctx), "cutoff": cutoff},
         "verification": _report_json(report),
     }
-    _emit(doc, args.out)
-    return EXIT_OK if report.passed else EXIT_VERIFICATION
+    return body, report.passed
 
 
 # ---------------------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
+    group = partial(argparse.ArgumentParser, add_help=False)  # declares options once
+    out = group()
+    out.add_argument("--out")
+    charge = group()
+    charge.add_argument("--c", type=_rat, required=True)
+    context = group(parents=[charge])
+    context.add_argument("--delta", type=_rat, required=True)
+    order = group()
+    order.add_argument("--r", type=int, required=True)
+    order.add_argument("--mu", type=_rat_list, required=True, help="mu_r,...,mu_2r")
+    pair = group()
+    pair.add_argument("--n", type=int, required=True)
+    pair.add_argument("--nu1", type=_rat, required=True)
+    pair.add_argument("--nun", type=_rat, required=True)
+    pair_module = group(parents=[pair])  # the universal commands default to c = 0
+    pair_module.add_argument("--c", type=_rat, default=Fraction(0))
+    state = group(parents=[context])
+    state.add_argument("--cutoff", type=int, required=True)
+    state.add_argument("--coeffs", help="JSON list of {exponents, coefficient}")
+
     parser = argparse.ArgumentParser(
         prog="virwhit",
         description=(
@@ -612,101 +608,52 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gram", help="Shapovalov Gram matrices for levels 0..N")
-    p.add_argument("--c", type=_rat, required=True)
-    p.add_argument("--delta", type=_rat, required=True)
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_gram)
+    def command(name, func, *groups):
+        """Add ``name``, e.g. "universal search", whose document is "universal-search"."""
+        under = sub_universal if name.startswith("universal ") else sub
+        p = under.add_parser(name.split()[-1], help=func.__doc__, parents=[*groups, out])
+        p.set_defaults(func=func, document=name.replace(" ", "-"))
+        return p
 
-    p = sub.add_parser("gaiotto", help="build, raise and verify a Gaiotto state")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--mu", type=_rat_list, required=True, help="mu_r,...,mu_2r")
-    p.add_argument("--c", type=_rat, required=True)
-    p.add_argument("--delta", type=_rat, required=True)
-    p.add_argument("--cutoff", type=int, required=True)
-    p.add_argument("--coeffs", help="JSON list of {exponents, coefficient}")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_gaiotto)
-
-    p = sub.add_parser("bmt", help="build, raise and verify a BMT state")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--nu1", type=_rat, required=True)
-    p.add_argument("--nun", type=_rat, required=True)
-    p.add_argument("--c", type=_rat, required=True)
-    p.add_argument("--delta", type=_rat, required=True)
-    p.add_argument("--cutoff", type=int, required=True)
-    p.add_argument("--coeffs", help="JSON list of {exponents, coefficient}")
+    command("gram", _cmd_gram, context).add_argument("--level", type=int, required=True)
+    command("gaiotto", _cmd_gaiotto, order, state)
+    p = command("bmt", _cmd_bmt, pair, state)
     p.add_argument("--lambdas", type=_rat_list, help="lambda_2,...,lambda_{n-1}")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_bmt)
-
-    p = sub.add_parser("verify", help="re-verify a serialized state or form")
-    p.add_argument("--input", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_verify)
-
-    p_universal = sub.add_parser("universal", help="universal Whittaker modules")
-    sub_universal = p_universal.add_subparsers(dest="subcommand", required=True)
-
-    p = sub_universal.add_parser("family", help="construct and verify a family vector")
-    p.add_argument(
-        "--family",
-        required=True,
-        choices=list(FAMILIES),
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--nu1", type=_rat, required=True)
-    p.add_argument("--nun", type=_rat, required=True)
-    p.add_argument("--c", type=_rat, default=Fraction(0))
+    command("verify", _cmd_verify).add_argument("--input", required=True)
+    sub_universal = sub.add_parser("universal", help="universal Whittaker modules")
+    sub_universal = sub_universal.add_subparsers(dest="subcommand", required=True)
+    p = command("universal family", _cmd_universal_family, pair_module)
+    p.add_argument("--family", required=True, choices=list(FAMILIES))
     p.add_argument("--l", type=int, default=1)
     p.add_argument("--alpha0", type=_rat, default=Fraction(1))
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_universal_family)
-
-    p = sub_universal.add_parser("search", help="exact Whittaker-vector search")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--nu1", type=_rat, required=True)
-    p.add_argument("--nun", type=_rat, required=True)
-    p.add_argument("--c", type=_rat, default=Fraction(0))
+    p = command("universal search", _cmd_universal_search, pair_module)
     p.add_argument("--length", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_universal_search)
-
-    p = sub.add_parser("check-lemmas", help="randomized commutator bound checks")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--mu", type=_rat_list, required=True)
-    p.add_argument("--c", type=_rat, required=True)
+    p = command("check-lemmas", _cmd_check_lemmas, order, charge)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-level", type=int, default=8)
     p.add_argument("--max-length", type=int, default=5)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_check_lemmas)
-
-    p = sub.add_parser("check-l0-li", help="closed-form L_0 and L_i identities")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--mu", type=_rat_list, required=True)
-    p.add_argument("--c", type=_rat, required=True)
-    p.add_argument("--delta", type=_rat, required=True)
+    p = command("check-l0-li", _cmd_check_l0_li, order, context)
     p.add_argument("--cutoff", type=int, default=5)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_check_l0_li)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        body, passed = args.func(args)
     except SingularGramError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and the library's own checks
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    text = json.dumps({"schema": SCHEMA, "command": args.document, **body}, indent=2)
+    sys.stdout.write(text + "\n")
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text + "\n")
+    return EXIT_OK if passed else EXIT_VERIFICATION
 
 
 if __name__ == "__main__":

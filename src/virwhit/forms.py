@@ -54,6 +54,7 @@ from .whittaker import (
     WhittakerType,
     WhittakerType1N,
     WhittakerTypeR,
+    subalgebra_indices,
 )
 
 DECREASING = "decreasing"
@@ -328,12 +329,6 @@ def raise_indices(f: DualForm) -> VermaVector:
     return VermaVector(ctx, terms)
 
 
-def _check_indices(typ: WhittakerType, cutoff: int) -> list[int]:
-    if isinstance(typ, WhittakerTypeR):
-        return list(range(typ.r, cutoff + 1))
-    return ([1] if cutoff >= 1 else []) + list(range(typ.n, cutoff + 1))
-
-
 def _first_nonzero(f: DualForm) -> tuple | None:
     if not f.terms:
         return None
@@ -348,7 +343,7 @@ def verify_whittaker_form(f: DualForm, typ: WhittakerType) -> VerificationReport
     levels <= cutoff - k, where the truncated data determines it fully.
     """
     checks = []
-    for k in _check_indices(typ, f.cutoff):
+    for k in subalgebra_indices(typ, f.cutoff):
         expected = typ.value(k)
         window = f.cutoff - k
         residual = form_combine(
@@ -375,7 +370,7 @@ def verify_whittaker_state(
     l + k <= cutoff; only those components are asserted.
     """
     checks = []
-    for k in _check_indices(typ, cutoff):
+    for k in subalgebra_indices(typ, cutoff):
         expected = typ.value(k)
         failure = None
         for lvl in range(cutoff - k + 1):
@@ -416,7 +411,7 @@ def whittaker_form_nullspace(
     # taken at the side's own basis vectors, since basis_change is invertible.
     rule = straightener(ctx)
     rows: list[dict[int, Fraction]] = []
-    for k in _check_indices(typ, cutoff):
+    for k in subalgebra_indices(typ, cutoff):
         expected = typ.value(k)
         for lo in range(cutoff - k + 1):
             for mu in enumerate_partitions(lo):

@@ -25,7 +25,7 @@ def parse_rational(text: str) -> Fraction:
     num = int(match.group(1))
     den = int(match.group(2)) if match.group(2) is not None else 1
     if den == 0:
-        raise ZeroDivisionError(f"zero denominator in {text!r}")
+        raise ValueError(f"zero denominator in {text!r}")
     return Fraction(num, den)
 
 

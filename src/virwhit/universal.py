@@ -35,6 +35,7 @@ from .whittaker import (
     WhittakerType,
     WhittakerType1N,
     WhittakerTypeR,
+    subalgebra_indices,
 )
 
 PseudoPartition = tuple[int, ...]
@@ -204,16 +205,10 @@ def _checked_indices(
     """Target indices to check on a span of words of level <= ``max_level``.
 
     The list covers every index at which a generator can act nonzero on the
-    span (module top index plus maximal level) and every index with a
+    span (module rank plus maximal level) and every index with a
     nonzero target value, so a passing check certifies all conditions.
     """
-    module_top = (
-        module_typ.rank if isinstance(module_typ, WhittakerTypeR) else module_typ.n
-    )
-    reach = module_top + max_level + 1
-    if isinstance(target, WhittakerTypeR):
-        return list(range(target.r, max(2 * target.r, reach) + 1))
-    return [1] + list(range(target.n, max(target.n, reach) + 1))
+    return subalgebra_indices(target, max(target.top, module_typ.rank + max_level + 1))
 
 
 def verify_whittaker_vector(

@@ -224,27 +224,3 @@ def multiply(a: EnvelopingElement, b: EnvelopingElement) -> EnvelopingElement:
 
 def commutator(a: EnvelopingElement, b: EnvelopingElement) -> EnvelopingElement:
     return multiply(a, b) - multiply(b, a)
-
-
-def element_to_jsonable(element: EnvelopingElement) -> list[dict]:
-    """Monomials as integer arrays with "p/q" coefficients, sorted."""
-    from .rational import format_rational
-
-    return [
-        {"monomial": list(word), "coefficient": format_rational(coeff)}
-        for word, coeff in sorted(element.terms.items())
-    ]
-
-
-def element_from_jsonable(entries, c: Fraction) -> EnvelopingElement:
-    from .rational import parse_rational
-
-    terms: dict[Word, Fraction] = {}
-    for entry in entries:
-        word = tuple(int(i) for i in entry["monomial"])
-        if list(word) != sorted(word):
-            raise ValueError(f"monomial {word} is not normal-ordered")
-        coeff = parse_rational(entry["coefficient"])
-        if coeff:
-            terms[word] = terms.get(word, Fraction(0)) + coeff
-    return EnvelopingElement(c, {w: v for w, v in terms.items() if v})

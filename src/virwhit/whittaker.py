@@ -43,6 +43,11 @@ class WhittakerTypeR:
                 return k
         raise AssertionError("unreachable: type is nontrivial")
 
+    @property
+    def top(self) -> int:
+        """Largest index among the subalgebra's generators L_r..L_{2r}."""
+        return 2 * self.r
+
     def in_subalgebra(self, k: int) -> bool:
         return k >= self.r
 
@@ -52,7 +57,7 @@ class WhittakerTypeR:
             raise IndexOutsideSubalgebraError(
                 f"L_{k} lies outside the order-{self.r} subalgebra"
             )
-        if k <= 2 * self.r:
+        if k <= self.top:
             return self.mu[k - self.r]
         return Fraction(0)
 
@@ -73,6 +78,16 @@ class WhittakerType1N:
         if not self.nu1 or not self.nun:
             raise ValueError("pair types must be regular: nu_1 != 0 and nu_n != 0")
 
+    @property
+    def rank(self) -> int:
+        """Largest s with a nonzero scalar on L_s: n, since nu_n != 0."""
+        return self.n
+
+    @property
+    def top(self) -> int:
+        """Largest index among the subalgebra's generators L_1, L_n."""
+        return self.n
+
     def in_subalgebra(self, k: int) -> bool:
         return k == 1 or k >= self.n
 
@@ -89,6 +104,11 @@ class WhittakerType1N:
 
 
 WhittakerType = WhittakerTypeR | WhittakerType1N
+
+
+def subalgebra_indices(typ: WhittakerType, top: int) -> list[int]:
+    """The indices k in 1..top with L_k in the type's subalgebra, ascending."""
+    return [k for k in range(1, top + 1) if typ.in_subalgebra(k)]
 
 
 @dataclass(frozen=True)

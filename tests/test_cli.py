@@ -1,12 +1,18 @@
+import hashlib
 import json
+import re
+import shlex
 from fractions import Fraction
 from itertools import islice
 from math import prod
+from pathlib import Path
 
 import pytest
 
-from virwhit import linalg, universal
+from virwhit import forms, linalg, universal
 from virwhit.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *args):
@@ -420,6 +426,18 @@ def _boolean_exponent(doc):
     block["terms"][0]["exponents"] = [True]
 
 
+def _list_state(doc):
+    doc["state"] = []
+
+
+def _string_state(doc):
+    doc["state"] = "x"
+
+
+def _number_state(doc):
+    doc["state"] = 3
+
+
 @pytest.mark.parametrize(
     "tamper",
     [
@@ -439,6 +457,9 @@ def _boolean_exponent(doc):
         _string_level,
         _float_partition_part,
         _boolean_exponent,
+        _list_state,
+        _string_state,
+        _number_state,
     ],
     ids=[
         "missing-coefficient",
@@ -457,6 +478,9 @@ def _boolean_exponent(doc):
         "string-level",
         "float-partition-part",
         "boolean-exponent",
+        "list-state",
+        "string-state",
+        "number-state",
     ],
 )
 def test_verify_rejects_malformed_document(tmp_path, capsys, tamper):
@@ -523,3 +547,150 @@ def test_malformed_coeffs_exit_2(capsys, command, coeffs):
     assert captured.out == ""
     assert captured.err.startswith("error: malformed coefficients entry ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("lambdas", [False, True], ids=["coefficients", "lambdas"])
+def test_bmt_n_limit_exits_2_before_building(capsys, monkeypatch, lambdas):
+    def no_form(*args):
+        raise AssertionError("form built before the limit check")
+
+    monkeypatch.setattr(forms, "bmt_form", no_form)
+    monkeypatch.setattr(forms, "bmt_special_form", no_form)
+    argv = ["bmt", "--n", "101", "--nu1", "1", "--nun", "2"]
+    argv += ["--c", "11/3", "--delta", "2/7", "--cutoff", "4"]
+    if lambdas:
+        argv += ["--lambdas", ",".join(["0"] * 99)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --n must lie in 3..100, got 101\n"
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--lambdas", "1,2,3", "expected 2 lambda values (lambda_2..lambda_3)"),
+        (
+            "--coeffs",
+            '[{"exponents": [0, 0], "coefficient": "1/0"}]',
+            "zero denominator in '1/0'",
+        ),
+        # A zero coefficient never reaches the basic form's own length check.
+        (
+            "--coeffs",
+            '[{"exponents": [0], "coefficient": "0"}]',
+            "coefficients exponent tuples must have length 2",
+        ),
+    ],
+    ids=["lambdas-length", "zero-denominator", "zero-coefficient-length"],
+)
+def test_bmt_bad_coefficients_exit_2(capsys, option, value, message):
+    argv = ["bmt", "--n", "4", "--nu1", "2/5", "--nun", "-3"]
+    code = main(argv + ["--c", "11/3", "--delta", "2/7", "--cutoff", "3", option, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+GAIOTTO_R2 = ["gaiotto", "--r", "2", "--mu", "2,-1/3,7", "--c", "11/3", "--delta", "2/7"]
+GAIOTTO_COEFFS = (
+    '[{"exponents": [0], "coefficient": "1"}, {"exponents": [2], "coefficient": "-1/3"}]'
+)
+BMT_N4 = ["bmt", "--n", "4", "--nu1", "2/5", "--nun", "-3"]
+BMT_N4 += ["--c", "11/3", "--delta", "2/7"]
+BMT_COEFFS = (
+    '[{"exponents": [0, 0], "coefficient": "1"},'
+    ' {"exponents": [1, 0], "coefficient": "-2/3"}]'
+)
+FAMILY = ["universal", "family", "--nu1", "2/5", "--nun", "-3", "--c", "11/3", "--l", "2"]
+CHECK_R2 = ["--r", "2", "--mu", "2,-1/3,7", "--c", "11/3"]
+
+# SHA-256 of the stdout document of one small call per command, family and
+# coefficient kind, recorded before the codecs and the envelope were shared.
+DOCUMENT_DIGESTS = {
+    "gram": (
+        ["gram", "--c", "11/3", "--delta", "2/7", "--level", "3"],
+        "92f4395180aa853dfa87636b9739e0504593c734628d4f11e97905edd1fbee71",
+    ),
+    "gaiotto-coeffs": (
+        [*GAIOTTO_R2, "--cutoff", "4", "--coeffs", GAIOTTO_COEFFS],
+        "4f05b8c15716e97af35faba7a86b6f33000198637590eb7d79306ea38e5aab40",
+    ),
+    "bmt-lambdas": (
+        [*BMT_N4, "--cutoff", "4", "--lambdas", "1,1/2"],
+        "99075139b19ef6ce9ba6893cfc6304a51297e4172d5d0424bee673a8c2d79413",
+    ),
+    "bmt-coeffs": (
+        [*BMT_N4, "--cutoff", "4", "--coeffs", BMT_COEFFS],
+        "e495e28de69689e9fc9f6185de0cf62299c073a2f8d2ba1dccdfd475f042ca08",
+    ),
+    "verify": (  # of the gaiotto-coeffs document
+        ["verify", "--input", "state.json"],
+        "6596d0f347e2375f2bfcc4c916176344629ee4d6479a8131f043a61c44a08242",
+    ),
+    "family-w-l-2": (
+        [*FAMILY, "--family", "w-l-2", "--n", "4"],
+        "90c190fb16c40e35578b27e9298a129287b444067c3fb061108c8d47005f3598",
+    ),
+    "family-w-l-2-n": (
+        [*FAMILY, "--family", "w-l-2-n", "--n", "5"],
+        "6eed3e67162ed0739a136986afa73d7e272040fa46e51d5d03015be00c5fcf0d",
+    ),
+    "family-w-1-l-n": (
+        [*FAMILY, "--family", "w-1-l-n", "--n", "5"],
+        "25fd3982e40e96fe5b925bf00116926bb819c1ff0c84053c2ffb90ec8528c00f",
+    ),
+    "family-example-n5-w11-23": (
+        [*FAMILY, "--family", "example-n5-w11-23", "--n", "5"],
+        "4e7a4c252dd9fbfd6478be3b1f29ad5d25d59b289180cb78aaa00a980ceaebe3",
+    ),
+    "family-example-n5-w2-2": (
+        [*FAMILY, "--family", "example-n5-w2-2", "--n", "5"],
+        "7e56414894876510df23a93ca67e0beff75c8012fea110eb27995edf59a40d1d",
+    ),
+    "universal-search": (
+        ["universal", "search", "--n", "4", "--nu1", "1", "--nun", "2"]
+        + ["--c", "11/3", "--length", "4"],
+        "2588a03d81e8042d8670776bf461ca0a987900357158842ececf4d593a9523ae",
+    ),
+    "check-lemmas": (
+        ["check-lemmas", *CHECK_R2, "--samples", "10", "--seed", "3"],
+        "16d71df8b9f75d9d7084264a46c18ec8b679d93d1a3850e2d77771101602deef",
+    ),
+    "check-l0-li": (
+        ["check-l0-li", *CHECK_R2, "--delta", "2/7", "--cutoff", "4"],
+        "ff3a9a191e75c6dfe00ad0fcace21b0f85b30a63de812ac565cc440a1f62d8cf",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(DOCUMENT_DIGESTS))
+def test_document_digests(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.chdir(tmp_path)
+    argv, digest = DOCUMENT_DIGESTS[name]
+    if name == "verify":
+        state_argv = DOCUMENT_DIGESTS["gaiotto-coeffs"][0]
+        assert run_cli(capsys, *state_argv, "--out", "state.json")[0] == 0
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _readme_cli_calls() -> list[list[str]]:
+    """The ``virwhit ...`` lines of README's CLI block, continuations joined."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    calls = [line for line in lines if line.startswith("virwhit ")]
+    return [shlex.split(line, comments=True)[1:] for line in calls]
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the block writes and reads state.json
+    calls = _readme_cli_calls()
+    assert len(calls) == 9
+    for argv in calls:
+        code, _ = run_cli(capsys, *argv)
+        assert code == 0, argv

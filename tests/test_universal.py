@@ -6,6 +6,7 @@ import pytest
 from virwhit.linalg import rank
 from virwhit.universal import (
     NotClassifiedError,
+    _checked_indices,
     UniversalVector,
     act_universal,
     apply_word,
@@ -34,6 +35,7 @@ from virwhit.whittaker import (
     IndexOutsideSubalgebraError,
     WhittakerType1N,
     WhittakerTypeR,
+    subalgebra_indices,
 )
 
 C = Fraction(11, 3)
@@ -362,3 +364,30 @@ def test_vector_arithmetic():
     assert (total - total).is_zero()
     assert total.max_level() == 1
     assert total.max_length() == 1
+
+
+def test_checked_indices_match_the_per_type_formulas():
+    # The per-type index lists that forms and universal computed before
+    # whittaker.subalgebra_indices replaced both.
+    def forms_list(typ, cutoff):
+        if isinstance(typ, WhittakerTypeR):
+            return list(range(typ.r, cutoff + 1))
+        return ([1] if cutoff >= 1 else []) + list(range(typ.n, cutoff + 1))
+
+    def universal_list(module, max_level, target):
+        top = module.rank if isinstance(module, WhittakerTypeR) else module.n
+        reach = top + max_level + 1
+        if isinstance(target, WhittakerTypeR):
+            return list(range(target.r, max(2 * target.r, reach) + 1))
+        return [1] + list(range(target.n, max(target.n, reach) + 1))
+
+    types = [WhittakerTypeR(r, (Fraction(1),) * (r + 1)) for r in range(1, 6)]
+    types += [WhittakerTypeR(r, (Fraction(1),) + (Fraction(0),) * r) for r in range(1, 6)]
+    types += [WhittakerType1N(n, Fraction(1), Fraction(2)) for n in range(3, 9)]
+    for typ in types:
+        for cutoff in range(13):
+            assert subalgebra_indices(typ, cutoff) == forms_list(typ, cutoff)
+        for module in types:
+            for max_level in range(8):
+                expected = universal_list(module, max_level, typ)
+                assert _checked_indices(module, max_level, typ) == expected

@@ -7,8 +7,6 @@ from virwhit.virasoro import (
     ContextMismatchError,
     bracket,
     commutator,
-    element_from_jsonable,
-    element_to_jsonable,
     generator,
     multiply,
     normal_order,
@@ -124,15 +122,3 @@ def test_scale_drops_zero():
     x = generator(2, C)
     assert x.scale(Fraction(0)).is_zero()
     assert (x - x).is_zero()
-
-
-def test_element_serialization_round_trip():
-    element = normal_order((2, -2, 1), C)
-    entries = element_to_jsonable(element)
-    assert entries[0]["monomial"] <= entries[-1]["monomial"]
-    rebuilt = element_from_jsonable(entries, C)
-    assert rebuilt.terms == element.terms
-    with pytest.raises(ValueError):
-        element_from_jsonable(
-            [{"monomial": [1, -1], "coefficient": "1"}], C
-        )
