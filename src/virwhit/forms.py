@@ -27,6 +27,10 @@ linearity and all checks are exact equalities.
 
 Gaiotto states live on the decreasing side, BMT states on the increasing
 side, where L_{-1} acts on the dual labels by a plain exponent shift.
+Every Gaiotto and BMT form, and the mu-derivatives of the basic Gaiotto
+form, is one monomial form: a label whose parts all have a weight or are
+frozen gets a coefficient chosen by its frozen multiplicities times one
+weight per remaining part; other labels get zero.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from . import linalg
 from .shapovalov import gram, solve
@@ -178,44 +182,37 @@ def act_on_form(m: int, f: DualForm) -> DualForm:
     return convert_form(DualForm(f.context, new_cutoff, DECREASING, terms), f.basis_side)
 
 
-def gaiotto_basic_form(
-    psi: WhittakerTypeR,
-    exponents: tuple[int, ...],
-    cutoff: int,
-    ctx: VermaContext,
-) -> DualForm:
-    """Basic Gaiotto form with the free low indices frozen to ``exponents``.
+def _monomial_form(ctx, cutoff, side, weights, frozen, coefficients) -> DualForm:
+    """coefficients[m_frozen] * prod_j weights[j]^{m_j} on the labels of level <= cutoff.
 
-    ``exponents`` lists (n_{r-1}, ..., n_1).  The coefficient on the dual
-    label with multiplicities n_i is the product of psi scalars
-    mu_s^{n_s} ... mu_r^{n_r}; labels using any index above the rank, or
-    whose low multiplicities differ from ``exponents``, get zero.
+    m_j counts the parts j of a label and m_frozen lists the counts of the
+    parts in ``frozen``; a label with a part in neither gets zero; 0^0 = 1.
     """
-    r, s = psi.r, psi.rank
-    exponents = tuple(int(e) for e in exponents)
-    if len(exponents) != r - 1:
-        raise ValueError(f"expected {r - 1} exponents (n_{r - 1}..n_1)")
-    if any(e < 0 for e in exponents):
-        raise ValueError("exponents must be nonnegative")
-    required = {r - 1 - j: exponents[j] for j in range(r - 1)}  # part -> multiplicity
+    allowed = weights.keys() | set(frozen)
     terms: dict[Partition, Fraction] = {}
     for lvl in range(cutoff + 1):
-        for partition in enumerate_partitions(lvl):
-            counts = Counter(partition)
-            if any(counts.get(i, 0) != required[i] for i in required):
-                continue
-            if any(part > s for part in counts):
-                continue
-            coeff = Fraction(1)
-            for i in range(r, s + 1):
-                n_i = counts.get(i, 0)
-                if n_i:
-                    coeff *= psi.mu[i - r] ** n_i
-                if not coeff:
-                    break
-            if coeff:
-                terms[partition] = coeff
-    return DualForm(ctx, cutoff, DECREASING, terms)
+        for label in enumerate_partitions(lvl):
+            counts = Counter(label)
+            coeff = coefficients.get(tuple(counts[j] for j in frozen))
+            if coeff and counts.keys() <= allowed:
+                coeff *= prod(weights[j] ** m for j, m in counts.items() if j in weights)
+                if coeff:
+                    terms[label] = coeff
+    return DualForm(ctx, cutoff, side, terms)
+
+
+def _exponent_table(coefficients, length: int, names: str) -> dict[tuple[int, ...], Fraction]:
+    """The nonzero coefficients by exponent tuple, each tuple checked."""
+    table: dict[tuple[int, ...], Fraction] = {}
+    for exponents, coeff in sorted(coefficients.items()):
+        if coeff:
+            exponents = tuple(int(e) for e in exponents)
+            if len(exponents) != length:
+                raise ValueError(f"expected {length} exponents ({names})")
+            if any(e < 0 for e in exponents):
+                raise ValueError("exponents must be nonnegative")
+            table[exponents] = table.get(exponents, 0) + Fraction(coeff)
+    return table
 
 
 def gaiotto_form(
@@ -224,48 +221,26 @@ def gaiotto_form(
     cutoff: int,
     ctx: VermaContext,
 ) -> DualForm:
-    """Finite combination of basic Gaiotto forms, truncated at the cutoff."""
-    return _combination(gaiotto_basic_form, DECREASING, psi, coefficients, cutoff, ctx)
+    """Finite combination of basic Gaiotto forms, truncated at the cutoff.
+
+    The basic form of exponents (n_{r-1}, ..., n_1) is mu_r^{n_r} ...
+    mu_s^{n_s} on the labels with those low multiplicities and no index
+    above the rank s, and zero elsewhere.
+    """
+    r = psi.r
+    table = _exponent_table(coefficients, r - 1, f"n_{r - 1}..n_1")
+    weights = {j: psi.mu[j - r] for j in range(r, psi.rank + 1)}
+    return _monomial_form(ctx, cutoff, DECREASING, weights, range(r - 1, 0, -1), table)
 
 
-def _combination(basic, side, psi, coefficients, cutoff, ctx) -> DualForm:
-    # sum of coeff * basic(psi, exponents, cutoff, ctx) in exponent order.
-    total = zero_form(ctx, cutoff, side)
-    for exponents, coeff in sorted(coefficients.items()):
-        if coeff:
-            form = basic(psi, exponents, cutoff, ctx)
-            total = form_combine(total, form, Fraction(coeff))
-    return total
-
-
-def bmt_basic_form(
-    psi: WhittakerType1N,
+def gaiotto_basic_form(
+    psi: WhittakerTypeR,
     exponents: tuple[int, ...],
     cutoff: int,
     ctx: VermaContext,
 ) -> DualForm:
-    """Basic BMT form with middle multiplicities (m_2, ..., m_{n-1}) frozen.
-
-    Lives on the increasing side; the coefficient on the dual label with
-    multiplicities m_i is nu_1^{m_1} nu_n^{m_n}, and labels using any index
-    above n get zero.
-    """
-    n = psi.n
-    exponents = tuple(int(e) for e in exponents)
-    if len(exponents) != n - 2:
-        raise ValueError(f"expected {n - 2} exponents (m_2..m_{n - 1})")
-    if any(e < 0 for e in exponents):
-        raise ValueError("exponents must be nonnegative")
-    terms: dict[Partition, Fraction] = {}
-    for lvl in range(cutoff + 1):
-        for partition in enumerate_partitions(lvl):
-            counts = Counter(partition)
-            if any(counts.get(j, 0) != exponents[j - 2] for j in range(2, n)):
-                continue
-            if any(part > n for part in counts):
-                continue
-            terms[partition] = psi.nu1 ** counts.get(1, 0) * psi.nun ** counts.get(n, 0)
-    return DualForm(ctx, cutoff, INCREASING, terms)
+    """Basic Gaiotto form with the low multiplicities frozen to ``exponents``."""
+    return gaiotto_form(psi, {tuple(exponents): Fraction(1)}, cutoff, ctx)
 
 
 def bmt_form(
@@ -274,8 +249,26 @@ def bmt_form(
     cutoff: int,
     ctx: VermaContext,
 ) -> DualForm:
-    """Finite combination of basic BMT forms, truncated at the cutoff."""
-    return _combination(bmt_basic_form, INCREASING, psi, coefficients, cutoff, ctx)
+    """Finite combination of basic BMT forms, truncated at the cutoff.
+
+    The basic form of exponents (m_2, ..., m_{n-1}) lives on the increasing
+    side: nu_1^{m_1} nu_n^{m_n} on the labels with those middle
+    multiplicities and no index above n, and zero elsewhere.
+    """
+    n = psi.n
+    table = _exponent_table(coefficients, n - 2, f"m_2..m_{n - 1}")
+    weights = {1: psi.nu1, n: psi.nun}
+    return _monomial_form(ctx, cutoff, INCREASING, weights, range(2, n), table)
+
+
+def bmt_basic_form(
+    psi: WhittakerType1N,
+    exponents: tuple[int, ...],
+    cutoff: int,
+    ctx: VermaContext,
+) -> DualForm:
+    """Basic BMT form with middle multiplicities (m_2, ..., m_{n-1}) frozen."""
+    return bmt_form(psi, {tuple(exponents): Fraction(1)}, cutoff, ctx)
 
 
 def bmt_special_form(
@@ -284,30 +277,17 @@ def bmt_special_form(
     cutoff: int,
     ctx: VermaContext,
 ) -> DualForm:
-    """Geometric combination B_{m_2..m_{n-1}} = prod lambda_j^{m_j}.
+    """Geometric combination B_{m_2..m_{n-1}} = prod lambda_j^{m_j}, 0^0 = 1.
 
-    The support is truncated to tuples whose frozen part already fits the
-    cutoff (sum j*m_j <= cutoff); 0^0 counts as 1.
+    That is the single monomial form nu_1^{m_1} lambda_2^{m_2} ...
+    lambda_{n-1}^{m_{n-1}} nu_n^{m_n}, with nothing frozen.
     """
     n = psi.n
     lambdas = tuple(Fraction(v) for v in lambdas)
     if len(lambdas) != n - 2:
         raise ValueError(f"expected {n - 2} lambda values (lambda_2..lambda_{n - 1})")
-
-    support: dict[tuple[int, ...], Fraction] = {}
-
-    def fill(j: int, prefix: tuple[int, ...], weight: int, coeff: Fraction) -> None:
-        if j == n:
-            support[prefix] = coeff
-            return
-        max_m = (cutoff - weight) // j
-        for m in range(max_m + 1):
-            factor = lambdas[j - 2] ** m if m else Fraction(1)
-            if factor:
-                fill(j + 1, prefix + (m,), weight + j * m, coeff * factor)
-
-    fill(2, (), 0, Fraction(1))
-    return bmt_form(psi, support, cutoff, ctx)
+    weights = {1: psi.nu1, **dict(enumerate(lambdas, start=2)), n: psi.nun}
+    return _monomial_form(ctx, cutoff, INCREASING, weights, (), {(): Fraction(1)})
 
 
 def raise_indices(f: DualForm) -> VermaVector:
@@ -329,11 +309,11 @@ def raise_indices(f: DualForm) -> VermaVector:
     return VermaVector(ctx, terms)
 
 
-def _first_nonzero(f: DualForm) -> tuple | None:
-    if not f.terms:
+def _first_nonzero(terms: dict[Partition, Fraction]) -> tuple | None:
+    if not terms:
         return None
-    part = min(f.terms, key=partition_key)
-    return (sum(part), part, f.terms[part])
+    part = min(terms, key=partition_key)
+    return (sum(part), part, terms[part])
 
 
 def verify_whittaker_form(f: DualForm, typ: WhittakerType) -> VerificationReport:
@@ -349,7 +329,7 @@ def verify_whittaker_form(f: DualForm, typ: WhittakerType) -> VerificationReport
         residual = form_combine(
             act_on_form(k, f), restrict_form(f, window), -expected
         )
-        failure = _first_nonzero(residual)
+        failure = _first_nonzero(residual.terms)
         checks.append(
             ResidualCheck(
                 operator_index=k,
@@ -429,41 +409,18 @@ def whittaker_form_nullspace(
     return len(kernel), basis
 
 
-def _basic_mu_derivative(
-    psi: WhittakerTypeR, wrt: int, cutoff: int, ctx: VermaContext
-) -> DualForm:
-    """d/d(mu_wrt) of the all-zero-exponent basic form, exponent rule.
+def _mu_derivative(psi: WhittakerTypeR, l: int, cutoff: int, ctx: VermaContext) -> DualForm:
+    """d/d(mu_l) of the all-zero-exponent basic Gaiotto form f.
 
-    The basic coefficient on multiplicities (n_s..n_r) is the monomial
-    prod mu_j^{n_j}; its derivative in mu_wrt is evaluated coefficient by
-    coefficient as n * mu_wrt^(n-1) * (other factors), zero when n = 0.
+    On a label with k parts l it is k mu_l^{k-1} times the other factors,
+    that is k times f on the label less one part l: the monomial form with
+    the part l frozen as well.
     """
-    r, s = psi.r, psi.rank
-    terms: dict[Partition, Fraction] = {}
-    for lvl in range(cutoff + 1):
-        for partition in enumerate_partitions(lvl):
-            counts = Counter(partition)
-            if any(part < r or part > s for part in counts):
-                continue
-            n_wrt = counts.get(wrt, 0)
-            if not n_wrt:
-                continue
-            coeff = Fraction(n_wrt) * psi.mu[wrt - r] ** (n_wrt - 1)
-            for j in range(r, s + 1):
-                if j == wrt or not coeff:
-                    continue
-                n_j = counts.get(j, 0)
-                if n_j:
-                    coeff *= psi.mu[j - r] ** n_j
-            if coeff:
-                terms[partition] = coeff
-    return DualForm(ctx, cutoff, DECREASING, terms)
-
-
-def _restrict_support(f: DualForm, min_part: int) -> DualForm:
-    """Component of the form along labels whose parts all reach min_part."""
-    terms = {p: c for p, c in f.terms.items() if all(part >= min_part for part in p)}
-    return DualForm(f.context, f.cutoff, f.basis_side, terms)
+    r = psi.r
+    weights = {j: psi.mu[j - r] for j in range(r, psi.rank + 1) if j != l}
+    zeros = (0,) * (r - 1)
+    table = {(k, *zeros): k * psi.mu[l - r] ** (k - 1) for k in range(1, cutoff // l + 1)}
+    return _monomial_form(ctx, cutoff, DECREASING, weights, (l, *range(r - 1, 0, -1)), table)
 
 
 def check_L0_Li_on_basic(
@@ -486,45 +443,22 @@ def check_L0_Li_on_basic(
     """
     r, s = psi.r, psi.rank
     basic = gaiotto_basic_form(psi, (0,) * (r - 1), cutoff, ctx)
-    derivatives = {
-        l: _basic_mu_derivative(psi, l, cutoff, ctx) for l in range(r, s + 1)
-    }
+    derivatives = {l: _mu_derivative(psi, l, cutoff, ctx) for l in range(r, s + 1)}
     checks = []
-
-    rhs = basic.scale(ctx.delta)
-    for l in range(r, s + 1):
-        scalar = Fraction(l) * psi.mu[l - r]
-        if scalar:
-            rhs = form_combine(rhs, derivatives[l], scalar)
-    residual = _restrict_support(
-        form_combine(act_on_form(0, basic), rhs, Fraction(-1)), r
-    )
-    failure = _first_nonzero(residual)
-    checks.append(
-        ResidualCheck(
-            operator_index=0,
-            expected=ctx.delta,
-            complete_levels=cutoff,
-            first_failure=failure,
-        )
-    )
-
-    for i in range(1, r):
-        rhs = zero_form(ctx, cutoff - i, DECREASING)
+    for i in range(r):
+        expected = ctx.delta if i == 0 else Fraction(0)
+        rhs = basic.scale(expected)
         for l in range(r, s - i + 1):
-            scalar = Fraction(l - i) * psi.mu[i + l - r]
-            if scalar:
-                rhs = form_combine(rhs, derivatives[l], scalar)
-        residual = _restrict_support(
-            form_combine(act_on_form(i, basic), rhs, Fraction(-1)), r
-        )
-        failure = _first_nonzero(residual)
+            rhs = form_combine(rhs, derivatives[l], (l - i) * psi.mu[i + l - r])
+        # form_combine truncates to the complete window, cutoff - i.
+        residual = form_combine(act_on_form(i, basic), rhs, Fraction(-1))
+        family = {p: c for p, c in residual.terms.items() if all(part >= r for part in p)}
         checks.append(
             ResidualCheck(
                 operator_index=i,
-                expected=Fraction(0),
+                expected=expected,
                 complete_levels=cutoff - i,
-                first_failure=failure,
+                first_failure=_first_nonzero(family),
             )
         )
     return VerificationReport(tuple(checks))

@@ -285,6 +285,30 @@ def test_parse_error_exits_2(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gaiotto", "--r", "1", "--mu", "1,,0", "--cutoff", "2"],
+        ["bmt", "--n", "3", "--nu1", "1", "--nun", "2", "--lambdas", "1,", "--cutoff", "2"],
+    ],
+    ids=["mu-empty-item", "lambdas-trailing-comma"],
+)
+def test_empty_list_item_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--c", "1", "--delta", "1"])
+    assert info.value.code == 2
+    assert "not a rational literal: ''" in capsys.readouterr().err
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    code = main(["gram", "--c", "1", "--delta", "1", "--level", "1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot write --out: ")
+    assert err.count("\n") == 1
+
+
 def test_cutoff_limit_exits_2(capsys):
     code, _ = run_cli(
         capsys,

@@ -5,6 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forms_oracle import (
+    reference_bmt_basic_form,
+    reference_bmt_special_form,
+    reference_combination,
+    reference_gaiotto_basic_form,
+    reference_mu_derivative,
+)
 from virwhit.forms import (
     DECREASING,
     INCREASING,
@@ -25,6 +32,7 @@ from virwhit.forms import (
     whittaker_form_nullspace,
     zero_form,
 )
+from virwhit.forms import _mu_derivative
 from virwhit.shapovalov import gram
 from virwhit.verma import (
     VermaContext,
@@ -359,3 +367,61 @@ def test_whittaker_form_nullspace_pair_basis_pinned():
             5: {(4, 1): F(-1875, 16), (1, 1, 1, 1, 1): F(1)},
         },
     ]
+
+
+scalars = st.fractions(min_value=-3, max_value=3, max_denominator=3)  # zero included
+nonzero_scalars = scalars.filter(bool)
+
+
+def _exponent_tables(length):
+    exponents = st.tuples(*[st.integers(0, 3)] * length)
+    return st.dictionaries(exponents, scalars, max_size=3)
+
+
+@st.composite
+def _gaiotto_cases(draw):
+    r = draw(st.integers(1, 3))
+    mu = draw(st.lists(scalars, min_size=r + 1, max_size=r + 1).filter(any))
+    psi = WhittakerTypeR(r, tuple(mu))
+    return psi, draw(_exponent_tables(r - 1)), draw(st.integers(0, 8))
+
+
+@st.composite
+def _bmt_cases(draw):
+    n = draw(st.integers(3, 7))
+    psi = WhittakerType1N(n, draw(nonzero_scalars), draw(nonzero_scalars))
+    lambdas = tuple(draw(st.lists(scalars, min_size=n - 2, max_size=n - 2)))
+    return psi, draw(_exponent_tables(n - 2)), lambdas, draw(st.integers(0, 8))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_gaiotto_cases())
+def test_gaiotto_builders_match_oracle(case):
+    psi, coeffs, cutoff = case
+    exponents = min(coeffs, default=(0,) * (psi.r - 1))
+    assert gaiotto_basic_form(psi, exponents, cutoff, CTX) == reference_gaiotto_basic_form(
+        psi, exponents, cutoff, CTX
+    )
+    expected = reference_combination(
+        reference_gaiotto_basic_form, DECREASING, psi, coeffs, cutoff, CTX
+    )
+    assert gaiotto_form(psi, coeffs, cutoff, CTX) == expected
+    for l in range(psi.r, psi.rank + 1):
+        derivative = reference_mu_derivative(psi, l, cutoff, CTX)
+        assert _mu_derivative(psi, l, cutoff, CTX) == derivative
+
+
+@settings(deadline=None, max_examples=60)
+@given(_bmt_cases())
+def test_bmt_builders_match_oracle(case):
+    psi, coeffs, lambdas, cutoff = case
+    exponents = min(coeffs, default=(0,) * (psi.n - 2))
+    assert bmt_basic_form(psi, exponents, cutoff, CTX) == reference_bmt_basic_form(
+        psi, exponents, cutoff, CTX
+    )
+    expected = reference_combination(
+        reference_bmt_basic_form, INCREASING, psi, coeffs, cutoff, CTX
+    )
+    assert bmt_form(psi, coeffs, cutoff, CTX) == expected
+    special = reference_bmt_special_form(psi, lambdas, cutoff, CTX)
+    assert bmt_special_form(psi, lambdas, cutoff, CTX) == special
