@@ -48,6 +48,15 @@ MAX_LEMMA_SAMPLES = 1000
 # family at --l 2 took 1.2 s and 73 MB at n = 100, and 12.4 s and 734 MB at
 # n = 200; bmt at n = 100 and cutoff 12 took 0.3 s.
 MAX_PAIR_N = 100
+# Most bits in the numerator or the denominator of a parameter (c, Delta,
+# mu, nu, lambda, alpha0 and the --coeffs values, from flags or a verify
+# document); state and form coefficients carry 245-475 bits and are not
+# bounded.  At 160 bits with four distinct denominators (c, Delta and two
+# mu or nu values) on a 2-vCPU host (Python 3.11), gaiotto --r 1 took 61 s
+# and bmt --n 4 65 s at cutoff 12 (42 MB peak), mostly in the Gram
+# solves' rational reconstruction; their verify 1.6 s, gram --level 12
+# 0.6 s.  With c = 1/7...7 and Delta = 3/7...7 (48 digits) gaiotto took 10.5 s.
+MAX_PARAMETER_BITS = 160
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -68,6 +77,18 @@ def _rat(text: str) -> Fraction:
 
 def _rat_list(text: str) -> list[Fraction]:
     return [_rat(part) for part in text.split(",")]
+
+
+def _parameter(value: Fraction, name: str) -> Fraction:
+    """``value`` if its numerator and denominator fit in MAX_PARAMETER_BITS."""
+    bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+    if bits > MAX_PARAMETER_BITS:
+        raise ConfigError(f"{name} has {bits} bits, more than the limit {MAX_PARAMETER_BITS}")
+    return value
+
+
+def _read_parameter(text, name: str) -> Fraction:
+    return _parameter(parse_rational(text), name)
 
 
 def _json_int(value, what: str) -> int:
@@ -108,9 +129,12 @@ def _type_from_json(obj) -> WhittakerType:
     _require(obj, dict, "parameters must be a JSON object")
     if "r" in obj:
         mu = _require(obj["mu"], list, "mu must be a JSON list")
-        return WhittakerTypeR(_json_int(obj["r"], "r"), tuple(map(parse_rational, mu)))
+        mu = tuple(_read_parameter(v, "mu") for v in mu)
+        return WhittakerTypeR(_json_int(obj["r"], "r"), mu)
     return WhittakerType1N(
-        _json_int(obj["n"], "n"), parse_rational(obj["nu1"]), parse_rational(obj["nun"])
+        _json_int(obj["n"], "n"),
+        _read_parameter(obj["nu1"], "nu1"),
+        _read_parameter(obj["nun"], "nun"),
     )
 
 
@@ -124,7 +148,8 @@ def _context_json(ctx: VermaContext) -> dict:
 def _context_from_json(obj) -> VermaContext:
     _require(obj, dict, "parameters must be a JSON object")
     return VermaContext(
-        parse_rational(obj["central_charge"]), parse_rational(obj["conformal_weight"])
+        _read_parameter(obj["central_charge"], "central_charge"),
+        _read_parameter(obj["conformal_weight"], "conformal_weight"),
     )
 
 
@@ -217,7 +242,7 @@ def _coeffs_from_json(raw, length: int) -> dict:
         bad = f"malformed coefficients entry {entry!r}"
         try:
             exps = tuple(_json_int(e, "exponent") for e in entry["exponents"])
-            value = parse_rational(entry["coefficient"])
+            value = _read_parameter(entry["coefficient"], "--coeffs coefficient")
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"{bad}: {exc!r}")
         # Not left to the basic forms: they never see a zero coefficient.
@@ -641,6 +666,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            for x in value if isinstance(value, list) else [value]:
+                if isinstance(x, Fraction):
+                    _parameter(x, f"--{name}")
         body, passed = args.func(args)
     except SingularGramError as exc:
         print(f"error: {exc}", file=sys.stderr)

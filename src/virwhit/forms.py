@@ -168,17 +168,19 @@ def act_on_form(m: int, f: DualForm) -> DualForm:
     coeffs = convert_form(f, DECREASING).terms
     sources = {sum(p) for p in coeffs}
     rule = straightener(f.context)
+    s = rule.scale
+    # Over one common denominator D s^{1 + len mu} every value is an
+    # integer sum: the straightener's integer on p carries s^{1 + len mu - len p}.
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    ints = {p: c.numerator * (den // c.denominator) * s ** len(p) for p, c in coeffs.items()}
     terms: dict[Partition, Fraction] = {}
     for lvl in range(new_cutoff + 1):
         if lvl + m not in sources:
             continue
         for mu in enumerate_partitions(lvl):
-            value = sum(
-                (coeffs[p] * c for p, c in rule.times(m, mu) if p in coeffs),
-                Fraction(0),
-            )
+            value = sum(ints[p] * n for p, n in rule.times(m, mu) if p in ints)
             if value:
-                terms[mu] = value
+                terms[mu] = Fraction(value, den * s ** (1 + len(mu)))
     return convert_form(DualForm(f.context, new_cutoff, DECREASING, terms), f.basis_side)
 
 
@@ -389,13 +391,20 @@ def whittaker_form_nullspace(
     # Each equation is f(L_{-k} v - psi(L_k) v) = 0 for a canonical basis
     # vector v; per (k, level) these span the same rows as the equations
     # taken at the side's own basis vectors, since basis_change is invertible.
+    # The equation at v = L_{-mu}|Delta> is scaled by den psi(L_k) s^{1 + len mu}
+    # to integers, the straightener's integer on p carrying s^{1 + len mu - len p}.
     rule = straightener(ctx)
-    rows: list[dict[int, Fraction]] = []
+    s = rule.scale
+    rows: list[dict[int, int]] = []
     for k in subalgebra_indices(typ, cutoff):
         expected = typ.value(k)
         for lo in range(cutoff - k + 1):
             for mu in enumerate_partitions(lo):
-                residual = linalg.accumulate(dict(rule.times(k, mu)), ((mu, -expected),))
+                residual = {
+                    p: n * s ** len(p) * expected.denominator for p, n in rule.times(k, mu)
+                }
+                scalar = -expected.numerator * s ** (1 + len(mu))
+                linalg.accumulate(residual, ((mu, scalar),))
                 coords = _side_coords(side, residual).items()
                 row = linalg.accumulate({}, ((index[p], value) for p, value in coords))
                 if row:

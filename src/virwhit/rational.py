@@ -1,9 +1,13 @@
 """Exact rational scalars.
 
-Every coefficient in this package is a ``fractions.Fraction``: arbitrary
-precision, automatically reduced, denominator kept positive, zero stored
-as 0/1.  Values cross I/O boundaries as the strings ``"p/q"`` (or just
-``"p"`` when the denominator is 1), never as floats.  Fractions are
+Coefficients at the package's boundaries (vectors, forms, reports,
+solutions) are ``fractions.Fraction``s: arbitrary precision,
+automatically reduced, denominator kept positive, zero stored as 0/1.
+Some inner layers compute in Python ints over a known denominator
+instead: the PBW straightener's images (see virasoro), the Gram rows
+(see shapovalov) and the elimination's primitive rows (see linalg).
+Values cross I/O boundaries as the strings ``"p/q"`` (or just ``"p"``
+when the denominator is 1), never as floats.  Fractions are
 immutable, so they are safe to share between concurrent tasks.
 """
 

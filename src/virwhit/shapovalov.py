@@ -13,12 +13,15 @@ so row lambda is row ``rest`` of the lower Gram matrix applied to the
 images of the level-N basis under the single generator L_k.
 
 A GramMatrix stores integer rows: rows[lambda] = s^{len lambda} G_N[lambda]
-with s = lcm(2 den c, den Delta).  For k > 0 every coefficient of
-L_k L_{-mu}|Delta> lies in Z + Z Delta + Z c/2 (the central term is
-c m(m^2-1)/12 and m(m^2-1)/12 is in Z/2), so s clears it, and each part of
-lambda adds one such factor.  Fractions appear only in the views
-(``entries``, ``fraction_rows``, ``entry``, ``pair``) and in solutions.
-Matrices are memoized per process.  Degeneracy is
+with s = lcm(2 den c, den Delta), the scale of the Verma straightener.
+For k > 0 every coefficient of L_k L_{-mu}|Delta> lies in
+Z + Z Delta + Z c/2 (the central term is c m(m^2-1)/12 and m(m^2-1)/12 is
+in Z/2), so s clears it, and each part of lambda adds one such factor.
+The straightener already holds s^{1 + len mu - len nu} times the
+coefficient on nu as an integer, so s times the coefficient is that
+integer divided exactly by s^{len mu - len nu}.  Fractions appear only in
+the views (``entries``, ``fraction_rows``, ``entry``, ``pair``) and in
+solutions.  Matrices are memoized per process.  Degeneracy is
 reported through SingularGramError, never worked around: callers wanting
 to raise indices at a degenerate weight must pick a different (c, Delta).
 """
@@ -87,22 +90,22 @@ class GramMatrix:
         ]
 
 
-def _scaled_images(k: int, level: int, ctx: VermaContext, scale: int) -> list:
-    # scale * (L_k L_{-mu}|Delta>) for every mu of the level, as
+def _scaled_images(k: int, level: int, rule) -> list:
+    # s * (L_k L_{-mu}|Delta>) for every mu of the level, as
     # (index at level - k, integer) pairs.
     index = partition_index(level - k)
-    rule = straightener(ctx)
+    powers = [rule.scale**e for e in range(level + 1)]
     images = []
     for mu in enumerate_partitions(level):
         image = []
         for nu, coeff in rule.times(-k, mu):
-            value = coeff * scale
-            if value.denominator != 1:
+            value, rest = divmod(coeff, powers[len(mu) - len(nu)])
+            if rest:
                 raise ArithmeticError(
-                    f"L_{k} image coefficient {coeff} of {mu} is not integral "
-                    f"after scaling by {scale}"
+                    f"L_{k} image coefficient {coeff}/{rule.scale}^{1 + len(mu) - len(nu)} "
+                    f"of {mu} is not integral after scaling by {rule.scale}"
                 )
-            image.append((index[nu], value.numerator))
+            image.append((index[nu], value))
         images.append(image)
     return images
 
@@ -116,7 +119,7 @@ def gram(level: int, ctx: VermaContext) -> GramMatrix:
     cached = _CACHE.get(key)
     if cached is not None:
         return cached
-    scale = lcm(2 * ctx.c.denominator, ctx.delta.denominator)
+    rule = straightener(ctx)
     partitions = enumerate_partitions(level)
     images: dict[int, list] = {}
     rows = []
@@ -126,10 +129,10 @@ def gram(level: int, ctx: VermaContext) -> GramMatrix:
             continue
         k, rest = lam[0], lam[1:]
         if k not in images:
-            images[k] = _scaled_images(k, level, ctx, scale)
+            images[k] = _scaled_images(k, level, rule)
         row = gram(level - k, ctx).rows[partition_index(level - k)[rest]]
         rows.append(tuple(sum(row[i] * a for i, a in image) for image in images[k]))
-    result = GramMatrix(level, ctx, partitions, tuple(rows), scale)
+    result = GramMatrix(level, ctx, partitions, tuple(rows), rule.scale)
     _CACHE[key] = result
     return result
 

@@ -10,7 +10,8 @@ empty tuple is |w> itself.
 The module is induced from the Whittaker subalgebra p with the end rule
 chi = psi: a letter of p that reaches |w> becomes psi(L_k).  The action
 is virasoro.Straightener with that rule, one per (type, central charge);
-a word is applied by folding its letters in from the right.  The letter
+a word is applied by folding its letters in from the right, and
+``search_whittaker`` reads the straightener's integer images.  The letter
 order is the index order, except that for a pair type letter 1 ranks just
 below n, so that every letter of p ranks above the basis letters.
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from operator import pos
 
 from . import linalg
@@ -113,9 +115,9 @@ def _psi_rule(key) -> Straightener:
     if isinstance(typ, WhittakerType1N):
         n = typ.n
         rank = lambda x: 2 * n - 1 if x == 1 else 2 * x
-    return Straightener(
-        c, rank=rank, end=lambda x: typ.value(x) if typ.in_subalgebra(x) else None
-    )
+    end = lambda x: typ.value(x) if typ.in_subalgebra(x) else None
+    scalars = [typ.value(k) for k in subalgebra_indices(typ, typ.top)]
+    return Straightener(c, rank=rank, end=end, scalars=scalars)
 
 
 # One straightener per (type, central charge).
@@ -178,7 +180,7 @@ def dot_nilpotency_bound(
     def applied_nonzero(element) -> bool:
         acc: dict[PseudoPartition, Fraction] = {}
         for mono, coeff in element.terms.items():
-            accumulate(acc, rewriter.apply(mono, {(): Fraction(1)}).items(), coeff)
+            accumulate(acc, rewriter.apply(mono, {(): 1}).items(), coeff)
         return bool(acc)
 
     def last_nonzero(part: tuple[int, ...]) -> int:
@@ -544,11 +546,21 @@ def search_whittaker(
     max_level = max((pp_level(w) for w in words), default=0)
     ks = _checked_indices(psi, max_level, target)
 
+    # Row (k, out) is scaled to integers by den s^{1 + top - len out}, with
+    # top the longest word and den clearing the target values: the
+    # straightener's integer for a word then takes den s^{top - len word}.
     rule = _REWRITERS[psi, Fraction(c)]
-    rows: dict[tuple[int, PseudoPartition], dict[int, Fraction]] = {}
+    s = rule.scale
+    top = max(map(len, words), default=0)
+    values = {k: target.value(k) for k in ks}
+    den = lcm(*(v.denominator for v in values.values()))
+    ends = {k: -v.numerator * (den // v.denominator) * s for k, v in values.items()}
+    rows: dict[tuple[int, PseudoPartition], dict[int, int]] = {}
     for j, word in enumerate(words):
+        lift = s ** (top - len(word))
         for k in ks:
-            residual = accumulate(dict(rule.times(k, word)), ((word, -target.value(k)),))
+            residual = {out: n * lift * den for out, n in rule.times(k, word)}
+            accumulate(residual, ((word, ends[k] * lift),))
             for out, coeff in residual.items():
                 rows.setdefault((k, out), {})[j] = coeff
 

@@ -10,7 +10,9 @@ V_{c,Delta} is induced from p = span{L_n, n >= 0} with the highest-weight
 end rule chi(L_0) = Delta, chi(L_{n>0}) = 0.  Its straightener
 (virasoro.Straightener, one per (c, Delta)) takes the partition itself as
 the word, letter x standing for L_{-x}, so the action of L_m on a basis
-vector is straightener(ctx).times(-m, partition), with no conversion.
+vector is straightener(ctx).times(-m, partition), with no conversion: its
+integer on nu is the coefficient times s^{1 + len partition - len nu},
+with s = lcm(2 den c, den Delta).
 
 The reversed monomials R_mu = L_{-mu_k} ... L_{-mu_1} |Delta> exist only
 through reversed_monomial, a cached sparse integer column of the basis
@@ -123,9 +125,8 @@ def exponents_partition(exponents) -> Partition:
 def _highest_weight_rule(key) -> Straightener:
     # Letters are parts (L_{-x}); L_0 ends as Delta and L_{n>0} as 0.
     c, delta = key
-    return Straightener(
-        c, sign=-1, rank=neg, end=lambda x: None if x > 0 else delta if x == 0 else 0
-    )
+    end = lambda x: None if x > 0 else delta if x == 0 else 0
+    return Straightener(c, sign=-1, rank=neg, end=end, scalars=(delta,))
 
 
 # One straightener per (c, Delta).  The name is the one the benchmark's
@@ -141,11 +142,7 @@ def straightener(ctx: VermaContext) -> Straightener:
 
 def act(m: int, v: VermaVector) -> VermaVector:
     """The module action of L_m; maps level l to level l - m."""
-    rule = straightener(v.context)
-    acc: dict[Partition, Fraction] = {}
-    for parts, coeff in v.terms.items():
-        accumulate(acc, rule.times(-m, parts), coeff)
-    return VermaVector(v.context, acc)
+    return VermaVector(v.context, straightener(v.context).apply((-m,), v.terms))
 
 
 @lru_cache(maxsize=None)
@@ -155,12 +152,13 @@ def reversed_monomial(partition: Partition) -> tuple[tuple[Partition, int], ...]
     """
     if not partition:
         return (((), 1),)
-    # Negative modes never meet c or Delta and give integer coefficients.
+    # Negative modes never meet c or Delta and give integer coefficients,
+    # so each stored integer is exactly divisible by its power of s = 2.
     rule = _act_monomial[Fraction(0), Fraction(0)]
     acc: dict[Partition, int] = {}
     for parts, coeff in reversed_monomial(partition[:-1]):
         image = rule.times(partition[-1], parts)
-        accumulate(acc, ((p, c.numerator) for p, c in image), coeff)
+        accumulate(acc, ((p, n >> (1 + len(parts) - len(p))) for p, n in image), coeff)
     return tuple(sorted(acc.items(), reverse=True))
 
 

@@ -5,14 +5,16 @@ Generators are written L_n for integer n.  The bracket is
     [L_m, L_n] = (m - n) L_{m+n} + (c/12) m (m^2 - 1) delta_{m+n,0}
 
 with the central element specialized to a rational value c at element
-construction time, so coefficients stay plain rationals throughout.
+construction time, so elements carry plain rational coefficients.
 
 Every module the package computes in is induced,
 U(Vir) (x)_{U(p)} C_chi: a vector is a combination of ordered words of
 letters outside p, and a letter of p that reaches the right end becomes
 its scalar chi.  Straightener computes "L_m times an ordered word" for a
 letter order and such an end rule, memoized, and is the only place the
-commutation rule is applied.  Three end rules use it:
+commutation rule is applied.  It computes in integers under one graded
+denominator; Fractions appear only where ``apply`` takes and returns
+them.  Three end rules use it:
 
 - none (p = 0): U(Vir) itself; words ordered by index, this module;
 - highest weight (p = span{L_n, n >= 0}, chi(L_0) = Delta,
@@ -37,12 +39,12 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import pos
 
 from .linalg import ContextMismatchError, SparseVector, accumulate
 
 Word = tuple[int, ...]
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -91,8 +93,9 @@ class Straightener:
     A letter x stands for the generator L_{sign x}.  ``rank`` orders the
     letters: a word is ordered when its ranks do not decrease.  ``end`` is
     the end rule: end(x) is chi(L_{sign x}) for a letter of p and None for
-    a letter that stays; no rule means p = 0.  Letters of p must rank above
-    all others, so an ordered word holds none of them.
+    a letter that stays; no rule means p = 0.  ``scalars`` lists every
+    value the end rule can return.  Letters of p must rank above all
+    others, so an ordered word holds none of them.
 
     The commutation rule is applied here and nowhere else.  For the first
     letter a of the word and rank(m) > rank(a),
@@ -102,23 +105,43 @@ class Straightener:
     and each product on the right is again L_x times an ordered word.  The
     products are memoized and evaluated on an explicit stack, so no word
     is too long for the interpreter's recursion limit.
+
+    The arithmetic is in integers.  With the module scale s = lcm(2 den c,
+    den of each scalar), the coefficient of v in L_m u times
+    s^{1 + len u - len v} is an integer, by induction over the rule: a
+    prepended word gets 1, an end value psi gets psi s, a merged term gets
+    sign (m - a) s, and the central term gets c m(m^2 - 1)/12 s^2, where
+    m(m^2 - 1)/12 lies in Z/2.  ``times`` returns these integers; ``apply``
+    is the boundary that takes and returns Fractions.
     """
 
-    def __init__(self, c, sign: int = 1, rank=pos, end=None):
+    def __init__(self, c, sign: int = 1, rank=pos, end=None, scalars=()):
         self.c, self.sign, self.rank, self.end = c, sign, rank, end
-        self._cache: dict[tuple[int, Word], tuple[tuple[Word, Fraction], ...]] = {}
+        self.scale = lcm(2 * c.denominator, *(x.denominator for x in scalars))
+        self._cache: dict[tuple[int, Word], tuple[tuple[Word, int], ...]] = {}
+        self._ends: dict[int, tuple[tuple[Word, int], ...]] = {}
         self._words: dict[Word, Word] = {}  # one stored copy of each word
         self.hits = 0  # memo lookups answered; every entry was one miss
+
+    def _end(self, m: int):
+        # L_m times the empty word: the letter itself or s chi(L_{sign m}).
+        value = None if self.end is None else self.end(m)
+        if value is None:
+            return (((m,), 1),)
+        scaled, rest = divmod(value.numerator * self.scale, value.denominator)
+        if rest:
+            raise ArithmeticError(f"end value {value} is not cleared by scale {self.scale}")
+        return (((), scaled),) if scaled else ()
 
     def _lookup(self, m: int, word: Word):
         # The image if it needs no commutation or is memoized, else None.
         if not word:
-            value = None if self.end is None else self.end(m)
-            if value is None:
-                return (((m,), _ONE),)
-            return (((), value),) if value else ()
+            found = self._ends.get(m)
+            if found is None:
+                found = self._ends[m] = self._end(m)
+            return found
         if self.rank(m) <= self.rank(word[0]):
-            return (((m,) + word, _ONE),)
+            return (((m,) + word, 1),)
         found = self._cache.get((m, word))
         if found is not None:
             self.hits += 1
@@ -131,7 +154,7 @@ class Straightener:
         tail = lookup(m, rest)
         if tail is None:
             tail = yield (m, rest)
-        acc: dict[Word, Fraction] = {}
+        acc: dict[Word, int] = {}
         for u, coeff in tail:
             image = lookup(a, u)
             if image is None:
@@ -140,15 +163,18 @@ class Straightener:
         merged = lookup(m + a, rest)
         if merged is None:
             merged = yield (m + a, rest)
-        accumulate(acc, merged, self.sign * (m - a))
+        s = self.scale
+        accumulate(acc, merged, self.sign * (m - a) * s)
         if m + a == 0:
-            central = self.sign * self.c * Fraction(m * (m * m - 1), 12)
-            accumulate(acc, ((rest, _ONE),), central)
+            # c m(m^2 - 1)/12 s^2, exact: m(m^2 - 1) is divisible by 6, s by 2 den c.
+            c = self.c.numerator * (s * s // self.c.denominator)
+            accumulate(acc, ((rest, self.sign * c * m * (m * m - 1) // 12),))
         words = self._words
         return tuple((words.setdefault(w, w), coeff) for w, coeff in acc.items())
 
-    def times(self, m: int, word: Word) -> tuple[tuple[Word, Fraction], ...]:
-        """L_m times the ordered ``word``, as (ordered word, coefficient) pairs."""
+    def times(self, m: int, word: Word) -> tuple[tuple[Word, int], ...]:
+        """L_m times the ordered ``word``, as (ordered word v, integer) pairs;
+        the coefficient of v is the integer over s^{1 + len word - len v}."""
         image = self._lookup(m, word)
         if image is not None:
             return image
@@ -166,13 +192,27 @@ class Straightener:
 
     def apply(self, word: Word, terms: dict[Word, Fraction]) -> dict[Word, Fraction]:
         """L_{word[0]} ... L_{word[-1]} times a combination of ordered words,
-        folding the letters in from the right."""
+        folding the letters in from the right.
+
+        The input is cleared to integers once: u gets coeff D s^{g - len u}
+        with D the lcm of the denominators and g the longest input word.
+        Each letter keeps every coefficient an integer over D s^{g - len v}
+        and raises g by one; the output is one Fraction per word.
+        """
+        s = self.scale
+        den = lcm(*(x.denominator for x in terms.values()))
+        top = max(map(len, terms), default=0)
+        ints = {
+            u: x.numerator * (den // x.denominator) * s ** (top - len(u))
+            for u, x in terms.items()
+        }
         for x in reversed(word):
-            acc: dict[Word, Fraction] = {}
-            for u, coeff in terms.items():
+            acc: dict[Word, int] = {}
+            for u, coeff in ints.items():
                 accumulate(acc, self.times(x, u), coeff)
-            terms = acc
-        return terms
+            ints = acc
+        g = top + len(word)
+        return {v: Fraction(n, den * s ** (g - len(v))) for v, n in ints.items()}
 
 
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -209,7 +249,7 @@ def normal_order(word, c: Fraction) -> EnvelopingElement:
     increasing.  Normal ordering is a projection: rerunning it on any
     monomial it produced returns that monomial unchanged.
     """
-    return EnvelopingElement(c, _normal_order[c].apply(tuple(word), {(): _ONE}))
+    return EnvelopingElement(c, _normal_order[c].apply(tuple(word), {(): 1}))
 
 
 def multiply(a: EnvelopingElement, b: EnvelopingElement) -> EnvelopingElement:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from virwhit import forms, linalg, universal
-from virwhit.cli import main
+from virwhit.cli import MAX_PARAMETER_BITS, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -718,3 +718,59 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
     for argv in calls:
         code, _ = run_cli(capsys, *argv)
         assert code == 0, argv
+
+
+AT_BOUND = f"1/{2**MAX_PARAMETER_BITS - 1}"  # a denominator of exactly the limit
+OVER_BOUND = f"{2**MAX_PARAMETER_BITS}/3"  # a numerator one bit over it
+COEFFS = '[{{"exponents": [], "coefficient": "{x}"}}]'
+LITERAL_COMMANDS = [  # (the name in the error, the command with the literal as {x})
+    ("--c", "gram --c {x} --delta 1 --level 2"),
+    ("--delta", "gram --c 1 --delta {x} --level 2"),
+    ("--mu", "gaiotto --r 1 --mu 1,{x} --c 1 --delta 1 --cutoff 2"),
+    ("--nu1", "universal search --n 4 --nu1 {x} --nun 1 --length 2"),
+    ("--nun", "universal search --n 4 --nu1 1 --nun {x} --length 2"),
+    ("--c", "universal search --n 4 --nu1 1 --nun 1 --c {x} --length 2"),
+    ("--lambdas", "bmt --n 4 --nu1 1 --nun 1 --c 1 --delta 1 --cutoff 2 --lambdas {x},1"),
+    ("--alpha0", "universal family --family w-l-2 --n 4 --nu1 1 --nun 1 --alpha0 {x}"),
+    (
+        "--coeffs coefficient",
+        f"gaiotto --r 1 --mu 1,1 --c 1 --delta 1 --cutoff 2 --coeffs '{COEFFS}'",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, command", LITERAL_COMMANDS)
+def test_parameter_literal_bits_are_bounded(capsys, name, command):
+    code, _ = run_cli(capsys, *shlex.split(command.format(x=AT_BOUND)))
+    assert code == 0
+    code = main(shlex.split(command.format(x=OVER_BOUND)))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {name} has {MAX_PARAMETER_BITS + 1} bits, more than the limit "
+        f"{MAX_PARAMETER_BITS}\n"
+    )
+
+
+@pytest.mark.parametrize("key", ["central_charge", "conformal_weight", "mu"])
+def test_verify_document_parameters_are_bounded(tmp_path, capsys, key):
+    out_path = tmp_path / "state.json"
+    argv = ["gaiotto", "--r", "1", "--mu", f"1,{AT_BOUND}", "--c", AT_BOUND]
+    argv += ["--delta", AT_BOUND, "--cutoff", "2", f"--out={out_path}"]
+    code, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert run_cli(capsys, "verify", "--input", str(out_path))[0] == 0
+    doc = json.loads(out_path.read_text())
+    if key == "mu":
+        doc["parameters"]["mu"][1] = OVER_BOUND
+    else:
+        doc["parameters"][key] = OVER_BOUND
+    out_path.write_text(json.dumps(doc))
+    code = main(["verify", "--input", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (
+        f"error: malformed document: {key} has {MAX_PARAMETER_BITS + 1} bits, "
+        f"more than the limit {MAX_PARAMETER_BITS}\n"
+    )

@@ -291,7 +291,7 @@ def test_search_whittaker_basis_matches_gauss_jordan(monkeypatch):
     psi = WhittakerType1N(5, Fraction(3, 7), Fraction(-2, 5))
     result = search_whittaker(psi, level0_words(2, 4, 5), psi, Fraction(5, 3))
     ((matrix, ncols),) = systems
-    dense = [[row.get(j, Fraction(0)) for j in range(ncols)] for row in matrix]
+    dense = [[Fraction(row.get(j, 0)) for j in range(ncols)] for row in matrix]
     found = [[vec.terms.get(w, Fraction(0)) for w in result.ansatz] for vec in result.basis]
     assert result.dimension > 0
     assert found == _reference_nullspace(dense, ncols)

@@ -1,21 +1,32 @@
-"""The one PBW straightener against the three swap recursions it replaced."""
+"""The one PBW straightener against the three swap recursions it replaced.
+
+The parameters reach denominators up to 10^4: the factors 3, 4 and 6 meet
+the /12 of the central term, and primes coprime to 12 must be cleared by
+the module scale alone.
+"""
 
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbw_oracle import ReferenceRewriter, reference_normal_order, reference_verma_act
-from virwhit.universal import apply_word, basis_vector
-from virwhit.verma import VermaContext, act, enumerate_partitions
+from virwhit.universal import UniversalVector, apply_word, basis_vector
+from virwhit.verma import VermaContext, VermaVector, act, enumerate_partitions, straightener
 from virwhit.verma import basis_vector as verma_basis_vector
 from virwhit.virasoro import Straightener, Straighteners, normal_order
 from virwhit.whittaker import WhittakerType1N, WhittakerTypeR
 
 C = Fraction(11, 3)
 
-rationals = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9))
+denominators = st.one_of(
+    st.sampled_from([1, 2, 3, 4, 6, 12, 5, 7, 11, 13, 9973]),
+    st.integers(1, 10**4),
+)
+rationals = st.builds(Fraction, st.integers(-(10**4), 10**4), denominators)
 nonzero = rationals.filter(bool)
+maybe_zero = st.one_of(st.just(Fraction(0)), rationals)
 partitions = st.integers(0, 7).flatmap(lambda n: st.sampled_from(enumerate_partitions(n)))
 
 
@@ -36,7 +47,7 @@ def test_verma_action_matches_recursion(m, partition, c, delta):
 @st.composite
 def _order_type_words(draw):
     r = draw(st.integers(1, 3))
-    mu = draw(st.lists(rationals, min_size=r + 1, max_size=r + 1).filter(any))
+    mu = draw(st.lists(maybe_zero, min_size=r + 1, max_size=r + 1).filter(any))
     typ = WhittakerTypeR(r, tuple(mu))
     word = draw(st.lists(st.integers(-4, 2 * r + 1), max_size=4))
     base = sorted(draw(st.lists(st.integers(-3, r - 1), max_size=3)))
@@ -59,6 +70,58 @@ def test_whittaker_action_matches_swap_recursion(case, c):
     typ, word, base = case
     image = apply_word(word, basis_vector(typ, c, base))
     assert image.terms == ReferenceRewriter(typ, c).reduce(word + base)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(-5, 5), partitions, rationals, rationals)
+def test_verma_images_are_integers_under_the_graded_denominator(m, partition, c, delta):
+    rule = straightener(VermaContext(c, delta))
+    assert rule.scale == lcm(2 * c.denominator, delta.denominator)
+    image = rule.times(-m, partition)
+    assert all(type(n) is int for _, n in image)
+    graded = {v: Fraction(n, rule.scale ** (1 + len(partition) - len(v))) for v, n in image}
+    assert graded == reference_verma_act(m, partition, c, delta)
+
+
+@st.composite
+def _mixed_length_vectors(draw):
+    # One base word per drawn length, so the input mixes word lengths.
+    typ, word, _ = draw(st.one_of(_order_type_words(), _pair_type_words()))
+    if isinstance(typ, WhittakerType1N):
+        letters = st.integers(-3, typ.n - 1).filter(lambda x: x != 1)
+    else:
+        letters = st.integers(-3, typ.r - 1)
+    lengths = draw(st.sets(st.integers(0, 3), min_size=2, max_size=3))
+    terms = {
+        tuple(sorted(draw(st.lists(letters, min_size=k, max_size=k)))): draw(nonzero)
+        for k in sorted(lengths)
+    }
+    return typ, word, terms
+
+
+@settings(deadline=None, max_examples=60)
+@given(_mixed_length_vectors(), rationals)
+def test_apply_word_on_mixed_lengths_matches_swap_recursion(case, c):
+    typ, word, terms = case
+    image = apply_word(word, UniversalVector(typ, c, terms))
+    expected: dict = {}
+    rewriter = ReferenceRewriter(typ, c)
+    for base, coeff in terms.items():
+        for out, value in rewriter.reduce(word + base).items():
+            expected[out] = expected.get(out, 0) + coeff * value
+    assert image.terms == {w: x for w, x in expected.items() if x}
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(-5, 5), st.lists(partitions, min_size=2, max_size=4), rationals, rationals)
+def test_verma_action_on_mixed_lengths_matches_recursion(m, parts, c, delta):
+    coeffs = [Fraction(k + 1, 3 * k + 4) for k in range(len(parts))]
+    vector = VermaVector(VermaContext(c, delta), dict(zip(parts, coeffs)))
+    expected: dict = {}
+    for part, coeff in vector.terms.items():
+        for out, value in reference_verma_act(m, part, c, delta).items():
+            expected[out] = expected.get(out, 0) + coeff * value
+    assert act(m, vector).terms == {p: x for p, x in expected.items() if x}
 
 
 def test_deep_word_normal_orders():

@@ -186,6 +186,32 @@ def test_subspace_unclassified_orders_rejected():
         whittaker_subspace_level0(PSI_R2, 5, C)
 
 
+def _level0_cases():
+    # Order r, rank s in r..2r and order r' in r..s: 6 cases for r = 2, 10 for r = 3.
+    for r in (2, 3):
+        for s in range(r, 2 * r + 1):
+            mu = [Fraction(k + 2, 3) if k <= s else Fraction(0) for k in range(r, 2 * r + 1)]
+            for r_prime in range(r, s + 1):
+                psi = WhittakerTypeR(r, tuple(mu))
+                yield pytest.param(psi, r_prime, id=f"r{r}-s{s}-{r_prime}")
+
+
+@pytest.mark.parametrize("psi, r_prime", list(_level0_cases()))
+def test_search_finds_exactly_the_classified_level0_span(psi, r_prime):
+    # Completeness: on all level-0 words of length <= 5 the search finds no
+    # Whittaker vector outside the classified span; in the unclassified gap
+    # r < r' < s - r + 2 it finds |w> alone.
+    assert psi.rank >= r_prime
+    ansatz = [()] + level0_words(0, psi.r - 1, 5)
+    result = search_whittaker(psi, ansatz, restricted_type(psi, r_prime), C)
+    try:
+        expected = len(whittaker_subspace_level0(psi, r_prime, C))
+    except NotClassifiedError:
+        expected = 1
+    assert result.dimension == expected
+    assert expected in (1, 6, 21)
+
+
 def test_subspace_negative_control():
     # L_1 |w> is not a Whittaker vector of the module's own type when the
     # rank is 4: [L_2, L_1] = L_3 contributes psi(L_3) != 0.
