@@ -41,8 +41,10 @@ HARD_CUTOFF_LIMIT = 12
 # (Python 3.11) 219 words (n = 5, length 9) took 0.07 s, 454 words (n = 5,
 # length 12) 0.2 s and 1715 words (n = 9, length 6) 1.9-2.1 s at 38 MB peak.
 MAX_ANSATZ_WORDS = 500
-# Most samples a check-lemmas run may draw.  On a 2-vCPU host 1000 samples
-# at --max-level 12 --max-length 12 took 7 s for r = 2 and 12 s for r = 3.
+# Most samples a check-lemmas run may draw.  On a 2-vCPU host (Python 3.11)
+# 1000 samples at --max-level 12 --max-length 12 (each mu 13/7, c = 13/5,
+# seed 7) took 0.5-0.8 s for r = 2, 0.85-0.9 s for r = 3 and 1.9-2.3 s at
+# 115 MB peak for r = 12, the largest --r.
 MAX_LEMMA_SAMPLES = 1000
 # Largest --n of bmt and universal family.  On a 2-vCPU host the w-1-l-n
 # family at --l 2 took 1.2 s and 73 MB at n = 100, and 12.4 s and 734 MB at

@@ -11,9 +11,10 @@ The module is induced from the Whittaker subalgebra p with the end rule
 chi = psi: a letter of p that reaches |w> becomes psi(L_k).  The action
 is virasoro.Straightener with that rule, one per (type, central charge);
 a word is applied by folding its letters in from the right, and
-``search_whittaker`` reads the straightener's integer images.  The letter
-order is the index order, except that for a pair type letter 1 ranks just
-below n, so that every letter of p ranks above the basis letters.
+``search_whittaker`` and ``check_lemma_bounds`` read the straightener's
+integer images.  The letter order is the index order, except that for a
+pair type letter 1 ranks just below n, so that every letter of p ranks
+above the basis letters.
 
 Statistics of a pseudo-partition: level = minus the sum of its negative
 letters, length = the number of nonnegative letters, and l-value = the
@@ -222,10 +223,12 @@ def verify_whittaker_vector(
     the vector's support (module rank plus maximal level), so a passing
     report certifies all conditions, untruncated.
     """
+    rule = _REWRITERS[v.module]
     checks = []
     for k in _checked_indices(v.whittaker_type, v.max_level(), target):
         expected = target.value(k)
-        residual = act_universal(k, v).add_scaled(v, -expected)
+        image = UniversalVector(*v.module, rule.apply((k,), v.terms))
+        residual = image.add_scaled(v, -expected)
         failure = None
         if not residual.is_zero():
             word = min(residual.terms)
@@ -421,6 +424,11 @@ def check_lemma_bounds(
     smallest represented depth k, the exact leading coefficient
     count(-k) psi(L_s) (2k + s) together with the level/length classes of
     the remainder.
+
+    Both commutators are read off the straightener's integer images: the
+    two products in [L_m, L_part] L_rest |w> apply the same number of
+    letters to |w>, so their integers share one graded denominator and
+    subtract as ints.  L_m L_plus |w> serves both commutators.
     """
     word = validate_pseudo_partition(psi, word)
     r, s = psi.r, psi.rank
@@ -428,88 +436,60 @@ def check_lemma_bounds(
     plus = tuple(x for x in word if x >= 0)
     level = pp_level(word)
     length = pp_length(word)
-    base = generating_vector(psi, c)
+    rule = _REWRITERS[psi, Fraction(c)]
     clauses: list[ClauseResult] = []
 
-    def residual_commutator(outer: int, inner: tuple[int, ...], rest: tuple[int, ...]):
-        # [L_outer, L_inner] L_rest |w>
-        left = apply_word((outer,) + inner + rest, base)
-        right = apply_word(inner + (outer,) + rest, base)
-        return left - right
+    m_plus = dict(rule.times(m, plus))
+    plus_m = rule.fold(plus, dict(rule.times(m, ())))
+    comm_plus = accumulate(dict(m_plus), plus_m.items(), -1)
+    comm_minus = accumulate(dict(rule.times(m, word)), rule.fold(minus, m_plus).items(), -1)
+    max_length = max(map(pp_length, comm_plus), default=0)
+    max_level = max(map(pp_level, comm_minus), default=0)
 
-    comm_plus = residual_commutator(m, plus, ())
     if m > s:
-        clauses.append(
-            ClauseResult(
-                "raising_vanishes",
-                comm_plus.is_zero(),
-                f"[L_{m}, L_plus]|w> must vanish for m > {s}",
-            )
-        )
+        detail = f"[L_{m}, L_plus]|w> must vanish for m > {s}"
+        clauses.append(ClauseResult("raising_vanishes", not comm_plus, detail))
     if r <= m <= s:
-        ok = comm_plus.is_zero() or comm_plus.max_length() < length
-        clauses.append(
-            ClauseResult(
-                "raising_length_drop",
-                ok,
-                f"max length {comm_plus.max_length()} must drop below {length}",
-            )
-        )
-
-    comm_minus = residual_commutator(m, minus, plus)
+        ok = not comm_plus or max_length < length
+        detail = f"max length {max_length} must drop below {length}"
+        clauses.append(ClauseResult("raising_length_drop", ok, detail))
     if m > s + level:
-        clauses.append(
-            ClauseResult(
-                "lowering_vanishes",
-                comm_minus.is_zero(),
-                f"[L_{m}, L_minus] L_plus |w> must vanish for m > {s + level}",
-            )
-        )
+        detail = f"[L_{m}, L_minus] L_plus |w> must vanish for m > {s + level}"
+        clauses.append(ClauseResult("lowering_vanishes", not comm_minus, detail))
     if s < m <= s + level:
-        ok = comm_minus.is_zero() or comm_minus.max_level() <= level + s - m
-        clauses.append(
-            ClauseResult(
-                "lowering_level_window",
-                ok,
-                f"max level {comm_minus.max_level()} must not exceed {level + s - m}",
-            )
-        )
+        ok = not comm_minus or max_level <= level + s - m
+        detail = f"max level {max_level} must not exceed {level + s - m}"
+        clauses.append(ClauseResult("lowering_level_window", ok, detail))
     if r <= m <= s:
-        ok = comm_minus.is_zero() or comm_minus.max_level() < level
-        clauses.append(
-            ClauseResult(
-                "lowering_level_drop",
-                ok,
-                f"max level {comm_minus.max_level()} must drop below {level}",
-            )
-        )
+        ok = not comm_minus or max_level < level
+        detail = f"max level {max_level} must drop below {level}"
+        clauses.append(ClauseResult("lowering_level_drop", ok, detail))
 
-    depths = [-x for x in minus]
-    k = min(depths) if depths else None
-    if k is not None and m == k + s:
-        count_k = sum(1 for x in minus if x == -k)
-        expected = Fraction(count_k) * psi.value(s) * (2 * k + s)
+    if minus and m == s - minus[-1]:
+        # Smallest depth k; comm_minus's integer for v is over scale^(top - len v).
+        k, top, scale = -minus[-1], 1 + len(word), rule.scale
+
+        def value(v, n):
+            return Fraction(n, scale ** (top - len(v)))
+
+        expected = minus.count(-k) * psi.value(s) * (2 * k + s)
         remaining = list(word)
         remaining.remove(-k)
         leading_word = tuple(remaining)
-        actual = comm_minus.coefficient(leading_word)
-        clauses.append(
-            ClauseResult(
-                "leading_term",
-                actual == expected,
-                f"coefficient on {leading_word} is {actual}, expected {expected}",
-            )
-        )
-        remainder = comm_minus.add_scaled(basis_vector(psi, c, leading_word), -expected)
+        actual = value(leading_word, comm_minus.get(leading_word, 0))
+        detail = f"coefficient on {leading_word} is {actual}, expected {expected}"
+        clauses.append(ClauseResult("leading_term", actual == expected, detail))
+        lift = -expected * scale ** (top - len(leading_word))
+        remainder = accumulate(dict(comm_minus), ((leading_word, 1),), lift)
         ok = True
         detail = "remainder splits into the level/length classes"
-        for out_word, coeff in remainder.terms.items():
+        for out_word, n in remainder.items():
             out_level = pp_level(out_word)
             if out_level > level - k or (
                 out_level == level - k and pp_length(out_word) >= length
             ):
                 ok = False
-                detail = f"term {out_word} (coeff {coeff}) escapes both classes"
+                detail = f"term {out_word} (coeff {value(out_word, n)}) escapes both classes"
                 break
         clauses.append(ClauseResult("remainder_split", ok, detail))
 

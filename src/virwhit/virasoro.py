@@ -111,8 +111,9 @@ class Straightener:
     s^{1 + len u - len v} is an integer, by induction over the rule: a
     prepended word gets 1, an end value psi gets psi s, a merged term gets
     sign (m - a) s, and the central term gets c m(m^2 - 1)/12 s^2, where
-    m(m^2 - 1)/12 lies in Z/2.  ``times`` returns these integers; ``apply``
-    is the boundary that takes and returns Fractions.
+    m(m^2 - 1)/12 lies in Z/2.  ``times`` returns these integers, ``fold``
+    applies a word to integer images, and ``apply`` is the boundary that
+    takes and returns Fractions.
     """
 
     def __init__(self, c, sign: int = 1, rank=pos, end=None, scalars=()):
@@ -206,13 +207,20 @@ class Straightener:
             u: x.numerator * (den // x.denominator) * s ** (top - len(u))
             for u, x in terms.items()
         }
+        ints = self.fold(word, ints)
+        g = top + len(word)
+        return {v: Fraction(n, den * s ** (g - len(v))) for v, n in ints.items()}
+
+    def fold(self, word: Word, ints: dict[Word, int]) -> dict[Word, int]:
+        """L_{word[0]} ... L_{word[-1]} times integer images, folding the
+        letters in from the right: if u's integer is over s^{g - len u},
+        each v's integer in the result is over s^{g + len word - len v}."""
         for x in reversed(word):
             acc: dict[Word, int] = {}
             for u, coeff in ints.items():
                 accumulate(acc, self.times(x, u), coeff)
             ints = acc
-        g = top + len(word)
-        return {v: Fraction(n, den * s ** (g - len(v))) for v, n in ints.items()}
+        return ints
 
 
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")

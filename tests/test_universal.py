@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from lemma_oracle import reference_check_lemma_bounds
 
 from virwhit.linalg import rank
 from virwhit.universal import (
@@ -31,6 +34,7 @@ from virwhit.universal import (
     verify_whittaker_vector,
     whittaker_subspace_level0,
 )
+from virwhit.verma import enumerate_partitions
 from virwhit.whittaker import (
     IndexOutsideSubalgebraError,
     WhittakerType1N,
@@ -198,11 +202,19 @@ def _level0_cases():
 
 @pytest.mark.parametrize("psi, r_prime", list(_level0_cases()))
 def test_search_finds_exactly_the_classified_level0_span(psi, r_prime):
-    # Completeness: on all level-0 words of length <= 5 the search finds no
-    # Whittaker vector outside the classified span; in the unclassified gap
-    # r < r' < s - r + 2 it finds |w> alone.
+    # Completeness: on all level-0 words of length <= 5 and all words of
+    # level 1..4 with at most two nonnegative letters, the search finds no
+    # Whittaker vector outside the classified level-0 span; in the
+    # unclassified gap r < r' < s - r + 2 it finds |w> alone.
     assert psi.rank >= r_prime
-    ansatz = [()] + level0_words(0, psi.r - 1, 5)
+    plus = [()] + level0_words(0, psi.r - 1, 2)
+    positive = [
+        tuple(-d for d in depths) + tail
+        for level in range(1, 5)
+        for depths in enumerate_partitions(level)
+        for tail in plus
+    ]
+    ansatz = [()] + level0_words(0, psi.r - 1, 5) + positive
     result = search_whittaker(psi, ansatz, restricted_type(psi, r_prime), C)
     try:
         expected = len(whittaker_subspace_level0(psi, r_prime, C))
@@ -210,6 +222,7 @@ def test_search_finds_exactly_the_classified_level0_span(psi, r_prime):
         expected = 1
     assert result.dimension == expected
     assert expected in (1, 6, 21)
+    assert all(pp_level(w) == 0 for v in result.basis for w in v.terms)
 
 
 def test_subspace_negative_control():
@@ -328,6 +341,43 @@ def test_lemma_bounds_randomized():
             report = check_lemma_bounds(m, word, psi, C)
             for clause in report.clauses:
                 assert clause.passed, (r, mu, word, m, clause)
+
+
+small_rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 13))
+
+
+@st.composite
+def _lemma_cases(draw):
+    # An order-r type with some mu zero but never all, a pseudo-partition of
+    # level <= 8 and length <= 5, and the check-lemmas command's three m
+    # choices plus one more anywhere in r..s + level + 3.
+    r = draw(st.integers(1, 3))
+    maybe_zero = st.one_of(st.just(Fraction(0)), small_rationals)
+    mu = draw(st.lists(maybe_zero, min_size=r + 1, max_size=r + 1).filter(any))
+    psi = WhittakerTypeR(r, tuple(mu))
+    s = psi.rank
+    depths = draw(st.integers(0, 8).flatmap(lambda n: st.sampled_from(enumerate_partitions(n))))
+    plus = sorted(draw(st.lists(st.integers(0, r - 1), max_size=5)))
+    word = tuple(-d for d in depths) + tuple(plus)
+    level = pp_level(word)
+    ms = [
+        draw(st.integers(s + 1, s + level + 3)),
+        draw(st.integers(r, s)),
+        draw(st.integers(r, s + level + 3)),
+    ]
+    if level:
+        ms.append(depths[-1] + s)
+    return psi, word, ms, draw(small_rationals)
+
+
+@settings(deadline=None, max_examples=100)
+@given(_lemma_cases())
+def test_lemma_bounds_match_the_fraction_oracle(case):
+    psi, word, ms, c = case
+    for m in ms:
+        assert check_lemma_bounds(m, word, psi, c) == reference_check_lemma_bounds(
+            m, word, psi, c
+        ), (psi, word, m, c)
 
 
 def test_search_rejects_duplicates():
