@@ -7,6 +7,9 @@ JSON object (the Whittaker type and the Verma context, flat keys of
 reader, which first checks for a JSON object or list.  A command returns its
 document body and whether it passed; ``main`` alone adds {"schema":
 "virwhit/1", "command": ...}, writes stdout and --out and picks the exit code.
+The Verma, Shapovalov, forms and universal modules are imported by the
+commands and codecs that use them, so each call loads only what it runs;
+they are used as module attributes, looked up at call time.
 
 Exit codes: 0 all requested verifications pass, 1 a verification failed,
 2 unusable configuration, 3 degenerate Shapovalov form at some level.
@@ -22,18 +25,14 @@ from fractions import Fraction
 from functools import partial
 from math import comb
 
-from . import forms, universal
-from .rational import format_rational, parse_rational
-from .shapovalov import SingularGramError, gram
-from .verma import (
-    VermaContext,
-    VermaVector,
-    basis_vector,
-    exponents_partition,
-    partition_exponents,
-    partition_key,
-)
+from .linalg import SingularGramError
+from .rational import format_ratio, format_rational, parse_rational
 from .whittaker import VerificationReport, WhittakerType, WhittakerType1N, WhittakerTypeR
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # names of annotations only
+    from . import forms, universal
+    from .verma import VermaContext, VermaVector
 
 SCHEMA = "virwhit/1"
 HARD_CUTOFF_LIMIT = 12
@@ -148,38 +147,25 @@ def _context_json(ctx: VermaContext) -> dict:
 
 
 def _context_from_json(obj) -> VermaContext:
+    from . import verma
     _require(obj, dict, "parameters must be a JSON object")
-    return VermaContext(
+    return verma.VermaContext(
         _read_parameter(obj["central_charge"], "central_charge"),
         _read_parameter(obj["conformal_weight"], "conformal_weight"),
     )
 
 
-def _exponents_json(partition, level: int, side: str) -> list[int]:
-    exps = list(partition_exponents(partition, size=level))
-    if side == forms.DECREASING:
-        exps.reverse()
-    return exps
-
-
-def _partition_from_exponents(exponents, side: str):
-    exps = [_json_int(e, "exponent") for e in exponents]
-    if any(e < 0 for e in exps):
-        raise ConfigError(f"negative exponent in {exps}")
-    if side == forms.DECREASING:
-        exps.reverse()
-    return exponents_partition(exps)
-
-
 def _form_json(f: forms.DualForm) -> dict:
+    from . import forms, verma
+    step = -1 if f.basis_side == forms.DECREASING else 1  # exponents n_k..n_1 or n_1..n_k
     levels: list[dict] = []
-    for part in sorted(f.terms, key=partition_key):
+    for part in sorted(f.terms, key=verma.partition_key):
         lvl = sum(part)
         if not levels or levels[-1]["level"] != lvl:
             levels.append({"level": lvl, "terms": []})
         levels[-1]["terms"].append(
             {
-                "exponents": _exponents_json(part, lvl, f.basis_side),
+                "exponents": list(verma.partition_exponents(part, size=lvl))[::step],
                 "coefficient": format_rational(f.terms[part]),
             }
         )
@@ -187,10 +173,12 @@ def _form_json(f: forms.DualForm) -> dict:
 
 
 def _form_from_json(obj, ctx: VermaContext) -> forms.DualForm:
+    from . import forms, verma
     _require(obj, dict, "form must be a JSON object")
     side = obj["basis_side"]
     if side not in (forms.DECREASING, forms.INCREASING):
         raise ConfigError(f"unknown basis side {side!r}")
+    step = -1 if side == forms.DECREASING else 1
     cutoff = _check_cutoff(_json_int(obj["cutoff"], "cutoff"))
     terms: dict = {}  # a repeated level block adds to its level
     for block in obj.get("levels", []):
@@ -198,7 +186,10 @@ def _form_from_json(obj, ctx: VermaContext) -> forms.DualForm:
         if not 0 <= lvl <= cutoff:
             raise ConfigError(f"form level {lvl} lies outside 0..{cutoff}")
         for entry in block.get("terms", []):
-            part = _partition_from_exponents(entry["exponents"], side)
+            exps = [_json_int(e, "exponent") for e in entry["exponents"]]
+            if any(e < 0 for e in exps):
+                raise ConfigError(f"negative exponent in {exps}")
+            part = verma.exponents_partition(exps[::step])
             if sum(part) != lvl:
                 raise ConfigError(f"exponents {entry['exponents']} are not level {lvl}")
             if part in terms:
@@ -208,8 +199,9 @@ def _form_from_json(obj, ctx: VermaContext) -> forms.DualForm:
 
 
 def _state_json(w: VermaVector) -> dict:
+    from . import verma
     terms = []
-    for part in sorted(w.terms, key=partition_key):
+    for part in sorted(w.terms, key=verma.partition_key):
         terms.append(
             {"partition": list(part), "coefficient": format_rational(w.terms[part])}
         )
@@ -217,17 +209,18 @@ def _state_json(w: VermaVector) -> dict:
 
 
 def _state_from_json(obj, ctx: VermaContext, cutoff: int) -> VermaVector:
+    from . import verma
     _require(obj, dict, "state must be a JSON object")
     terms = {}
     for entry in obj.get("terms", []):
         part = tuple(_json_int(p, "partition part") for p in entry["partition"])
         if sum(part) > cutoff:
             raise ConfigError(f"state term {list(part)} lies above cutoff {cutoff}")
-        basis_vector(ctx, part)  # raises ValueError unless part is a partition
+        verma.basis_vector(ctx, part)  # raises ValueError unless part is a partition
         if part in terms:
             raise ConfigError(f"state repeats partition {list(part)}")
         terms[part] = parse_rational(entry["coefficient"])
-    return VermaVector(ctx, terms)
+    return verma.VermaVector(ctx, terms)
 
 
 def _coeffs_json(coeffs: dict) -> list:
@@ -283,6 +276,7 @@ def _report_json(report: VerificationReport) -> dict:
 
 
 def _universal_vector_json(v: universal.UniversalVector) -> dict:
+    from . import universal
     if isinstance(v.whittaker_type, WhittakerTypeR):
         variant = "order-r"
     else:
@@ -337,7 +331,8 @@ def _whittaker_type(args) -> WhittakerType:
 
 
 def _context(args) -> VermaContext:
-    return VermaContext(args.c, args.delta)
+    from . import verma
+    return verma.VermaContext(args.c, args.delta)
 
 
 def _coefficients(args, length: int) -> dict:
@@ -353,18 +348,18 @@ def _coefficients(args, length: int) -> dict:
 
 def _cmd_gram(args):
     """Shapovalov Gram matrices for levels 0..N"""
+    from . import shapovalov
     level = _check_cutoff(args.level)
     ctx = _context(args)
     blocks = []
     for lvl in range(level + 1):
-        g = gram(lvl, ctx)
+        g = shapovalov.gram(lvl, ctx)
+        rows = zip(g.rows, g.row_scales())
         blocks.append(
             {
                 "level": lvl,
                 "partitions": [list(p) for p in g.partitions],
-                "entries": [
-                    [format_rational(v) for v in row] for row in g.fraction_rows()
-                ],
+                "entries": [[format_ratio(x, d) for x in row] for row, d in rows],
             }
         )
     return {**_context_json(ctx), "max_level": level, "levels": blocks}, True
@@ -372,6 +367,7 @@ def _cmd_gram(args):
 
 def _state_document(psi: WhittakerType, form: forms.DualForm, coefficients: dict):
     """Raise the form to its state and verify both."""
+    from . import forms
     state = forms.raise_indices(form)
     form_report = forms.verify_whittaker_form(form, psi)
     state_report = forms.verify_whittaker_state(state, psi, form.cutoff)
@@ -393,6 +389,7 @@ def _state_document(psi: WhittakerType, form: forms.DualForm, coefficients: dict
 
 def _cmd_gaiotto(args):
     """build, raise and verify a Gaiotto state"""
+    from . import forms
     cutoff = _check_cutoff(args.cutoff)
     psi, ctx = _whittaker_type(args), _context(args)
     coeffs = _coefficients(args, psi.r - 1)
@@ -402,6 +399,7 @@ def _cmd_gaiotto(args):
 
 def _cmd_bmt(args):
     """build, raise and verify a BMT state"""
+    from . import forms
     cutoff = _check_cutoff(args.cutoff)
     _check_range("--n", args.n, 3, MAX_PAIR_N)
     psi, ctx = _whittaker_type(args), _context(args)
@@ -419,9 +417,10 @@ def _cmd_bmt(args):
 
 def _first_pairing_mismatch(state: VermaVector, form: forms.DualForm) -> dict | None:
     """First label, level by level, where <label, state> differs from the form."""
+    from . import forms, shapovalov
     f_dec = forms.convert_form(form, forms.DECREASING)
     for lvl in range(form.cutoff + 1):
-        g = gram(lvl, state.context)
+        g = shapovalov.gram(lvl, state.context)
         pairings = g.pair([state.coefficient(p) for p in g.partitions])
         for lam, pairing in zip(g.partitions, pairings):
             expected = f_dec.coefficient(lam)
@@ -437,6 +436,7 @@ def _first_pairing_mismatch(state: VermaVector, form: forms.DualForm) -> dict | 
 
 def _cmd_verify(args):
     """re-verify a serialized state or form"""
+    from . import forms
     try:
         with open(args.input, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -470,24 +470,25 @@ def _cmd_verify(args):
     return body, passed
 
 
-# The universal families by their --family name.  Each builder looks its
-# function up in universal when called, so a function replaced there
-# takes effect.
+# The universal families by their --family name.  Each builder is handed
+# the universal module and looks its function up there when called, so a
+# function replaced there takes effect.
 FAMILIES = {
-    "w-l-2": lambda psi, a: universal.family_w_l_2(psi, a.l, a.c, a.alpha0),
-    "w-l-2-n": lambda psi, a: universal.family_w_l_2_n(psi, a.l, a.c, a.alpha0),
-    "w-1-l-n": lambda psi, a: universal.family_w_1_l_n(psi, a.l, a.c, a.alpha0),
-    "example-n5-w11-23": lambda psi, a: universal.example_n5("w_11_23", psi, a.c),
-    "example-n5-w2-2": lambda psi, a: universal.example_n5("w_2_2", psi, a.c),
+    "w-l-2": lambda u, psi, a: u.family_w_l_2(psi, a.l, a.c, a.alpha0),
+    "w-l-2-n": lambda u, psi, a: u.family_w_l_2_n(psi, a.l, a.c, a.alpha0),
+    "w-1-l-n": lambda u, psi, a: u.family_w_1_l_n(psi, a.l, a.c, a.alpha0),
+    "example-n5-w11-23": lambda u, psi, a: u.example_n5("w_11_23", psi, a.c),
+    "example-n5-w2-2": lambda u, psi, a: u.example_n5("w_2_2", psi, a.c),
 }
 
 
 def _cmd_universal_family(args):
     """construct and verify a family vector"""
+    from . import universal
     _check_range("--l", args.l, 0, HARD_CUTOFF_LIMIT)
     _check_range("--n", args.n, 3, MAX_PAIR_N)
     psi = _whittaker_type(args)
-    vector = FAMILIES[args.family](psi, args)
+    vector = FAMILIES[args.family](universal, psi, args)
     report = universal.verify_whittaker_vector(vector, psi)
     parameters = {
         "family": args.family,
@@ -506,6 +507,7 @@ def _cmd_universal_family(args):
 
 def _cmd_universal_search(args):
     """exact Whittaker-vector search"""
+    from . import universal
     psi = _whittaker_type(args)
     length = _check_range("--length", args.length, 1, HARD_CUTOFF_LIMIT)
     # Nonempty multisets of at most `length` letters from 2..n-1:
@@ -549,6 +551,7 @@ def _random_pseudo_partition(rng: random.Random, r: int, max_level: int, max_len
 
 def _cmd_check_lemmas(args):
     """randomized commutator bound checks"""
+    from . import universal
     _check_range("--r", args.r, 1, HARD_CUTOFF_LIMIT)
     _check_range("--samples", args.samples, 1, MAX_LEMMA_SAMPLES)
     _check_range("--max-level", args.max_level, 0, HARD_CUTOFF_LIMIT)
@@ -592,6 +595,7 @@ def _cmd_check_lemmas(args):
 
 def _cmd_check_l0_li(args):
     """closed-form L_0 and L_i identities"""
+    from . import forms
     cutoff = _check_cutoff(args.cutoff)
     psi, ctx = _whittaker_type(args), _context(args)
     report = forms.check_L0_Li_on_basic(psi, cutoff, ctx)

@@ -36,7 +36,6 @@ weight per remaining part; other labels get zero.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 
@@ -69,7 +68,6 @@ class CutoffExceededError(ValueError):
     """An argument vector has terms above the form's cutoff."""
 
 
-@dataclass(frozen=True)
 class DualForm(linalg.SparseVector):
     """Finitely truncated functional on V_{c,Delta}.
 

@@ -27,6 +27,11 @@ SparseVector is the one vector type built on it: U(Vir) elements, Verma
 vectors, dual forms and universal Whittaker vectors all inherit its
 arithmetic and its same-module check.  Nullspace rows may be dense lists
 or such sparse {column: value} dicts.
+
+Value is the base of the package's immutable records, SparseVector
+among them: fields come from the class annotations, with the
+constructor, equality, hash and repr of a frozen dataclass, without the
+cost of importing and generating dataclasses at start-up.
 """
 
 from __future__ import annotations
@@ -65,6 +70,18 @@ class SingularMatrixError(ValueError):
     """Raised when a square system has no unique solution."""
 
 
+class SingularGramError(ValueError):
+    """The Shapovalov form is degenerate at this level for this (c, Delta).
+
+    Raised by shapovalov; defined here so that the CLI can map it to its
+    exit code without importing the Gram layer.
+    """
+
+    def __init__(self, level: int):
+        super().__init__(f"singular Gram matrix at level {level}")
+        self.level = level
+
+
 class ContextMismatchError(ValueError):
     """Raised when vectors of different modules are combined."""
 
@@ -82,20 +99,74 @@ def accumulate(acc: dict, items, scalar=1) -> dict:
     return acc
 
 
-class SparseVector:
-    """Base of the frozen dataclasses whose last field is ``terms``, a dict
-    from basis label to nonzero coefficient; the other fields name the module.
+class Value:
+    """Base of the immutable records: the fields are the names annotated in
+    the class body, after those of its bases.
+
+    The constructor takes them by position or keyword; a field assigned in
+    the class body defaults to that value (a fresh copy of a dict), and
+    ``__post_init__`` runs last.  Records of one class with equal fields
+    are equal and hash alike; assignment raises AttributeError.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__.get("__annotations__", {})
+        cls._fields += tuple(own)
+        cls._defaults = {**cls._defaults, **{k: v for k, v in vars(cls).items() if k in own}}
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            values = {k: dict(v) if isinstance(v, dict) else v for k, v in self._defaults.items()}
+            values.update(zip(names, args), **kwargs)
+            twice = kwargs.keys() & set(names[: len(args)])
+            if len(args) > len(names) or twice or values.keys() != set(names):
+                raise TypeError(f"{type(self).__name__} takes the fields {names}")
+            args = map(values.get, names)
+        self.__dict__.update(zip(names, args))
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SparseVector(Value):
+    """Base of the records whose last field is ``terms``, a dict from basis
+    label to nonzero coefficient; the other fields name the module.
 
     ``module`` is the tuple of those other fields.  Results are built with
     the class constructor from the module and new terms; combining vectors
     of different modules raises ContextMismatchError.
     """
 
-    __slots__ = ()
-
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        *names, last = cls.__annotations__
+        *names, last = cls._fields
         if last != "terms":
             raise TypeError(f"{cls.__name__}: the last field must be terms")
         get = attrgetter(*names)

@@ -20,7 +20,7 @@ in Z/2), so s clears it, and each part of lambda adds one such factor.
 The straightener already holds s^{1 + len mu - len nu} times the
 coefficient on nu as an integer, so s times the coefficient is that
 integer divided exactly by s^{len mu - len nu}.  Fractions appear only in
-the views (``entries``, ``fraction_rows``, ``entry``, ``pair``) and in
+the views (``entries``, ``entry``, ``pair``) and in
 solutions.  Matrices are memoized per process.  Degeneracy is
 reported through SingularGramError, never worked around: callers wanting
 to raise indices at a degenerate weight must pick a different (c, Delta).
@@ -28,12 +28,12 @@ to raise indices at a degenerate weight must pick a different (c, Delta).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
 from . import linalg
+from .linalg import SingularGramError, Value
 from .verma import (
     Partition,
     VermaContext,
@@ -43,16 +43,7 @@ from .verma import (
 )
 
 
-class SingularGramError(ValueError):
-    """The Shapovalov form is degenerate at this level for this (c, Delta)."""
-
-    def __init__(self, level: int):
-        super().__init__(f"singular Gram matrix at level {level}")
-        self.level = level
-
-
-@dataclass(frozen=True)
-class GramMatrix:
+class GramMatrix(Value):
     """G_N as integer rows: rows[i] = scale^{len partitions[i]} G_N[i]."""
 
     level: int
@@ -61,17 +52,14 @@ class GramMatrix:
     rows: tuple[tuple[int, ...], ...]
     scale: int
 
-    def _row_scales(self) -> list[int]:
+    def row_scales(self) -> list[int]:
+        """The denominators of the rows: G_N[i] = rows[i] / row_scales()[i]."""
         return [self.scale ** len(lam) for lam in self.partitions]
-
-    def fraction_rows(self):
-        """The rows of G_N as Fractions, one at a time and never cached."""
-        for row, d in zip(self.rows, self._row_scales()):
-            yield tuple(Fraction(x, d) for x in row)
 
     @cached_property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(self.fraction_rows())
+        pairs = zip(self.rows, self.row_scales())
+        return tuple(tuple(Fraction(x, d) for x in row) for row, d in pairs)
 
     def entry(self, row_partition, col_partition) -> Fraction:
         order = partition_index(self.level)
@@ -86,7 +74,7 @@ class GramMatrix:
         ints = [x.numerator * (den // x.denominator) for x in coords]
         return [
             Fraction(sum(a * x for a, x in zip(row, ints) if x), den * d)
-            for row, d in zip(self.rows, self._row_scales())
+            for row, d in zip(self.rows, self.row_scales())
         ]
 
 
@@ -149,7 +137,7 @@ def solve(g: GramMatrix, rhs: list[Fraction]) -> list[Fraction]:
         raise ValueError(
             f"rhs has length {len(rhs)}, expected {len(g.partitions)}"
         )
-    scaled = [b * d for b, d in zip(rhs, g._row_scales())]
+    scaled = [b * d for b, d in zip(rhs, g.row_scales())]
     try:
         return linalg.bareiss_solve(g.rows, scaled)
     except linalg.SingularMatrixError as exc:

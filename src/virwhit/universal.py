@@ -24,13 +24,12 @@ smallest nonnegative letter (the subalgebra order when there is none).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import pos
 
 from . import linalg
-from .linalg import SparseVector, accumulate
+from .linalg import SparseVector, Value, accumulate
 from .virasoro import Straightener, Straighteners
 from .whittaker import (
     ResidualCheck,
@@ -82,13 +81,12 @@ def validate_pseudo_partition(typ: WhittakerType, word) -> PseudoPartition:
     return word
 
 
-@dataclass(frozen=True)
 class UniversalVector(SparseVector):
     """Sparse vector in a universal Whittaker module."""
 
     whittaker_type: WhittakerType
     central_charge: Fraction
-    terms: dict[PseudoPartition, Fraction] = field(default_factory=dict)
+    terms: dict[PseudoPartition, Fraction] = {}
 
     def max_level(self) -> int:
         return max((pp_level(w) for w in self.terms), default=0)
@@ -392,15 +390,13 @@ def example_n5(which: str, psi: WhittakerType1N, c: Fraction) -> UniversalVector
     return UniversalVector(psi, Fraction(c), terms)
 
 
-@dataclass(frozen=True)
-class ClauseResult:
+class ClauseResult(Value):
     clause: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class CommutatorBoundsReport:
+class CommutatorBoundsReport(Value):
     order_index: int
     word: PseudoPartition
     clauses: tuple[ClauseResult, ...]
@@ -496,8 +492,7 @@ def check_lemma_bounds(
     return CommutatorBoundsReport(m, word, tuple(clauses))
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Value):
     ansatz: tuple[PseudoPartition, ...]
     checked_indices: tuple[int, ...]
     dimension: int

@@ -26,26 +26,23 @@ B[lambda][mu] R_lambda.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import neg
 
-from .linalg import SparseVector, accumulate
+from .linalg import SparseVector, Value, accumulate
 from .virasoro import Straightener, Straighteners
 
 Partition = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class VermaContext:
+class VermaContext(Value):
     """Central charge c and conformal weight Delta."""
 
     c: Fraction
     delta: Fraction
 
 
-@dataclass(frozen=True)
 class VermaVector(SparseVector):
     """Sparse vector in V_{c,Delta}, expanded in canonical partition monomials.
 
@@ -53,7 +50,7 @@ class VermaVector(SparseVector):
     """
 
     context: VermaContext
-    terms: dict[Partition, Fraction] = field(default_factory=dict)
+    terms: dict[Partition, Fraction] = {}
 
     def levels(self) -> set[int]:
         return {sum(p) for p in self.terms}

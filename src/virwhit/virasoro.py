@@ -37,7 +37,6 @@ All operations are pure and elements are treated as immutable.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import pos
@@ -47,7 +46,6 @@ from .linalg import ContextMismatchError, SparseVector, accumulate
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class EnvelopingElement(SparseVector):
     """Sparse combination of normal-ordered monomials over one central charge.
 

@@ -8,16 +8,16 @@ k > n; the degenerate cases reduce to order types and are rejected here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .linalg import Value
 
 
 class IndexOutsideSubalgebraError(ValueError):
     """The requested generator does not belong to the Whittaker subalgebra."""
 
 
-@dataclass(frozen=True)
-class WhittakerTypeR:
+class WhittakerTypeR(Value):
     """Scalars (mu_r, ..., mu_{2r}) on the subalgebra generated by L_r..L_{2r}."""
 
     r: int
@@ -62,8 +62,7 @@ class WhittakerTypeR:
         return Fraction(0)
 
 
-@dataclass(frozen=True)
-class WhittakerType1N:
+class WhittakerType1N(Value):
     """Scalars nu_1, nu_n on the subalgebra generated by L_1 and L_n (n > 2)."""
 
     n: int
@@ -111,8 +110,7 @@ def subalgebra_indices(typ: WhittakerType, top: int) -> list[int]:
     return [k for k in range(1, top + 1) if typ.in_subalgebra(k)]
 
 
-@dataclass(frozen=True)
-class ResidualCheck:
+class ResidualCheck(Value):
     """Outcome of one condition (L_k - expected) applied to a form or vector.
 
     ``complete_levels`` is the highest level on which the condition is fully
@@ -135,8 +133,7 @@ class ResidualCheck:
         return f"L_{self.operator_index}"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Value):
     checks: tuple[ResidualCheck, ...]
 
     @property

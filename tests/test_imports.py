@@ -1,0 +1,135 @@
+"""Start-up contract: each command imports only the modules it runs.
+
+Each CLI call runs in a fresh interpreter at a tiny size, and the modules
+it added to ``sys.modules`` are read at its end.  ``import virwhit`` loads
+no submodule, yet every name the package exports still resolves.
+"""
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import virwhit
+from virwhit.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+# Runs the CLI arguments given after -c and prints its exit code and the
+# modules it loaded.
+RUNNER = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from virwhit.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
+"""
+
+VERMA_SIDE = {"virwhit.verma", "virwhit.shapovalov", "virwhit.forms"}
+COMMANDS = {
+    "gram": (
+        ["gram", "--c", "1", "--delta", "1", "--level", "2"],
+        {"virwhit.forms", "virwhit.universal"},
+    ),
+    "gaiotto": (
+        ["gaiotto", "--r", "1", "--mu", "1,0", "--c", "1", "--delta", "1", "--cutoff", "2"],
+        {"virwhit.universal"},
+    ),
+    "bmt": (
+        ["bmt", "--n", "3", "--nu1", "1", "--nun", "1", "--c", "1", "--delta", "1"]
+        + ["--cutoff", "2"],
+        {"virwhit.universal"},
+    ),
+    "verify": (["verify", "--input", "{state}"], {"virwhit.universal"}),
+    "check-l0-li": (
+        ["check-l0-li", "--r", "1", "--mu", "1,1", "--c", "1", "--delta", "1", "--cutoff", "2"],
+        {"virwhit.universal"},
+    ),
+    "universal search": (
+        ["universal", "search", "--n", "5", "--nu1", "1", "--nun", "2", "--length", "2"],
+        VERMA_SIDE,
+    ),
+    "universal family": (
+        ["universal", "family", "--family", "w-l-2", "--n", "4", "--nu1", "1", "--nun", "2"],
+        VERMA_SIDE,
+    ),
+    "check-lemmas": (
+        ["check-lemmas", "--r", "2", "--mu", "1,2,3", "--c", "1", "--samples", "3"],
+        VERMA_SIDE,
+    ),
+}
+
+# Every name the package exported when its __init__ imported them all.
+EXPORTED = {
+    "rational": "format_rational parse_rational",
+    "virasoro": "ContextMismatchError EnvelopingElement Word bracket commutator generator "
+    "multiply normal_order unit",
+    "verma": "Partition VermaContext VermaVector act basis_change basis_vector "
+    "enumerate_partitions highest_weight_vector partition_exponents",
+    "shapovalov": "GramMatrix SingularGramError gram solve",
+    "whittaker": "IndexOutsideSubalgebraError ResidualCheck VerificationReport "
+    "WhittakerType1N WhittakerTypeR",
+    "forms": "CutoffExceededError DualForm act_on_form bmt_form bmt_special_form "
+    "check_L0_Li_on_basic convert_form eval_form gaiotto_basic_form gaiotto_form "
+    "raise_indices verify_whittaker_form verify_whittaker_state whittaker_form_nullspace",
+    "universal": "NotClassifiedError PseudoPartition SearchResult UniversalVector "
+    "act_universal check_lemma_bounds dot_act example_n5 family_w_1_l_n family_w_l_2 "
+    "family_w_l_2_n nilpotency_index search_whittaker verify_whittaker_vector "
+    "whittaker_subspace_level0",
+}
+
+
+def _python(*args: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_command_loads_only_what_it_runs(name, tmp_path, capsys):
+    argv, unloaded = COMMANDS[name]
+    state = tmp_path / "state.json"
+    if name == "verify":
+        assert main([*COMMANDS["gaiotto"][0], "--out", str(state)]) == 0
+        capsys.readouterr()
+    argv = [arg.format(state=state) for arg in argv]
+    code, loaded = json.loads(_python("-c", RUNNER, *argv))
+    assert code == 0
+    assert "virwhit.cli" in loaded
+    assert "dataclasses" not in loaded
+    assert not unloaded & set(loaded), sorted(unloaded & set(loaded))
+
+
+def test_import_package_loads_no_submodule():
+    out = _python("-c", "import sys, virwhit; print(*(m for m in sys.modules if 'virwhit' in m))")
+    assert out.split() == ["virwhit"]
+
+
+def test_every_former_export_resolves():
+    names = dir(virwhit)
+    for module, exported in EXPORTED.items():
+        source = getattr(virwhit, module)
+        assert source.__name__ == f"virwhit.{module}" and module in names
+        for name in exported.split():
+            assert getattr(virwhit, name) is getattr(source, name)
+            assert name in names and name in virwhit.__all__
+    assert "linalg" in names and virwhit.linalg.__name__ == "virwhit.linalg"
+    with pytest.raises(AttributeError):
+        virwhit.no_such_name
+
+
+def test_readme_library_example_runs_in_a_fresh_interpreter():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library example\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    assert "from virwhit import (" in code
+    _python("-c", code)

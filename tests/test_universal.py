@@ -225,6 +225,31 @@ def test_search_finds_exactly_the_classified_level0_span(psi, r_prime):
     assert all(pp_level(w) == 0 for v in result.basis for w in v.terms)
 
 
+@pytest.mark.parametrize(
+    "nu1, nun, c",
+    [
+        (Fraction(13, 7), Fraction(-11, 5), Fraction(13, 5)),
+        (Fraction(1), Fraction(2), C),
+    ],
+)
+def test_pair_type_n5_search_finds_three_level0_vectors(nu1, nun, c):
+    # Every word of level <= 3 with at most three letters from {0, 2, 3, 4}
+    # (245 words): the Whittaker vectors of the n = 5 pair type found there
+    # span dimension 3 and all lie at level 0.
+    psi = WhittakerType1N(5, nu1, nun)
+    plus = [()] + [w for w in level0_words(0, 4, 3) if 1 not in w]
+    ansatz = [
+        tuple(-d for d in depths) + tail
+        for level in range(4)
+        for depths in enumerate_partitions(level)
+        for tail in plus
+    ]
+    assert len(ansatz) == 245
+    result = search_whittaker(psi, ansatz, psi, c)
+    assert result.dimension == 3
+    assert all(pp_level(w) == 0 for v in result.basis for w in v.terms)
+
+
 def test_subspace_negative_control():
     # L_1 |w> is not a Whittaker vector of the module's own type when the
     # rank is 4: [L_2, L_1] = L_3 contributes psi(L_3) != 0.
