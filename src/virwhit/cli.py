@@ -53,10 +53,11 @@ MAX_PAIR_N = 100
 # mu, nu, lambda, alpha0 and the --coeffs values, from flags or a verify
 # document); state and form coefficients carry 245-475 bits and are not
 # bounded.  At 160 bits with four distinct denominators (c, Delta and two
-# mu or nu values) on a 2-vCPU host (Python 3.11), gaiotto --r 1 took 61 s
-# and bmt --n 4 65 s at cutoff 12 (42 MB peak), mostly in the Gram
-# solves' rational reconstruction; their verify 1.6 s, gram --level 12
-# 0.6 s.  With c = 1/7...7 and Delta = 3/7...7 (48 digits) gaiotto took 10.5 s.
+# mu or nu values) on a 2-vCPU host (Python 3.11), gaiotto --r 1 took 7.6 s
+# and bmt --n 4 7.4 s at cutoff 12 (30 MB peak), mostly in the Gram
+# solves' packed residual updates and rational reconstruction; their
+# verify 1.1 s, gram --level 12 0.5 s (47 MB peak).  With c = 1/7...7 and
+# Delta = 3/7...7 (48 digits) and mu = (1, 0) gaiotto took 2.2 s.
 MAX_PARAMETER_BITS = 160
 
 EXIT_OK = 0

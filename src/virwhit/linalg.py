@@ -9,6 +9,9 @@ one LU mod p, then x is lifted one p-digit at a time against the integer
 rows, each coordinate is recovered by rational reconstruction over a
 running common denominator, and the answer is returned only when the
 exact integer check A x = b holds.  A Hadamard bound caps the lifting.
+The LU, the triangular solves and the residual pack a vector into one
+int of fixed-width slots: each row or column update is one big-int
+multiply-add, reduced mod p only where a slot is read (delayed reduction).
 Primes are drawn largest first by a deterministic Miller-Rabin test.
 
 The determinant, the rank, nullspace bases and the singularity decision
@@ -59,9 +62,11 @@ def _is_prime(n: int) -> bool:
 def primes():
     """The primes below 2^30, largest first, for the modular solve.
 
-    Their residues are single-digit CPython ints: on level-12 Gram systems
-    the LU ran twice as fast as mod 2^61 - 1, which pays for the doubled
-    number of lifting steps.
+    Their residues are single-digit CPython ints and the packed LU's
+    slots half as wide as mod 2^61 - 1: on level-12 and level-14 Gram
+    systems the LU ran 1.6-1.9x as fast, and the r = 1 Gaiotto raise at
+    cutoffs 12, 14, 16 took 0.055, 0.18, 0.65 s against 0.076, 0.25,
+    0.80 s, with twice the lifting steps (90, 132, 181 against 48, 68, 91).
     """
     return filter(_is_prime, range(2**30 - 1, 1, -1))
 
@@ -271,49 +276,65 @@ def _echelon(matrix, ncols: int, reduce: bool):
     return rows, pivots, factor
 
 
+def _pack(values, width: int) -> int:
+    """sum(values[i] << i * width): the values as the slots of one int."""
+    return sum(v << i * width for i, v in enumerate(values))
+
+
 def _lu_mod(rows: list[list[int]], p: int):
     """LU factors of the square integer rows mod p, or None if a column has no pivot.
 
-    Returns (perm, lower, upper, inverses) with row perm[i] of the matrix
-    equal to row i of L U mod p: lower[i] holds L[i][:i] (unit diagonal),
-    upper[i] holds U[i][i+1:] from the last column back, inverses[i] is
-    1/U[i][i] mod p.
+    Each row is one int of W-bit slots; eliminating column k is one
+    multiply-add per row below the pivot, row = (row >> W) + f * neg, neg
+    holding (p - U[k][j]) mod p for j > k.  Only the pivot column and row
+    are reduced mod p.  A slot starts below p and takes at most n - 1
+    updates of at most (p - 1)^2: W = bitlen((n - 1)(p - 1)^2 + p - 1).
+
+    Returns (perm, lcols, ucols, inverses, W): row i of L U is row
+    perm[i] of the matrix; lcols[k] and ucols[j] hold (p - L[i][k]) mod p
+    (i > k) and (p - U[i][j]) mod p (i < j) at slot perm[i]; inverses[i]
+    is 1/U[i][i] mod p.
     """
     n = len(rows)
-    work = [[x % p for x in row] for row in rows]
+    width = ((n - 1) * (p - 1) ** 2 + p - 1).bit_length()
+    mask = (1 << width) - 1
+    work = [_pack([x % p for x in row], width) for row in rows]  # slot j: column k + j
     perm = list(range(n))
-    inverses = []
+    lcols, ucols, inverses = [], [0] * n, []
     for k in range(n):
-        pivot = next((i for i in range(k, n) if work[i][k]), None)
+        pivot = next((i for i in range(k, n) if (work[i] & mask) % p), None)
         if pivot is None:
             return None
         work[k], work[pivot] = work[pivot], work[k]
         perm[k], perm[pivot] = perm[pivot], perm[k]
-        top = work[k]
-        inv = pow(top[k], -1, p)
-        inverses.append(inv)
-        tail = top[k + 1 :]
-        for i in range(k + 1, n):
-            row = work[i]
-            f = row[k] * inv % p
-            row[k] = f
-            if f:
-                row[k + 1 :] = [(x - f * y) % p for x, y in zip(row[k + 1 :], tail)]
-    lower = [row[:i] for i, row in enumerate(work)]
-    upper = [row[:i:-1] for i, row in enumerate(work)]
-    return perm, lower, upper, inverses
+        top = [(work[k] >> j * width & mask) % p for j in range(n - k)]
+        inverses.append(inv := pow(top[0], -1, p))
+        neg = [-x % p for x in top[1:]]
+        for j, x in enumerate(neg, k + 1):
+            ucols[j] += x << perm[k] * width
+        packed = _pack(neg, width)
+        fs = [(row & mask) * inv % p for row in work[k + 1 :]]
+        work[k + 1 :] = [(row >> width) + f * packed for row, f in zip(work[k + 1 :], fs)]
+        lcols.append(sum(-f % p << perm[i] * width for i, f in enumerate(fs, k + 1)))
+    return perm, lcols, ucols, inverses, width
 
 
 def _lu_solve(factors, rhs: list[int], p: int) -> list[int]:
-    """y with A y = rhs mod p, A given by its ``_lu_mod`` factors."""
-    perm, lower, upper, inverses = factors
-    z: list[int] = []
-    for i, row in zip(perm, lower):
-        z.append((rhs[i] - sum(map(mul, row, z))) % p)
-    y: list[int] = []  # y[n-1], y[n-2], ...
-    for i in range(len(z) - 1, -1, -1):
-        y.append((z[i] - sum(map(mul, upper[i], y))) * inverses[i] % p)
-    y.reverse()
+    """y with A y = rhs mod p, A given by its ``_lu_mod`` factors.
+
+    One accumulator, rhs[i] in slot i, runs both solves column by column:
+    acc += (slot perm[k] mod p) * lcols[k], then y[j] = slot perm[j] /
+    U[j][j] and acc += y[j] * ucols[j].  A slot takes n - 1 updates, as in the LU.
+    """
+    perm, lcols, ucols, inverses, width = factors
+    mask = (1 << width) - 1
+    acc = _pack([v % p for v in rhs], width)
+    for slot, col in zip(perm, lcols):
+        acc += (acc >> slot * width & mask) % p * col
+    y = [0] * len(rhs)
+    for j in range(len(rhs) - 1, -1, -1):
+        y[j] = (acc >> perm[j] * width & mask) * inverses[j] % p
+        acc += y[j] * ucols[j]
     return y
 
 
@@ -349,29 +370,43 @@ def _reconstruct(residues: list[int], modulus: int):
 def _dixon(a: list[list[int]], b: list[int], factors, p: int) -> list[Fraction]:
     """Solve a x = b by p-adic lifting; the answer is certified by a x = b exactly.
 
-    Each step adds one p-digit to x mod p^k and keeps the integer residual
-    (b - a x) / p^k.  Reconstruction is tried after every digit and is
-    sure to succeed once sqrt(p^k / 2) reaches the Hadamard bound H on
-    det a and on every Cramer numerator, H^2 = max(1, |b|^2) prod |col|^2;
-    a check still failing at that point raises ArithmeticError.
+    Each step adds one p-digit y to x mod p^k.  The residual (b - a x) / p^k
+    is one int R = sum_i r_i 2^{iB}; with the packed columns C_j of a,
+    R = (R - sum_j y_j C_j) / p is exact as it is exact in every slot, and
+    |r_i| <= |b_i| + sum_j |a_ij| < 2^{B-1}, so R + 2^{B-1} in every slot
+    decodes exactly.  Reconstruction is tried after steps 1..8, then when
+    the step count has grown by an eighth, and at the Hadamard bound H on
+    det a and every Cramer numerator, H^2 = max(1, |b|^2) prod |col|^2,
+    where it is sure to succeed; a check failing there raises ArithmeticError.
     """
-    bound = max(1, sum(v * v for v in b))
-    for col in zip(*a):
-        bound *= sum(v * v for v in col)
-    x = [0] * len(b)
-    residual = b
-    modulus = 1
+    n = len(b)
+    bound = max(1, sum(v * v for v in b)) * prod(sum(v * v for v in col) for col in zip(*a))
+    top = max((abs(v) + sum(map(abs, row)) for row, v in zip(a, b)), default=0)
+    size = top.bit_length() // 8 + 1  # bytes per slot, sign bit included
+    half = 1 << 8 * size - 1
+    bias = int.from_bytes(half.to_bytes(size, "little") * n, "little")
+    *columns, residual = [
+        int.from_bytes(b"".join((v + half).to_bytes(size, "little") for v in col), "little") - bias
+        for col in [*zip(*a), b]
+    ]
+    x, modulus, steps, tried = [0] * n, 1, 0, 0
     while True:
-        y = _lu_solve(factors, residual, p)
+        data = (residual + bias).to_bytes(n * size, "little")
+        r = [int.from_bytes(data[i : i + size], "little") - half for i in range(0, n * size, size)]
+        y = _lu_solve(factors, r, p)
         x = [xi + modulus * yi for xi, yi in zip(x, y)]
         modulus *= p
-        residual = [(r - sum(map(mul, row, y))) // p for r, row in zip(residual, a)]
-        found = _reconstruct(x, modulus)
-        if found is not None:
-            nums, den = found
-            if all(sum(map(mul, row, nums)) == den * v for row, v in zip(a, b)):
-                return [Fraction(v, den) for v in nums]
-        if (modulus - 1) // 2 >= bound:
+        residual = (residual - sum(map(mul, y, columns))) // p
+        steps += 1
+        capped = (modulus - 1) // 2 >= bound
+        if capped or steps - tried >= max(1, tried // 8):
+            tried = steps
+            found = _reconstruct(x, modulus)
+            if found is not None:
+                nums, den = found
+                if all(sum(map(mul, row, nums)) == den * v for row, v in zip(a, b)):
+                    return [Fraction(v, den) for v in nums]
+        if capped:
             raise ArithmeticError("p-adic lifting passed the Hadamard bound uncertified")
 
 
@@ -379,8 +414,9 @@ def bareiss_solve(matrix: Matrix, rhs: list[Fraction]) -> list[Fraction]:
     """Exact solution of the square system matrix * x = rhs.
 
     The primitive integer rows of the augmented system are factored once
-    mod the first of ``primes()``, then x is lifted p-adically and
-    certified by the exact integer check (``_dixon``).  When the LU finds
+    mod the first of ``primes()`` (the packed ``_lu_mod``), then x is
+    lifted p-adically on packed residuals and certified by the exact
+    integer check (``_dixon``).  When the LU finds
     no pivot mod p, the exact ``rank`` decides: short rank raises
     SingularMatrixError, full rank moves on through the next primes until
     one does not divide the determinant.

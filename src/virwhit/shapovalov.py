@@ -129,9 +129,10 @@ def solve(g: GramMatrix, rhs: list[Fraction]) -> list[Fraction]:
     """Exact x with g x = rhs.
 
     The integer rows and rhs scaled row by row by s^{len lambda} go to
-    ``linalg.bareiss_solve``: an LU modulo a prime below 2^30, p-adic
-    lifting and rational reconstruction, returned only once the exact
-    integer check holds.  A degenerate level raises SingularGramError.
+    ``linalg.bareiss_solve``: a packed LU modulo a prime below 2^30,
+    p-adic lifting on a packed residual and rational reconstruction,
+    returned only once the exact integer check holds.  A degenerate
+    level raises SingularGramError.
     """
     if len(rhs) != len(g.partitions):
         raise ValueError(

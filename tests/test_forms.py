@@ -281,6 +281,19 @@ def test_raise_indices_round_trip():
             assert lhs == rhs, lam
 
 
+def test_raise_indices_at_cutoff_14():
+    # p(14) = 135: the widest packed rows of the modular solve under test.
+    psi = WhittakerTypeR(1, (Fraction(1), Fraction(0)))
+    f = gaiotto_form(psi, {(): Fraction(1)}, 14, CTX)
+    w = raise_indices(f)
+    assert verify_whittaker_state(w, psi, 14).passed
+    f_dec = convert_form(f, DECREASING)
+    for level in range(15):
+        g = gram(level, CTX)
+        coords = [w.coefficient(p) for p in g.partitions]
+        assert g.pair(coords) == [f_dec.coefficient(lam) for lam in g.partitions], level
+
+
 def test_state_side_conditions():
     f = gaiotto_basic_form(PSI_R1, (), 6, CTX)
     w = raise_indices(f)

@@ -4,10 +4,11 @@ from itertools import islice
 from math import isqrt, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fraction_oracle import reference_det, reference_rref, reference_solve
+from linalg_oracle import reference_lu_mod, reference_lu_solve
 from virwhit import linalg
 from virwhit.linalg import (
     SingularMatrixError,
@@ -141,6 +142,70 @@ def test_lifting_stops_at_hadamard_bound(monkeypatch):
     monkeypatch.setattr(linalg, "_reconstruct", lambda residues, modulus: None)
     with pytest.raises(ArithmeticError):
         bareiss_solve(_mat([[2, 1], [1, 3]]), [Fraction(5), Fraction(10)])
+
+
+_FIRST_PRIME = next(linalg.primes())
+_BIG = 2**130
+
+
+def _entry(rng, p):
+    """Up to +-2^130; one draw in three is = p - 1 mod p, one is small."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.randint(-_BIG, _BIG)
+    if kind == 1:
+        return rng.randint(-_BIG // p, _BIG // p) * p - 1
+    return rng.randint(-3, 3)
+
+
+@st.composite
+def _modular_system(draw):
+    """(rows, p, rng): n in 0..30, entries from ``_entry``.
+
+    ``worst`` builds L U + p K with every multiplier L[i][k] = -1 and
+    every U[k][j] = 1 (j > k) mod p, so every LU update adds (p - 1)^2
+    to a slot: the largest slots the packed LU can meet.  ``singular``
+    makes one row a combination of two others mod p.
+    """
+    p = draw(st.sampled_from([2, 3, 251, _FIRST_PRIME]))
+    n = draw(st.integers(0, 30))
+    kind = draw(st.sampled_from(["random", "worst", "singular"]))
+    rng = draw(st.randoms(use_true_random=False))
+    if kind == "worst":
+        diagonal = [rng.randint(1, p - 1) for _ in range(n)]
+        upper = [[1 if i < j else diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        rows = [[upper[i][j] - sum(upper[k][j] for k in range(i)) for j in range(n)] for i in range(n)]
+    else:
+        rows = [[_entry(rng, p) for _ in range(n)] for _ in range(n)]
+        if kind == "singular" and n >= 3:
+            w = _entry(rng, p)
+            rows[0] = [a + w * b for a, b in zip(rows[1], rows[2])]
+    shift = _BIG // p
+    return [[x + p * rng.randint(-shift, shift) for x in row] for row in rows], p, rng
+
+
+@settings(deadline=None, max_examples=100)
+@given(_modular_system())
+def test_packed_lu_matches_the_list_lu(system):
+    rows, p, rng = system
+    factors, expected = linalg._lu_mod(rows, p), reference_lu_mod(rows, p)
+    assert (factors is None) == (expected is None)
+    if factors is None:
+        return
+    for _ in range(2):
+        rhs = [_entry(rng, p) for _ in rows]
+        assert linalg._lu_solve(factors, rhs, p) == reference_lu_solve(expected, rhs, p)
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(0, 8), st.data())
+def test_bareiss_solve_matches_gauss_jordan_on_large_negative_entries(n, data):
+    entry = st.one_of(st.integers(-_BIG, 2**20), st.fractions(-_BIG, 0, max_denominator=2**40))
+    vector = st.lists(entry, min_size=n, max_size=n).map(lambda row: [Fraction(v) for v in row])
+    matrix = [data.draw(vector) for _ in range(n)]
+    assume(len(reference_rref(matrix, n)[1]) == n)
+    rhs = data.draw(vector)
+    assert bareiss_solve(matrix, rhs) == reference_solve(matrix, rhs)
 
 
 def _reference_nullspace(matrix, ncols):
