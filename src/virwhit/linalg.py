@@ -1,35 +1,35 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra on the integer rows the callers build.
 
-Every routine first scales the rows to primitive integer rows
-(denominators cleared, then the gcd of the row divided out, so entries
-carry as few bits as the row allows).
+``bareiss_solve`` takes a square matrix of ints and a rational right-hand
+side; ``nullspace`` takes sparse {column: nonzero int} rows and the
+column count.  There is no determinant, rank or inverse (verma inverts
+the basis change by signs).
 
 Square solves run modulo a prime below 2^30 (Dixon's p-adic lifting):
-one LU mod p, then x is lifted one p-digit at a time against the integer
-rows, each coordinate is recovered by rational reconstruction over a
-running common denominator, and the answer is returned only when the
-exact integer check A x = b holds.  A Hadamard bound caps the lifting.
-The LU, the triangular solves and the residual pack a vector into one
-int of fixed-width slots: each row or column update is one big-int
-multiply-add, reduced mod p only where a slot is read (delayed reduction).
-Primes are drawn largest first by a deterministic Miller-Rabin test.
+the rhs is cleared to integers over one common denominator, each
+augmented row divided by its content, then one LU mod p; x is lifted
+one p-digit at a time against the integer rows, each coordinate is
+recovered by rational reconstruction over a running common denominator,
+and the answer is returned only when the exact integer check A x = b
+holds.  A Hadamard bound caps the lifting.  The LU, the triangular
+solves and the residual pack a vector into one int of fixed-width
+slots: each row or column update is one big-int multiply-add, reduced
+mod p only where a slot is read (delayed reduction).  Primes are drawn
+largest first by a deterministic Miller-Rabin test.
 
-The determinant, the rank, nullspace bases and the singularity decision
-of a solve share one sparse exact elimination (``_echelon``) on
-{column: int} rows: columns left to right (so the pivot columns are the
-rank profile), updates only on the rows holding the pivot column, and
-each updated row divided by its content.  Such a row is the primitive
-vector of a line (its combinations with the pivot rows that vanish on
-the pivot columns), so it is never larger than the fraction-free
-(Bareiss) row on that line.  There is no inverse: verma inverts the
-basis change by signs.
+The nullspace and the singular decision of a solve share one sparse
+exact Gauss-Jordan elimination (``_echelon``) on primitive copies of
+the rows: columns left to right, updates only on the rows holding the
+pivot column, and each updated row divided by its content.  Such a row
+is the primitive vector of a line (its combinations with the pivot rows
+that vanish on the pivot columns), so it is never larger than the
+fraction-free (Bareiss) row on that line.
 
 Sparse vectors throughout the package are dicts from basis labels to
 nonzero coefficients; ``accumulate`` is the one update rule they share.
 SparseVector is the one vector type built on it: U(Vir) elements, Verma
 vectors, dual forms and universal Whittaker vectors all inherit its
-arithmetic and its same-module check.  Nullspace rows may be dense lists
-or such sparse {column: value} dicts.
+arithmetic and its same-module check.
 
 Value is the base of the package's immutable records, SparseVector
 among them: fields come from the class annotations, with the
@@ -42,8 +42,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 from operator import attrgetter, mul
-
-Matrix = list[list[Fraction]]
 
 
 def _is_prime(n: int) -> bool:
@@ -212,42 +210,20 @@ class SparseVector(Value):
         return type(self)(*self.module, terms)
 
 
-def _integer_rows(rows) -> tuple[list[dict[int, int]], Fraction]:
-    """Each row as a primitive integer row {column: int}, and the product of the row factors.
-
-    A row is a dense list or a sparse {column: value} dict.  It is
-    multiplied by the lcm of its denominators and divided by the gcd of
-    the resulting integers (its content); zero rows stay empty.
-    """
-    out = []
-    num = den = 1
-    for row in rows:
-        pairs = row.items() if isinstance(row, dict) else enumerate(row)
-        entries = {j: x for j, x in pairs if x}
-        mult = lcm(*(x.denominator for x in entries.values()))
-        ints = {j: x.numerator * (mult // x.denominator) for j, x in entries.items()}
-        content = gcd(*ints.values()) or 1
-        if content > 1:
-            ints = {j: x // content for j, x in ints.items()}
-        num *= mult
-        den *= content
-        out.append(ints)
-    return out, Fraction(num, den)
-
-
-def _echelon(matrix, ncols: int, reduce: bool):
-    """Sparse exact elimination of the primitive integer rows of matrix.
+def _echelon(matrix: list[dict[int, int]], ncols: int):
+    """Sparse exact Gauss-Jordan elimination of primitive copies of the integer rows.
 
     Columns go left to right; the pivot is the row without a pivot that
     holds the column and has the fewest nonzeros (the first on a tie).
-    Every other such row -- with ``reduce``, every earlier pivot row too
-    -- becomes (a row - b pivot_row) / content, a / b being the pivot
-    entry over the row's entry in lowest terms.  Returns the rows, the
-    pivots as (column, row index) in column order, and the F with
-    det(matrix) = det(rows) F when ``reduce`` is off.
+    Every other row holding the column, earlier pivot rows included,
+    becomes (a row - b pivot_row) / content, a / b being the pivot entry
+    over the row's entry in lowest terms.  Returns the rows and the
+    pivots as (column, row index) in column order.
     """
-    rows, scale = _integer_rows(matrix)
-    factor = 1 / scale
+    rows = []
+    for row in matrix:
+        content = gcd(*row.values())
+        rows.append({j: v // content for j, v in row.items()} if content > 1 else row)
     waiting = list(range(len(rows)))
     pivots: list[tuple[int, int]] = []
     for col in range(ncols):
@@ -258,22 +234,19 @@ def _echelon(matrix, ncols: int, reduce: bool):
         waiting.remove(piv)
         top = rows[piv]
         p = top[col]
-        earlier = [i for _, i in pivots if col in rows[i]] if reduce else []
-        for i in holders + earlier:
+        for i in holders + [i for _, i in pivots if col in rows[i]]:
             if i == piv:
                 continue
             f = rows[i][col]
             g = gcd(p, f)
             a = p // g
             row = accumulate({j: a * v for j, v in rows[i].items()}, top.items(), -(f // g))
-            content = gcd(*row.values()) or 1
+            content = gcd(*row.values())
             if content > 1:
                 row = {j: v // content for j, v in row.items()}
             rows[i] = row
-            if i in holders:
-                factor *= Fraction(content, a)
         pivots.append((col, piv))
-    return rows, pivots, factor
+    return rows, pivots
 
 
 def _pack(values, width: int) -> int:
@@ -367,10 +340,11 @@ def _reconstruct(residues: list[int], modulus: int):
     return nums, den
 
 
-def _dixon(a: list[list[int]], b: list[int], factors, p: int) -> list[Fraction]:
-    """Solve a x = b by p-adic lifting; the answer is certified by a x = b exactly.
+def _dixon(a: list[list[int]], b: list[int], factors, p: int) -> tuple[list[int], int]:
+    """Numerators and a common denominator of x with a x = b, by p-adic lifting.
 
-    Each step adds one p-digit y to x mod p^k.  The residual (b - a x) / p^k
+    The answer is certified by the exact check a nums = den b.  Each step
+    adds one p-digit y to x mod p^k.  The residual (b - a x) / p^k
     is one int R = sum_i r_i 2^{iB}; with the packed columns C_j of a,
     R = (R - sum_j y_j C_j) / p is exact as it is exact in every slot, and
     |r_i| <= |b_i| + sum_j |a_ij| < 2^{B-1}, so R + 2^{B-1} in every slot
@@ -405,72 +379,56 @@ def _dixon(a: list[list[int]], b: list[int], factors, p: int) -> list[Fraction]:
             if found is not None:
                 nums, den = found
                 if all(sum(map(mul, row, nums)) == den * v for row, v in zip(a, b)):
-                    return [Fraction(v, den) for v in nums]
+                    return found
         if capped:
             raise ArithmeticError("p-adic lifting passed the Hadamard bound uncertified")
 
 
-def bareiss_solve(matrix: Matrix, rhs: list[Fraction]) -> list[Fraction]:
-    """Exact solution of the square system matrix * x = rhs.
+def bareiss_solve(matrix: list[list[int]], rhs: list[Fraction]) -> list[Fraction]:
+    """Exact x with matrix * x = rhs, matrix a square matrix of ints.
 
-    The primitive integer rows of the augmented system are factored once
-    mod the first of ``primes()`` (the packed ``_lu_mod``), then x is
-    lifted p-adically on packed residuals and certified by the exact
-    integer check (``_dixon``).  When the LU finds
-    no pivot mod p, the exact ``rank`` decides: short rank raises
-    SingularMatrixError, full rank moves on through the next primes until
-    one does not divide the determinant.
+    The rhs is cleared to integers over the lcm D of its denominators and
+    each augmented row divided by its content.  The rows are factored
+    once mod the first of ``primes()`` (``_lu_mod``); D x is lifted
+    p-adically and certified by the exact integer check (``_dixon``).
+    When the LU finds no pivot mod p, ``_echelon`` decides: fewer than n
+    pivots raises SingularMatrixError, else the next primes are tried
+    until one does not divide the determinant.
 
     The name is that of the fraction-free (Bareiss) solve this method
-    replaced.  It stays because ``perfbench/traced_job.py`` traces the
-    function by name and the benchmark reports its per-layer numbers
-    under it.
+    replaced; ``perfbench/traced_job.py`` traces it by name.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("expected a square system")
-    aug, _ = _integer_rows(list(row) + [b] for row, b in zip(matrix, rhs))
-    a = [[row.get(j, 0) for j in range(n)] for row in aug]
-    b = [row.get(n, 0) for row in aug]
+    scale = lcm(*(v.denominator for v in rhs))
+    a, b = [], []
+    for row, v in zip(matrix, rhs):
+        bi = v.numerator * (scale // v.denominator)
+        content = gcd(*row, bi) or 1
+        a.append([x // content for x in row] if content > 1 else row)
+        b.append(bi // content)
     for k, p in enumerate(primes()):
         factors = _lu_mod(a, p)
         if factors is not None:
-            return _dixon(a, b, factors, p)
-        if k == 0 and (r := rank(a)) < n:
-            raise SingularMatrixError(f"rank {r} < {n}")
+            nums, den = _dixon(a, b, factors, p)
+            return [Fraction(v, den * scale) for v in nums]
+        if k == 0:
+            pivots = _echelon([{j: x for j, x in enumerate(row) if x} for row in a], n)[1]
+            if len(pivots) < n:
+                raise SingularMatrixError(f"{len(pivots)} pivots < {n}")
     raise AssertionError("a nonzero determinant has finitely many prime factors")
 
 
-def det(matrix: Matrix) -> Fraction:
-    """Determinant: the pivot rows in column order are upper triangular."""
-    n = len(matrix)
-    rows, pivots, factor = _echelon(matrix, n, reduce=False)
-    if len(pivots) < n:
-        return Fraction(0)
-    order = [i for _, i in pivots]
-    inversions = sum(x > y for k, x in enumerate(order) for y in order[k + 1 :])
-    return (-1) ** inversions * prod(rows[i][c] for c, i in pivots) * factor
-
-
-def rank(matrix: Matrix) -> int:
-    ncols = len(matrix[0]) if matrix else 0
-    return len(_echelon(matrix, ncols, reduce=False)[1])
-
-
-def nullspace(matrix: Matrix, ncols: int | None = None) -> list[list[Fraction]]:
-    """Basis of the kernel, one vector per free (non-pivot) column.
-
-    Rows may be sparse {column: value} dicts; ncols is then required.
+def nullspace(rows: list[dict[int, int]], ncols: int) -> list[list[Fraction]]:
+    """Basis of the kernel of the sparse {column: nonzero int} rows, one
+    vector per free (non-pivot) column of range(ncols).
 
     The vector for a free column holds 1 there and 0 at every other free
     column, which makes the basis unique: it is the reduced-row-echelon one,
     with -R_c[f] / R_c[c] at pivot column c for the reduced pivot row R_c.
     """
-    if ncols is None:
-        if not matrix or isinstance(matrix[0], dict):
-            raise ValueError("ncols required for an empty or sparse matrix")
-        ncols = len(matrix[0])
-    rows, pivots, _ = _echelon(matrix, ncols, reduce=True)
+    rows, pivots = _echelon(rows, ncols)
     pivot_columns = {c for c, _ in pivots}
     basis = []
     for free in range(ncols):

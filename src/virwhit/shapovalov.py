@@ -128,10 +128,10 @@ def gram(level: int, ctx: VermaContext) -> GramMatrix:
 def solve(g: GramMatrix, rhs: list[Fraction]) -> list[Fraction]:
     """Exact x with g x = rhs.
 
-    The integer rows and rhs scaled row by row by s^{len lambda} go to
-    ``linalg.bareiss_solve``: a packed LU modulo a prime below 2^30,
-    p-adic lifting on a packed residual and rational reconstruction,
-    returned only once the exact integer check holds.  A degenerate
+    The integer rows go to ``linalg.bareiss_solve`` as they are, with
+    the rhs scaled row by row by s^{len lambda}; it clears the rhs to
+    integers once and solves by a packed LU mod a prime below 2^30 and
+    p-adic lifting, certified by the exact integer check.  A degenerate
     level raises SingularGramError.
     """
     if len(rhs) != len(g.partitions):

@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fraction_oracle import reference_solve
-from virwhit import linalg
+from fraction_oracle import reference_det, reference_solve
 from virwhit.shapovalov import SingularGramError, gram, solve
 from virwhit.verma import VermaContext, enumerate_partitions
 from virwhit.virasoro import normal_order
@@ -235,7 +234,7 @@ def test_kac_determinant():
         for ctx in KAC_CONTEXTS:
             kac = kac_product(level, ctx)
             assert kac != 0, (ctx, level)
-            ratios.add(linalg.det(gram(level, ctx).entries) / kac)
+            ratios.add(reference_det(gram(level, ctx).entries) / kac)
         assert len(ratios) == 1, (level, ratios)
         assert ratios != {0}
 
@@ -245,5 +244,5 @@ def test_kac_determinant_vanishes_with_kac_product():
     # first degenerates at level 3.
     ctx = VermaContext(Fraction(1), Fraction(1))
     for level in range(7):
-        assert (linalg.det(gram(level, ctx).entries) == 0) == (level >= 3)
+        assert (reference_det(gram(level, ctx).entries) == 0) == (level >= 3)
         assert (kac_product(level, ctx) == 0) == (level >= 3)
