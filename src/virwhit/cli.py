@@ -342,7 +342,7 @@ def _coefficients(args, length: int) -> dict:
         return {(0,) * length: Fraction(1)}
     try:
         raw = json.loads(args.coeffs)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"bad coefficients JSON: {exc}")
     return _coeffs_from_json(raw, length)
 
@@ -441,7 +441,7 @@ def _cmd_verify(args):
     try:
         with open(args.input, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"cannot read document: {exc}")
     _require(doc, dict, "malformed document: expected a JSON object")
     if doc.get("schema") != SCHEMA:
@@ -597,6 +597,7 @@ def _cmd_check_lemmas(args):
 def _cmd_check_l0_li(args):
     """closed-form L_0 and L_i identities"""
     from . import forms
+    _check_range("--r", args.r, 1, HARD_CUTOFF_LIMIT)
     cutoff = _check_cutoff(args.cutoff)
     psi, ctx = _whittaker_type(args), _context(args)
     report = forms.check_L0_Li_on_basic(psi, cutoff, ctx)

@@ -20,10 +20,11 @@ in Z/2), so s clears it, and each part of lambda adds one such factor.
 The straightener already holds s^{1 + len mu - len nu} times the
 coefficient on nu as an integer, so s times the coefficient is that
 integer divided exactly by s^{len mu - len nu}.  Fractions appear only in
-the views (``entries``, ``entry``, ``pair``) and in
-solutions.  Matrices are memoized per process.  Degeneracy is
-reported through SingularGramError, never worked around: callers wanting
-to raise indices at a degenerate weight must pick a different (c, Delta).
+the views (``entries``, ``entry``, ``pair``) and in solutions.  Matrices
+are memoized in the ``tables`` of the context's straightener, so they
+are freed with its memo.  Degeneracy is reported through
+SingularGramError, never worked around: callers wanting to raise indices
+at a degenerate weight must pick a different (c, Delta).
 """
 
 from __future__ import annotations
@@ -98,16 +99,13 @@ def _scaled_images(k: int, level: int, rule) -> list:
     return images
 
 
-_CACHE: dict[tuple[int, VermaContext], GramMatrix] = {}
-
-
 def gram(level: int, ctx: VermaContext) -> GramMatrix:
     """The level-N Gram matrix, rows and columns in partition order."""
-    key = (level, ctx)
-    cached = _CACHE.get(key)
+    rule = straightener(ctx)
+    key = ("gram", level)
+    cached = rule.tables.get(key)
     if cached is not None:
         return cached
-    rule = straightener(ctx)
     partitions = enumerate_partitions(level)
     images: dict[int, list] = {}
     rows = []
@@ -120,8 +118,7 @@ def gram(level: int, ctx: VermaContext) -> GramMatrix:
             images[k] = _scaled_images(k, level, rule)
         row = gram(level - k, ctx).rows[partition_index(level - k)[rest]]
         rows.append(tuple(sum(row[i] * a for i, a in image) for image in images[k]))
-    result = GramMatrix(level, ctx, partitions, tuple(rows), rule.scale)
-    _CACHE[key] = result
+    result = rule.tables[key] = GramMatrix(level, ctx, partitions, tuple(rows), rule.scale)
     return result
 
 

@@ -126,8 +126,10 @@ def _highest_weight_rule(key) -> Straightener:
     return Straightener(c, sign=-1, rank=neg, end=end, scalars=(delta,))
 
 
-# One straightener per (c, Delta).  The name is the one the benchmark's
-# tracer reads cache_info() from.
+# One straightener per (c, Delta), each owning its memo and the Gram
+# matrices shapovalov keeps in its tables; the family keeps the last
+# virasoro.MAX_CONTEXTS.  The name is the one the benchmark's tracer reads
+# cache_info() from.
 _act_monomial = Straighteners(_highest_weight_rule)
 
 
@@ -159,34 +161,18 @@ def reversed_monomial(partition: Partition) -> tuple[tuple[Partition, int], ...]
     return tuple(sorted(acc.items(), reverse=True))
 
 
-def _basis_change(level: int, signed: bool = False) -> list[list[Fraction]]:
-    # Dense B from its sparse columns; with ``signed``, D B D = B^-1.
-    partitions = enumerate_partitions(level)
-    index = partition_index(level)
-    rows = [[Fraction(0)] * len(partitions) for _ in partitions]
-    for j, mu in enumerate(partitions):
-        for lam, coeff in reversed_monomial(mu):
-            flip = signed and (len(lam) + len(mu)) % 2
-            rows[index[lam]][j] = Fraction(-coeff if flip else coeff)
-    return rows
-
-
 def basis_change(level: int, ctx: VermaContext) -> list[list[Fraction]]:
     """Matrix expressing reversed monomials in the canonical basis.
 
     Column mu holds the canonical expansion of L_{-1}^{m_1}...L_{-k}^{m_k}
     |Delta> for the partition mu (see reversed_monomial); rows and columns
     are both indexed by enumerate_partitions(level).  The matrix is
-    unimodular (determinant +-1), hence invertible for every context.
+    unimodular (determinant +-1), hence invertible for every context, and
+    its inverse is D B D with D = diag((-1)^{len lambda}).
     """
-    return _basis_change(level)
-
-
-def basis_change_inverse(level: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Inverse of basis_change(level): canonical monomials in reversed ones.
-
-    Column lam holds the expansion of L_{-lam}|Delta> in the reversed
-    monomials.  It is D B D with D = diag((-1)^{len lambda}), proved in the
-    module docstring.
-    """
-    return tuple(map(tuple, _basis_change(level, signed=True)))
+    index = partition_index(level)
+    rows = [[Fraction(0)] * len(index) for _ in index]
+    for j, mu in enumerate(enumerate_partitions(level)):
+        for lam, coeff in reversed_monomial(mu):
+            rows[index[lam]][j] = Fraction(coeff)
+    return rows

@@ -102,7 +102,9 @@ class Straightener:
 
     and each product on the right is again L_x times an ordered word.  The
     products are memoized and evaluated on an explicit stack, so no word
-    is too long for the interpreter's recursion limit.
+    is too long for the interpreter's recursion limit.  ``tables`` holds
+    what other layers derive from the module (shapovalov's Gram
+    matrices), so the memo and those results are freed together.
 
     The arithmetic is in integers.  With the module scale s = lcm(2 den c,
     den of each scalar), the coefficient of v in L_m u times
@@ -121,6 +123,7 @@ class Straightener:
         self._ends: dict[int, tuple[tuple[Word, int], ...]] = {}
         self._words: dict[Word, Word] = {}  # one stored copy of each word
         self.hits = 0  # memo lookups answered; every entry was one miss
+        self.tables: dict = {}  # results derived from this module, freed with it
 
     def _end(self, m: int):
         # L_m times the empty word: the letter itself or s chi(L_{sign m}).
@@ -223,16 +226,22 @@ class Straightener:
 
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
+MAX_CONTEXTS = 4  # members kept per family; a CLI command uses at most two
+
 
 class Straighteners(dict):
     """The straighteners of one family of modules, made on first use from
-    their parameters; each keeps its own memo."""
+    their parameters.  Each owns its memo and its ``tables``; a family
+    holds the last MAX_CONTEXTS made, and making one more frees the
+    oldest with all it owns."""
 
     def __init__(self, make):
         super().__init__()
         self._make = make
 
     def __missing__(self, key):
+        if len(self) >= MAX_CONTEXTS:
+            del self[next(iter(self))]
         rule = self[key] = self._make(key)
         return rule
 

@@ -244,6 +244,39 @@ def test_check_lemmas_r_limit_exits_2_before_sampling(capsys, monkeypatch, r):
     assert captured.err == f"error: --r must lie in 1..12, got {r}\n"
 
 
+@pytest.mark.parametrize("r", [0, 13, 20])
+def test_check_l0_li_r_limit_exits_2_before_checking(capsys, monkeypatch, r):
+    def no_check(*args):
+        raise AssertionError("identities checked before the limit check")
+
+    monkeypatch.setattr(forms, "check_L0_Li_on_basic", no_check)
+    mu = ",".join(["1"] * (r + 1))
+    code = main(["check-l0-li", "--r", str(r), "--mu", mu, "--c", "1", "--delta", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --r must lie in 1..12, got {r}\n"
+
+
+DEEP_JSON = "[" * 100_000  # past the decoder's recursion limit
+
+
+@pytest.mark.parametrize("command", ["verify", "gaiotto"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON)
+    argv = ["verify", "--input", str(path)]
+    if command == "gaiotto":
+        argv = ["gaiotto", "--r", "2", "--mu", "1,0,0", "--c", "1", "--delta", "1"]
+        argv += ["--cutoff", "2", "--coeffs", DEEP_JSON]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_gram_divisible_by_the_first_primes_solves(tmp_path, capsys):
     # G_1 = 2 Delta = the product of the first five primes of the modular
     # solve: the LU finds no pivot modulo any of them.

@@ -38,7 +38,6 @@ from virwhit.verma import (
     VermaContext,
     VermaVector,
     basis_change,
-    basis_change_inverse,
     basis_vector,
     enumerate_partitions,
 )
@@ -135,11 +134,14 @@ def test_convert_form_round_trip_matches_dense_product(f):
     assert convert_form(g, f.basis_side).terms == f.terms
     for lvl in range(f.cutoff + 1):
         # f_inc = B^T f_dec and f_dec = (B^-1)^T f_inc, as dense products.
-        if other == INCREASING:
-            matrix = basis_change(lvl, CTX)
-        else:
-            matrix = basis_change_inverse(lvl)
         order = enumerate_partitions(lvl)
+        matrix = basis_change(lvl, CTX)
+        if other == DECREASING:
+            # B^-1 = D B D with D = diag((-1)^{len lambda}).
+            matrix = [
+                [(-1) ** (len(lam) + len(mu)) * x for mu, x in zip(order, row)]
+                for lam, row in zip(order, matrix)
+            ]
         vec = [f.coefficient(p) for p in order]
         for j, mu in enumerate(order):
             expected = sum((row[j] * x for row, x in zip(matrix, vec)), Fraction(0))

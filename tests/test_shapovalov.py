@@ -1,12 +1,20 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from fraction_oracle import reference_det, reference_solve
+from virwhit import forms
 from virwhit.shapovalov import SingularGramError, gram, solve
-from virwhit.verma import VermaContext, enumerate_partitions
-from virwhit.virasoro import normal_order
+from virwhit.verma import VermaContext, _act_monomial, enumerate_partitions
+from virwhit.virasoro import MAX_CONTEXTS, normal_order
+from virwhit.whittaker import WhittakerTypeR
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 CONTEXTS = [
     VermaContext(Fraction(11, 3), Fraction(2, 7)),
@@ -246,3 +254,50 @@ def test_kac_determinant_vanishes_with_kac_product():
     for level in range(7):
         assert (reference_det(gram(level, ctx).entries) == 0) == (level >= 3)
         assert (kac_product(level, ctx) == 0) == (level >= 3)
+
+
+PSI_SCAN = WhittakerTypeR(1, (Fraction(1), Fraction(0)))
+
+
+def _raise(ctx, cutoff):
+    return forms.raise_indices(forms.gaiotto_form(PSI_SCAN, {(): Fraction(1)}, cutoff, ctx))
+
+
+def test_evicted_context_gives_the_same_state_and_grams():
+    ctx = VermaContext(Fraction(-11, 5), Fraction(11, 13))
+    cutoff = 6
+    state = _raise(ctx, cutoff)
+    grams = [gram(level, ctx) for level in range(cutoff + 1)]
+    for i in range(MAX_CONTEXTS):
+        _raise(VermaContext(ctx.c, Fraction(12 + i, 13)), cutoff)
+    assert (ctx.c, ctx.delta) not in _act_monomial
+    assert _raise(ctx, cutoff) == state
+    again = [gram(level, ctx) for level in range(cutoff + 1)]
+    assert again == grams
+    assert all(a is not b for a, b in zip(again, grams))
+
+
+SCAN = """
+import resource
+from fractions import Fraction as F
+from virwhit import forms, verma, whittaker
+psi = whittaker.WhittakerTypeR(1, (F(1), F(0)))
+for i in range(40):
+    ctx = verma.VermaContext(F(-11, 5), F(11 + i, 7))
+    state = forms.raise_indices(forms.gaiotto_form(psi, {(): F(1)}, 10, ctx))
+    assert forms.verify_whittaker_state(state, psi, 10).passed
+    if i == 7:
+        base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)
+"""
+
+
+def test_context_scan_memory_stays_flat():
+    # A fresh interpreter, so no other test's contexts count; ru_maxrss is
+    # in KiB on Linux.  Keeping every context grew ~20 MB over this scan.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", SCAN], env=env, capture_output=True, text=True, check=True
+    )
+    assert int(done.stdout) < 4 * 1024

@@ -15,7 +15,7 @@ from pbw_oracle import ReferenceRewriter, reference_normal_order, reference_verm
 from virwhit.universal import UniversalVector, apply_word, basis_vector
 from virwhit.verma import VermaContext, VermaVector, act, enumerate_partitions, straightener
 from virwhit.verma import basis_vector as verma_basis_vector
-from virwhit.virasoro import Straightener, Straighteners, normal_order
+from virwhit.virasoro import MAX_CONTEXTS, Straightener, Straighteners, normal_order
 from virwhit.whittaker import WhittakerType1N, WhittakerTypeR
 
 C = Fraction(11, 3)
@@ -148,3 +148,11 @@ def test_cache_info_pools_hits_and_entries():
     rule.times(1, (-1, -1))
     assert family.cache_info().hits == info.hits + 1
     assert family.cache_info().misses == info.misses
+
+
+def test_family_keeps_the_last_max_contexts():
+    family = Straighteners(Straightener)
+    keys = [Fraction(k, 3) for k in range(MAX_CONTEXTS + 3)]
+    for key in keys:
+        family[key].times(1, (-1,))
+    assert list(family) == keys[-MAX_CONTEXTS:]
