@@ -344,7 +344,10 @@ def _coefficients(args, length: int) -> dict:
         raw = json.loads(args.coeffs)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"bad coefficients JSON: {exc}")
-    return _coeffs_from_json(raw, length)
+    coeffs = _coeffs_from_json(raw, length)
+    if not any(coeffs.values()):
+        raise ConfigError("--coeffs has no nonzero coefficient: the form would be zero")
+    return coeffs
 
 
 def _cmd_gram(args):
@@ -355,12 +358,14 @@ def _cmd_gram(args):
     blocks = []
     for lvl in range(level + 1):
         g = shapovalov.gram(lvl, ctx)
-        rows = zip(g.rows, g.row_scales())
+        entries: list[list[str]] = []  # symmetric: format j >= i, mirror the strings
+        for i, (row, d) in enumerate(zip(g.rows, g.row_scales())):
+            entries.append([above[i] for above in entries] + [format_ratio(x, d) for x in row[i:]])
         blocks.append(
             {
                 "level": lvl,
                 "partitions": [list(p) for p in g.partitions],
-                "entries": [[format_ratio(x, d) for x in row] for row, d in rows],
+                "entries": entries,
             }
         )
     return {**_context_json(ctx), "max_level": level, "levels": blocks}, True

@@ -17,7 +17,8 @@ verma.reversed_monomial(mu), and is never a solve.
 The module action on forms is (L_m f)(v) = f(L_{-m} v).  It is computed on
 the decreasing side, where the value at L_{-mu}|Delta> reads the canonical
 expansion of L_{-m} L_{-mu}|Delta> directly; increasing-side forms are
-converted to the decreasing side and back.  A cutoff-N form
+converted to the decreasing side and back, by verify_whittaker_form once
+per check, and only its nonzero residuals come back.  A cutoff-N form
 represents the exact restriction of a generally infinite object to levels
 <= N, so every residual check is scoped to the levels where it is fully
 determined: (L_k f - expected f) is complete on levels <= N - k.
@@ -40,12 +41,13 @@ from fractions import Fraction
 from math import lcm, prod
 
 from . import linalg
-from .shapovalov import gram, solve
+from .shapovalov import _scaled_images, gram, solve
 from .verma import (
     Partition,
     VermaContext,
     VermaVector,
     enumerate_partitions,
+    partition_index,
     partition_key,
     reversed_monomial,
     straightener,
@@ -162,8 +164,13 @@ def act_on_form(m: int, f: DualForm) -> DualForm:
     the cutoff every reachable evaluation lands outside the stored window
     and the result is the zero form of cutoff 0.
     """
+    return convert_form(_act_decreasing(m, convert_form(f, DECREASING)), f.basis_side)
+
+
+def _act_decreasing(m: int, f: DualForm) -> DualForm:
+    # act_on_form for a decreasing-side f, with the result on that side.
     new_cutoff = max(0, f.cutoff - max(m, 0))
-    coeffs = convert_form(f, DECREASING).terms
+    coeffs = f.terms
     sources = {sum(p) for p in coeffs}
     rule = straightener(f.context)
     s = rule.scale
@@ -179,7 +186,7 @@ def act_on_form(m: int, f: DualForm) -> DualForm:
             value = sum(ints[p] * n for p, n in rule.times(m, mu) if p in ints)
             if value:
                 terms[mu] = Fraction(value, den * s ** (1 + len(mu)))
-    return convert_form(DualForm(f.context, new_cutoff, DECREASING, terms), f.basis_side)
+    return DualForm(f.context, new_cutoff, DECREASING, terms)
 
 
 def _monomial_form(ctx, cutoff, side, weights, frozen, coefficients) -> DualForm:
@@ -322,13 +329,16 @@ def verify_whittaker_form(f: DualForm, typ: WhittakerType) -> VerificationReport
     For each checked k the residual (L_k f) - psi(L_k) f is restricted to
     levels <= cutoff - k, where the truncated data determines it fully.
     """
+    f_dec = convert_form(f, DECREASING)
     checks = []
     for k in subalgebra_indices(typ, f.cutoff):
         expected = typ.value(k)
         window = f.cutoff - k
         residual = form_combine(
-            act_on_form(k, f), restrict_form(f, window), -expected
+            _act_decreasing(k, f_dec), restrict_form(f_dec, window), -expected
         )
+        if residual.terms:  # reported on f's side
+            residual = convert_form(residual, f.basis_side)
         failure = _first_nonzero(residual.terms)
         checks.append(
             ResidualCheck(
@@ -347,19 +357,39 @@ def verify_whittaker_state(
     """Whittaker conditions on a level-truncated module vector.
 
     The level-l component of (L_k - psi(L_k)) w is complete whenever
-    l + k <= cutoff; only those components are asserted.
+    l + k <= cutoff; only those components are asserted.  With w_l =
+    ints[l] / dens[l], s L_k w_{l+k} is ints[l + k] times the Gram
+    recursion's integer images, cross-multiplied against psi(L_k) w_l; only
+    a failing (k, l) is rebuilt with the module action for its first term.
     """
     by_level: dict[int, dict[Partition, Fraction]] = {}
     for p, coeff in w.terms.items():
         by_level.setdefault(sum(p), {})[p] = coeff
-    component = [VermaVector(w.context, by_level.get(lvl, {})) for lvl in range(cutoff + 1)]
+    rule = straightener(w.context)
+    ints, dens = [], []
+    for lvl in range(cutoff + 1):
+        terms = by_level.get(lvl, {})
+        dens.append(lcm(*(c.denominator for c in terms.values())))
+        index = partition_index(lvl)
+        ints.append([0] * len(index))
+        for p, c in terms.items():
+            ints[lvl][index[p]] = c.numerator * (dens[lvl] // c.denominator)
     checks = []
     for k in subalgebra_indices(typ, cutoff):
         expected = typ.value(k)
         failure = None
         for lvl in range(cutoff - k + 1):
-            residual = verma_act(k, component[lvl + k]).add_scaled(component[lvl], -expected)
-            if not residual.is_zero():
+            image = [0] * len(ints[lvl])
+            for x, pairs in zip(ints[lvl + k], _scaled_images(k, lvl + k, rule)):
+                if x:
+                    for t, a in pairs:
+                        image[t] += x * a
+            # image / (s dens[lvl + k]) against psi(L_k) ints[lvl] / dens[lvl].
+            left = dens[lvl] * expected.denominator
+            right = expected.numerator * rule.scale * dens[lvl + k]
+            if any(a * left != b * right for a, b in zip(image, ints[lvl])):
+                low, high = (VermaVector(w.context, by_level.get(n, {})) for n in (lvl, lvl + k))
+                residual = verma_act(k, high).add_scaled(low, -expected)
                 part = min(residual.terms)
                 failure = (lvl, part, residual.terms[part])
                 break

@@ -145,7 +145,10 @@ class Value:
         return self._values() == other._values()
 
     def __hash__(self):
-        return hash(self._values())
+        # Fields never change, so the hash is computed once and kept.
+        if "_hash" not in self.__dict__:
+            self.__dict__["_hash"] = hash(self._values())
+        return self.__dict__["_hash"]
 
     def __repr__(self):
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))

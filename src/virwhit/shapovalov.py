@@ -19,7 +19,10 @@ Z + Z Delta + Z c/2 (the central term is c m(m^2-1)/12 and m(m^2-1)/12 is
 in Z/2), so s clears it, and each part of lambda adds one such factor.
 The straightener already holds s^{1 + len mu - len nu} times the
 coefficient on nu as an integer, so s times the coefficient is that
-integer divided exactly by s^{len mu - len nu}.  Fractions appear only in
+integer divided exactly by s^{len mu - len nu}.  The form is symmetric,
+so row i computes only its entries j >= i, from the L_k images of those
+columns, and takes entry j < i as rows[j][i] s^{len lambda_i - len lambda_j},
+an exact division when the exponent is negative.  Fractions appear only in
 the views (``entries``, ``entry``, ``pair``) and in solutions.  Matrices
 are memoized in the ``tables`` of the context's straightener, so they
 are freed with its memo.  Degeneracy is reported through
@@ -79,13 +82,13 @@ class GramMatrix(Value):
         ]
 
 
-def _scaled_images(k: int, level: int, rule) -> list:
-    # s * (L_k L_{-mu}|Delta>) for every mu of the level, as
-    # (index at level - k, integer) pairs.
+def _scaled_images(k: int, level: int, rule, start: int = 0) -> list:
+    # s * (L_k L_{-mu}|Delta>) for the mu of the level from index start on,
+    # as (index at level - k, integer) pairs.
     index = partition_index(level - k)
     powers = [rule.scale**e for e in range(level + 1)]
     images = []
-    for mu in enumerate_partitions(level):
+    for mu in enumerate_partitions(level)[start:]:
         image = []
         for nu, coeff in rule.times(-k, mu):
             value, rest = divmod(coeff, powers[len(mu) - len(nu)])
@@ -107,17 +110,36 @@ def gram(level: int, ctx: VermaContext) -> GramMatrix:
     if cached is not None:
         return cached
     partitions = enumerate_partitions(level)
-    images: dict[int, list] = {}
-    rows = []
-    for lam in partitions:
+    lengths = [len(lam) for lam in partitions]
+    powers = [rule.scale**e for e in range(level + 1)]
+    rows: list[tuple[int, ...]] = []
+
+    def unscaled(j: int, i: int) -> int:
+        # Entry (i, j) from row j's, lambda_j being the longer: an exact division.
+        value, rem = divmod(rows[j][i], powers[lengths[j] - lengths[i]])
+        if rem:
+            raise ArithmeticError(
+                f"level {level}: entry {partitions[i], partitions[j]} mirrored from "
+                f"{partitions[j], partitions[i]} is not integral after scaling by s^{lengths[i]}"
+            )
+        return value
+
+    for i, lam in enumerate(partitions):
         if not lam:
             rows.append((1,))  # <Delta|Delta> = 1
             continue
         k, rest = lam[0], lam[1:]
-        if k not in images:
-            images[k] = _scaled_images(k, level, rule)
-        row = gram(level - k, ctx).rows[partition_index(level - k)[rest]]
-        rows.append(tuple(sum(row[i] * a for i, a in image) for image in images[k]))
+        if not i or k != partitions[i - 1][0]:
+            # The rows starting with k are contiguous: columns from here on.
+            first, images = i, _scaled_images(k, level, rule, i)
+        li = len(lam)  # mirrored: rows[j][i] = s^{len lambda_j} G[i][j]
+        row = [
+            rows[j][i] * powers[li - lj] if li >= lj else unscaled(j, i)
+            for j, lj in enumerate(lengths[:i])
+        ]
+        lower = gram(level - k, ctx).rows[partition_index(level - k)[rest]]
+        row.extend(sum(lower[t] * a for t, a in image) for image in images[i - first :])
+        rows.append(tuple(row))
     result = rule.tables[key] = GramMatrix(level, ctx, partitions, tuple(rows), rule.scale)
     return result
 

@@ -1,18 +1,33 @@
 """The per-family form builders that preceded ``forms._monomial_form``,
-kept as independent oracles for it.
+and the Whittaker checks that preceded the integer state check and the
+one-conversion form check, kept as independent oracles for them.
 
 Each builder enumerates the labels up to the cutoff on its own and writes
 its own coefficient rule; a combination is the sum of one basic form per
 exponent tuple, and the special BMT form sums one basic form per support
 tuple.  They share no code with the one-pass builder apart from the
 DualForm type and its addition.
+
+The checks form every residual as a sparse vector: the state check with
+the Fraction module action ``verma.act``, the form check with
+``act_on_form``, which converts an increasing-side form to the decreasing
+side and back for every L_k.
 """
 
 from collections import Counter
 from fractions import Fraction
 
-from virwhit.forms import DECREASING, INCREASING, DualForm, form_combine, zero_form
-from virwhit.verma import enumerate_partitions
+from virwhit.forms import (
+    DECREASING,
+    INCREASING,
+    DualForm,
+    act_on_form,
+    form_combine,
+    restrict_form,
+    zero_form,
+)
+from virwhit.verma import VermaVector, act, enumerate_partitions, partition_key
+from virwhit.whittaker import ResidualCheck, VerificationReport, subalgebra_indices
 
 
 def reference_gaiotto_basic_form(psi, exponents, cutoff, ctx):
@@ -120,3 +135,41 @@ def reference_mu_derivative(psi, wrt, cutoff, ctx):
             if coeff:
                 terms[partition] = coeff
     return DualForm(ctx, cutoff, DECREASING, terms)
+
+
+def _first_nonzero(terms):
+    if not terms:
+        return None
+    part = min(terms, key=partition_key)
+    return (sum(part), part, terms[part])
+
+
+def reference_verify_whittaker_form(f, typ):
+    """(L_k f) - psi(L_k) f on levels <= cutoff - k, for every checked k."""
+    checks = []
+    for k in subalgebra_indices(typ, f.cutoff):
+        expected = typ.value(k)
+        window = f.cutoff - k
+        residual = form_combine(act_on_form(k, f), restrict_form(f, window), -expected)
+        checks.append(ResidualCheck(k, expected, window, _first_nonzero(residual.terms)))
+    return VerificationReport(tuple(checks))
+
+
+def reference_verify_whittaker_state(w, typ, cutoff):
+    """The level-l component of (L_k - psi(L_k)) w for every l + k <= cutoff."""
+    by_level = {}
+    for p, coeff in w.terms.items():
+        by_level.setdefault(sum(p), {})[p] = coeff
+    component = [VermaVector(w.context, by_level.get(lvl, {})) for lvl in range(cutoff + 1)]
+    checks = []
+    for k in subalgebra_indices(typ, cutoff):
+        expected = typ.value(k)
+        failure = None
+        for lvl in range(cutoff - k + 1):
+            residual = act(k, component[lvl + k]).add_scaled(component[lvl], -expected)
+            if not residual.is_zero():
+                part = min(residual.terms)
+                failure = (lvl, part, residual.terms[part])
+                break
+        checks.append(ResidualCheck(k, expected, cutoff - k, failure))
+    return VerificationReport(tuple(checks))

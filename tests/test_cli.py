@@ -651,6 +651,29 @@ def test_bmt_bad_coefficients_exit_2(capsys, option, value, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "command, coeffs",
+    [
+        (["gaiotto", "--r", "1", "--mu", "1,0"], "[]"),
+        (["gaiotto", "--r", "1", "--mu", "1,0"], '[{"exponents": [], "coefficient": "0"}]'),
+        (["bmt", "--n", "4", "--nu1", "2/5", "--nun", "-3"], "[]"),
+        (
+            ["bmt", "--n", "4", "--nu1", "2/5", "--nun", "-3"],
+            '[{"exponents": [0, 0], "coefficient": "0"},'
+            ' {"exponents": [1, 0], "coefficient": "0/7"}]',
+        ),
+    ],
+    ids=["gaiotto-empty", "gaiotto-zeros", "bmt-empty", "bmt-zeros"],
+)
+def test_zero_coefficients_exit_2(capsys, command, coeffs):
+    # The zero form would be reported as a passing state.
+    code = main([*command, "--c", "1", "--delta", "1", "--cutoff", "2", "--coeffs", coeffs])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --coeffs has no nonzero coefficient: the form would be zero\n"
+
+
 GAIOTTO_R2 = ["gaiotto", "--r", "2", "--mu", "2,-1/3,7", "--c", "11/3", "--delta", "2/7"]
 GAIOTTO_COEFFS = (
     '[{"exponents": [0], "coefficient": "1"}, {"exponents": [2], "coefficient": "-1/3"}]'

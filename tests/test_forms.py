@@ -11,6 +11,8 @@ from forms_oracle import (
     reference_combination,
     reference_gaiotto_basic_form,
     reference_mu_derivative,
+    reference_verify_whittaker_form,
+    reference_verify_whittaker_state,
 )
 from virwhit.forms import (
     DECREASING,
@@ -440,3 +442,43 @@ def test_bmt_builders_match_oracle(case):
     assert bmt_form(psi, coeffs, cutoff, CTX) == expected
     special = reference_bmt_special_form(psi, lambdas, cutoff, CTX)
     assert bmt_special_form(psi, lambdas, cutoff, CTX) == special
+
+
+PSI_N5 = WhittakerType1N(5, Fraction(-3, 4), Fraction(2))
+ORACLE_CUTOFF = 6
+ORACLE_FORMS = {
+    "gaiotto-r1": (PSI_R1, lambda c: gaiotto_form(PSI_R1, {(): Fraction(1)}, c, CTX)),
+    "gaiotto-r2": (
+        PSI_R2,
+        lambda c: gaiotto_form(PSI_R2, {(0,): Fraction(1), (1,): Fraction(-2, 3)}, c, CTX),
+    ),
+    "bmt-n4": (
+        PSI_N4,
+        lambda c: bmt_form(PSI_N4, {(0, 0): Fraction(1), (1, 0): Fraction(3, 2)}, c, CTX),
+    ),
+    "bmt-n5": (
+        PSI_N5,
+        lambda c: bmt_special_form(PSI_N5, (Fraction(2), Fraction(0), Fraction(-1, 3)), c, CTX),
+    ),
+}
+
+
+def _changed(vector, level):
+    """The vector with 1 added to the coefficient of the level's first label."""
+    label = enumerate_partitions(level)[0]
+    return vector.add_scaled(type(vector)(*vector.module, {label: Fraction(1)}), Fraction(1))
+
+
+@pytest.mark.parametrize("case", list(ORACLE_FORMS))
+def test_whittaker_checks_match_sparse_oracles(case):
+    psi, build = ORACLE_FORMS[case]
+    form = build(ORACLE_CUTOFF)
+    state = raise_indices(form)
+    for level in (None, 2, ORACLE_CUTOFF):
+        f = form if level is None else _changed(form, level)
+        w = state if level is None else _changed(state, level)
+        form_report = verify_whittaker_form(f, psi)
+        state_report = verify_whittaker_state(w, psi, ORACLE_CUTOFF)
+        assert form_report == reference_verify_whittaker_form(f, psi), (case, level)
+        assert state_report == reference_verify_whittaker_state(w, psi, ORACLE_CUTOFF)
+        assert form_report.passed == state_report.passed == (level is None)

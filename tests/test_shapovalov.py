@@ -8,9 +8,15 @@ from pathlib import Path
 import pytest
 
 from fraction_oracle import reference_det, reference_solve
-from virwhit import forms
-from virwhit.shapovalov import SingularGramError, gram, solve
-from virwhit.verma import VermaContext, _act_monomial, enumerate_partitions
+from virwhit import forms, shapovalov
+from virwhit.shapovalov import SingularGramError, _scaled_images, gram, solve
+from virwhit.verma import (
+    VermaContext,
+    _act_monomial,
+    enumerate_partitions,
+    partition_index,
+    straightener,
+)
 from virwhit.virasoro import MAX_CONTEXTS, normal_order
 from virwhit.whittaker import WhittakerTypeR
 
@@ -83,6 +89,55 @@ def test_gram_symmetric():
             for i in range(size):
                 for j in range(size):
                     assert g.entries[i][j] == g.entries[j][i]
+
+
+def full_row_gram_rows(level, ctx, memo):
+    """The Gram recursion with every entry computed: row (k, rest) is row
+    ``rest`` of the lower matrix applied to the L_k images of all columns."""
+    if level not in memo:
+        rule = straightener(ctx)
+        images, rows = {}, []
+        for lam in enumerate_partitions(level):
+            if not lam:
+                rows.append((1,))
+                continue
+            k, rest = lam[0], lam[1:]
+            if k not in images:
+                images[k] = _scaled_images(k, level, rule)
+            row = full_row_gram_rows(level - k, ctx, memo)[partition_index(level - k)[rest]]
+            rows.append(tuple(sum(row[i] * a for i, a in image) for image in images[k]))
+        memo[level] = tuple(rows)
+    return memo[level]
+
+
+def test_mirrored_rows_match_full_rows():
+    for ctx in CONTEXTS:
+        memo = {}
+        for level in range(11):
+            assert gram(level, ctx).rows == full_row_gram_rows(level, ctx, memo), (ctx, level)
+
+
+def test_mirrored_entry_with_a_remainder_raises(monkeypatch):
+    # Row (4, 1, 1) precedes the shorter (3, 3) at level 6, so that entry of
+    # the latter is row (4, 1, 1)'s divided by s.  An L_4 image perturbed on
+    # (1, 1) adds s^2 G_2[(1, 1)][(1, 1)] = 2^22 * 20 there, which s = 2^11 * 9
+    # does not divide.
+    original = shapovalov._scaled_images
+
+    def perturbed(k, level, rule, start=0):
+        images = original(k, level, rule, start)
+        if (k, level) == (4, 6):
+            images = [image + [(1, 1)] for image in images]
+        return images
+
+    monkeypatch.setattr(shapovalov, "_scaled_images", perturbed)
+    ctx = VermaContext(Fraction(7, 1024), Fraction(-5, 9))
+    with pytest.raises(ArithmeticError) as info:
+        gram(6, ctx)
+    assert str(info.value) == (
+        "level 6: entry ((3, 3), (4, 1, 1)) mirrored from ((4, 1, 1), (3, 3)) "
+        "is not integral after scaling by s^2"
+    )
 
 
 def test_solve_level_one_inversion():

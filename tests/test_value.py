@@ -137,3 +137,16 @@ def test_gram_matrix_caches_entries_on_a_frozen_record():
     g = gram(2, CTX)
     assert g.entries is g.entries
     assert g.entries[0][0] == 4 * CTX.delta + CTX.c / 2
+
+
+def test_hash_is_kept_after_the_first_call():
+    record, twin = VermaContext(*RECORDS[VermaContext]), VermaContext(*RECORDS[VermaContext])
+    before = repr(record)
+    fields = hash((record.c, record.delta))
+    assert hash(record) == fields and hash(record) == fields
+    assert hash(twin) == hash(record) and twin == record
+    assert repr(record) == before
+    vector = VermaVector(*RECORDS[VermaVector])
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            hash(vector)
