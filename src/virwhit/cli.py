@@ -6,7 +6,8 @@ JSON object (the Whittaker type and the Verma context, flat keys of
 "parameters"; the form; the state; the --coeffs map) has one writer and one
 reader, which first checks for a JSON object or list.  A command returns its
 document body and whether it passed; ``main`` alone adds {"schema":
-"virwhit/1", "command": ...}, writes stdout and --out and picks the exit code.
+"virwhit/1", "command": ...}, streams the document to stdout and --out and
+picks the exit code.
 The Verma, Shapovalov, forms and universal modules are imported by the
 commands and codecs that use them, so each call loads only what it runs;
 they are used as module attributes, looked up at call time.
@@ -23,6 +24,7 @@ import random
 import sys
 from fractions import Fraction
 from functools import partial
+from itertools import chain, islice
 from math import comb
 
 from .linalg import SingularGramError
@@ -59,6 +61,12 @@ MAX_PAIR_N = 100
 # verify 1.1 s, gram --level 12 0.5 s (47 MB peak).  With c = 1/7...7 and
 # Delta = 3/7...7 (48 digits) and mu = (1, 0) gaiotto took 2.2 s.
 MAX_PARAMETER_BITS = 160
+# Encoder chunks joined into one write of a document.  The text is never
+# built whole, and an unbuffered stdout (PYTHONUNBUFFERED=1) makes one system
+# call per batch, not per chunk.  gram --level 12 (0.38 MB, ~16,000 chunks)
+# then traces 0.17 MB above building its body, against 1.6 MB for one
+# json.dumps string (0.06 MB with 256-chunk batches, 0.53 MB with 4,096).
+WRITE_BATCH = 1024
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -676,6 +684,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_document(document: dict, path: str | None) -> OSError | None:
+    """Write json.dumps(document, indent=2) + "\\n" to stdout and, if a path
+    is given, to that file; return the first OSError the file raised.
+
+    The file is opened before anything goes to stdout, so an unwritable path
+    leaves stdout empty; once open, stdout gets the whole document whatever
+    the file does.  json.dumps with an indent runs the same pure-Python
+    iterencode, so the bytes are the same; the chunks go out WRITE_BATCH at
+    a time.
+    """
+    try:
+        out = open(path, "w", encoding="utf-8", newline="\n") if path else None
+    except OSError as exc:
+        return exc
+    chunks = json.JSONEncoder(indent=2).iterencode(document)
+    failure = None
+    try:
+        # iterencode yields no empty chunk, so only exhaustion joins to ""
+        for batch in chain(iter(lambda: "".join(islice(chunks, WRITE_BATCH)), ""), ["\n"]):
+            sys.stdout.write(batch)
+            if out is not None and failure is None:
+                try:
+                    out.write(batch)
+                except OSError as exc:
+                    failure = exc
+    finally:
+        if out is not None:
+            try:
+                out.close()
+            except OSError as exc:
+                failure = failure or exc
+    return failure
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -690,15 +732,10 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ConfigError and the library's own checks
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    text = json.dumps({"schema": SCHEMA, "command": args.document, **body}, indent=2)
-    sys.stdout.write(text + "\n")
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(text + "\n")
-        except OSError as exc:
-            print(f"error: cannot write --out: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+    failure = _write_document({"schema": SCHEMA, "command": args.document, **body}, args.out)
+    if failure is not None:
+        print(f"error: cannot write --out: {failure}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK if passed else EXIT_VERIFICATION
 
 

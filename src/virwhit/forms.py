@@ -16,9 +16,10 @@ verma.reversed_monomial(mu), and is never a solve.
 
 The module action on forms is (L_m f)(v) = f(L_{-m} v).  It is computed on
 the decreasing side, where the value at L_{-mu}|Delta> reads the canonical
-expansion of L_{-m} L_{-mu}|Delta> directly; increasing-side forms are
-converted to the decreasing side and back, by verify_whittaker_form once
-per check, and only its nonzero residuals come back.  A cutoff-N form
+expansion of L_{-m} L_{-mu}|Delta> directly; act_on_form converts
+increasing-side forms to the decreasing side and back; verify_whittaker_form
+converts once per check and reads its residuals' first nonzero terms on
+the decreasing side.  A cutoff-N form
 represents the exact restriction of a generally infinite object to levels
 <= N, so every residual check is scoped to the levels where it is fully
 determined: (L_k f - expected f) is complete on levels <= N - k.
@@ -337,8 +338,10 @@ def verify_whittaker_form(f: DualForm, typ: WhittakerType) -> VerificationReport
         residual = form_combine(
             _act_decreasing(k, f_dec), restrict_form(f_dec, window), -expected
         )
-        if residual.terms:  # reported on f's side
-            residual = convert_form(residual, f.basis_side)
+        # Reported as on f's side without converting back: entry mu of either
+        # conversion reads only labels up to mu in partition order, mu itself
+        # with coefficient 1 (B is unitriangular), so the first nonzero label
+        # and its coefficient are the same on both sides.
         failure = _first_nonzero(residual.terms)
         checks.append(
             ResidualCheck(

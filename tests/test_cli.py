@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
 import re
 import shlex
+import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
 from math import prod
@@ -10,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from virwhit import forms, linalg, universal
-from virwhit.cli import MAX_PARAMETER_BITS, main
+from virwhit.cli import MAX_PARAMETER_BITS, build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -336,10 +339,55 @@ def test_empty_list_item_exits_2(capsys, argv):
 def test_unwritable_out_exits_2(tmp_path, capsys):
     out = tmp_path / "missing" / "x.json"
     code = main(["gram", "--c", "1", "--delta", "1", "--level", "1", "--out", str(out)])
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert code == 2
-    assert err.startswith("error: cannot write --out: ")
-    assert err.count("\n") == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write --out: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_failed_out_write_exits_2(capsys):
+    argv = ["gram", "--c", "1", "--delta", "1", "--level", "3"]
+    code, document = run_cli(capsys, *argv)
+    assert code == 0
+    code = main([*argv, "--out", "/dev/full"])  # opens, then every write fails
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == document
+    assert captured.err.startswith("error: cannot write --out: ")
+    assert captured.err.count("\n") == 1
+
+
+GRAM_12 = ["gram", "--c", "11/3", "--delta", "2/7", "--level", "12"]
+
+
+def test_out_file_equals_stdout(tmp_path, capsys):
+    path = tmp_path / "gram.json"
+    code, out = run_cli(capsys, *GRAM_12, "--out", str(path))
+    assert code == 0
+    assert path.read_bytes() == out.encode()
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_document_is_streamed(tmp_path, monkeypatch):
+    """Writing the document costs less traced memory than its own length."""
+    path = tmp_path / "gram.json"
+    with open(os.devnull, "w") as devnull:
+        monkeypatch.setattr(sys, "stdout", devnull)  # a captured stdout is traced too
+        assert main([*GRAM_12, "--out", str(path)]) == 0  # computes the context
+        args = build_parser().parse_args(GRAM_12)
+        body = _traced_peak(lambda: args.func(args))
+        streamed = _traced_peak(lambda: main(GRAM_12))
+    assert streamed - body < path.stat().st_size
 
 
 def test_cutoff_limit_exits_2(capsys):

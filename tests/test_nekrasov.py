@@ -20,6 +20,7 @@ level and a denominator of a coprime to the numerator and denominator of b.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -34,9 +35,9 @@ from virwhit.shapovalov import gram, solve
 from virwhit.verma import VermaContext, enumerate_partitions
 from virwhit.whittaker import WhittakerTypeR
 
-TOP_LEVEL = 8
+TOP_LEVEL = 12
 
-# (b, a): b^2 = 9/4 and 16/9, so p + q = 13 and 25.
+# (b, a): b^2 = 9/4 and 16/9, so p + q = 13 and 25, both above TOP_LEVEL.
 POINTS = [
     (Fraction(3, 2), Fraction(2, 7)),
     (Fraction(4, 3), Fraction(1, 5)),
@@ -47,6 +48,7 @@ def _transpose(y):
     return tuple(sum(1 for part in y if part > j) for j in range(y[0])) if y else ()
 
 
+@lru_cache(maxsize=None)  # each (level, b, a) is asked for by two tests
 def nekrasov_level(level, b, a):
     e1, e2 = b, 1 / b
     q = e1 + e2
