@@ -13,13 +13,14 @@ commands and codecs that use them, so each call loads only what it runs;
 they are used as module attributes, looked up at call time.
 
 Exit codes: 0 all requested verifications pass, 1 a verification failed,
-2 unusable configuration, 3 degenerate Shapovalov form at some level.
+2 unusable configuration or output, 3 degenerate Shapovalov form at some level.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -37,20 +38,29 @@ if TYPE_CHECKING:  # names of annotations only
     from .verma import VermaContext, VermaVector
 
 SCHEMA = "virwhit/1"
-HARD_CUTOFF_LIMIT = 12
+# Range of each integer size option by argparse dest (--seed has none),
+# checked by main before any command runs and by verify on a document's
+# cutoff.  At the bounds (fresh process, 2-vCPU host, Python 3.11) gaiotto
+# --r 1 and bmt --n 100 at cutoff 12 take 0.14 s, gram --level 12 0.08 s.
+LIMITS = {
+    "cutoff": (0, 12),
+    "level": (0, 12),
+    "l": (0, 12),
+    "length": (1, 12),
+    # family w-1-l-n --l 2 at n = 100: 0.9 s, 74 MB; at n = 200: 12.4 s, 734 MB.
+    "n": (3, 100),
+    # gaiotto and check-l0-li take 0.1 s at r = 12; gaiotto --r 20000 1.0 s.
+    "r": (1, 12),
+    # check-lemmas --r 12 --max-level 12 --max-length 12 (each mu 13/7,
+    # c = 13/5, seed 7): 1.7 s and 117 MB peak for 1000 samples.
+    "samples": (1, 1000),
+    "max_level": (0, 12),
+    "max_length": (0, 12),
+}
 # Most ansatz words a universal search may build.  On a 2-vCPU host
 # (Python 3.11) 219 words (n = 5, length 9) took 0.07 s, 454 words (n = 5,
 # length 12) 0.2 s and 1715 words (n = 9, length 6) 1.9-2.1 s at 38 MB peak.
 MAX_ANSATZ_WORDS = 500
-# Most samples a check-lemmas run may draw.  On a 2-vCPU host (Python 3.11)
-# 1000 samples at --max-level 12 --max-length 12 (each mu 13/7, c = 13/5,
-# seed 7) took 0.5-0.8 s for r = 2, 0.85-0.9 s for r = 3 and 1.9-2.3 s at
-# 115 MB peak for r = 12, the largest --r.
-MAX_LEMMA_SAMPLES = 1000
-# Largest --n of bmt and universal family.  On a 2-vCPU host the w-1-l-n
-# family at --l 2 took 1.2 s and 73 MB at n = 100, and 12.4 s and 734 MB at
-# n = 200; bmt at n = 100 and cutoff 12 took 0.3 s.
-MAX_PAIR_N = 100
 # Most bits in the numerator or the denominator of a parameter (c, Delta,
 # mu, nu, lambda, alpha0 and the --coeffs values, from flags or a verify
 # document); state and form coefficients carry 245-475 bits and are not
@@ -113,16 +123,6 @@ def _require(value, kind: type, message: str):
     if not isinstance(value, kind):
         raise ConfigError(message)
     return value
-
-
-def _check_range(name: str, value: int, low: int, high: int) -> int:
-    if value < low or value > high:
-        raise ConfigError(f"{name} must lie in {low}..{high}, got {value}")
-    return value
-
-
-def _check_cutoff(cutoff: int) -> int:
-    return _check_range("cutoff", cutoff, 0, HARD_CUTOFF_LIMIT)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +188,9 @@ def _form_from_json(obj, ctx: VermaContext) -> forms.DualForm:
     if side not in (forms.DECREASING, forms.INCREASING):
         raise ConfigError(f"unknown basis side {side!r}")
     step = -1 if side == forms.DECREASING else 1
-    cutoff = _check_cutoff(_json_int(obj["cutoff"], "cutoff"))
+    cutoff, (low, high) = _json_int(obj["cutoff"], "cutoff"), LIMITS["cutoff"]
+    if not low <= cutoff <= high:
+        raise ConfigError(f"cutoff must lie in {low}..{high}, got {cutoff}")
     terms: dict = {}  # a repeated level block adds to its level
     for block in obj.get("levels", []):
         lvl = _json_int(block["level"], "level")
@@ -361,8 +363,7 @@ def _coefficients(args, length: int) -> dict:
 def _cmd_gram(args):
     """Shapovalov Gram matrices for levels 0..N"""
     from . import shapovalov
-    level = _check_cutoff(args.level)
-    ctx = _context(args)
+    level, ctx = args.level, _context(args)
     blocks = []
     for lvl in range(level + 1):
         g = shapovalov.gram(lvl, ctx)
@@ -404,19 +405,16 @@ def _state_document(psi: WhittakerType, form: forms.DualForm, coefficients: dict
 def _cmd_gaiotto(args):
     """build, raise and verify a Gaiotto state"""
     from . import forms
-    cutoff = _check_cutoff(args.cutoff)
     psi, ctx = _whittaker_type(args), _context(args)
     coeffs = _coefficients(args, psi.r - 1)
-    form = forms.gaiotto_form(psi, coeffs, cutoff, ctx)
+    form = forms.gaiotto_form(psi, coeffs, args.cutoff, ctx)
     return _state_document(psi, form, {"coefficients": _coeffs_json(coeffs)})
 
 
 def _cmd_bmt(args):
     """build, raise and verify a BMT state"""
     from . import forms
-    cutoff = _check_cutoff(args.cutoff)
-    _check_range("--n", args.n, 3, MAX_PAIR_N)
-    psi, ctx = _whittaker_type(args), _context(args)
+    cutoff, psi, ctx = args.cutoff, _whittaker_type(args), _context(args)
     if args.coeffs and args.lambdas:
         raise ConfigError("give either --coeffs or --lambdas, not both")
     if args.lambdas is not None:
@@ -499,8 +497,6 @@ FAMILIES = {
 def _cmd_universal_family(args):
     """construct and verify a family vector"""
     from . import universal
-    _check_range("--l", args.l, 0, HARD_CUTOFF_LIMIT)
-    _check_range("--n", args.n, 3, MAX_PAIR_N)
     psi = _whittaker_type(args)
     vector = FAMILIES[args.family](universal, psi, args)
     report = universal.verify_whittaker_vector(vector, psi)
@@ -523,7 +519,7 @@ def _cmd_universal_search(args):
     """exact Whittaker-vector search"""
     from . import universal
     psi = _whittaker_type(args)
-    length = _check_range("--length", args.length, 1, HARD_CUTOFF_LIMIT)
+    length = args.length
     # Nonempty multisets of at most `length` letters from 2..n-1:
     # sum_{k=1}^{length} C(n-3+k, k) = C(n-2+length, length) - 1.
     words = comb(psi.n - 2 + length, length) - 1
@@ -566,10 +562,6 @@ def _random_pseudo_partition(rng: random.Random, r: int, max_level: int, max_len
 def _cmd_check_lemmas(args):
     """randomized commutator bound checks"""
     from . import universal
-    _check_range("--r", args.r, 1, HARD_CUTOFF_LIMIT)
-    _check_range("--samples", args.samples, 1, MAX_LEMMA_SAMPLES)
-    _check_range("--max-level", args.max_level, 0, HARD_CUTOFF_LIMIT)
-    _check_range("--max-length", args.max_length, 0, HARD_CUTOFF_LIMIT)
     psi = _whittaker_type(args)
     rng = random.Random(args.seed)
     s = psi.rank
@@ -610,12 +602,10 @@ def _cmd_check_lemmas(args):
 def _cmd_check_l0_li(args):
     """closed-form L_0 and L_i identities"""
     from . import forms
-    _check_range("--r", args.r, 1, HARD_CUTOFF_LIMIT)
-    cutoff = _check_cutoff(args.cutoff)
     psi, ctx = _whittaker_type(args), _context(args)
-    report = forms.check_L0_Li_on_basic(psi, cutoff, ctx)
+    report = forms.check_L0_Li_on_basic(psi, args.cutoff, ctx)
     body = {
-        "parameters": {**_type_json(psi), **_context_json(ctx), "cutoff": cutoff},
+        "parameters": {**_type_json(psi), **_context_json(ctx), "cutoff": args.cutoff},
         "verification": _report_json(report),
     }
     return body, report.passed
@@ -722,6 +712,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         for name, value in vars(args).items():
+            if name in LIMITS:
+                low, high = LIMITS[name]
+                if not low <= value <= high:
+                    option = name.replace("_", "-")
+                    raise ConfigError(f"--{option} must lie in {low}..{high}, got {value}")
             for x in value if isinstance(value, list) else [value]:
                 if isinstance(x, Fraction):
                     _parameter(x, f"--{name}")
@@ -732,7 +727,13 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ConfigError and the library's own checks
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    failure = _write_document({"schema": SCHEMA, "command": args.document, **body}, args.out)
+    try:
+        failure = _write_document({"schema": SCHEMA, "command": args.document, **body}, args.out)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:  # the reader left; the exit flush must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     if failure is not None:
         print(f"error: cannot write --out: {failure}", file=sys.stderr)
         return EXIT_CONFIG

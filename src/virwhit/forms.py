@@ -53,7 +53,6 @@ from .verma import (
     reversed_monomial,
     straightener,
 )
-from .verma import act as verma_act
 from .whittaker import (
     ResidualCheck,
     VerificationReport,
@@ -362,8 +361,8 @@ def verify_whittaker_state(
     The level-l component of (L_k - psi(L_k)) w is complete whenever
     l + k <= cutoff; only those components are asserted.  With w_l =
     ints[l] / dens[l], s L_k w_{l+k} is ints[l + k] times the Gram
-    recursion's integer images, cross-multiplied against psi(L_k) w_l; only
-    a failing (k, l) is rebuilt with the module action for its first term.
+    recursion's integer images, cross-multiplied against psi(L_k) w_l; a
+    failing (k, l) reports its first wrong label from the same integers.
     """
     by_level: dict[int, dict[Partition, Fraction]] = {}
     for p, coeff in w.terms.items():
@@ -390,11 +389,12 @@ def verify_whittaker_state(
             # image / (s dens[lvl + k]) against psi(L_k) ints[lvl] / dens[lvl].
             left = dens[lvl] * expected.denominator
             right = expected.numerator * rule.scale * dens[lvl + k]
-            if any(a * left != b * right for a, b in zip(image, ints[lvl])):
-                low, high = (VermaVector(w.context, by_level.get(n, {})) for n in (lvl, lvl + k))
-                residual = verma_act(k, high).add_scaled(low, -expected)
-                part = min(residual.terms)
-                failure = (lvl, part, residual.terms[part])
+            wrong = [t for t, (a, b) in enumerate(zip(image, ints[lvl])) if a * left != b * right]
+            if wrong:  # report the least label, the last in reverse-lexicographic order
+                t = wrong[-1]
+                scale = rule.scale * dens[lvl + k] * left
+                coeff = Fraction(image[t] * left - ints[lvl][t] * right, scale)
+                failure = (lvl, enumerate_partitions(lvl)[t], coeff)
                 break
         checks.append(
             ResidualCheck(

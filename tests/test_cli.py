@@ -1,8 +1,10 @@
+import argparse
 import hashlib
 import json
 import os
 import re
 import shlex
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -13,9 +15,10 @@ from pathlib import Path
 import pytest
 
 from virwhit import forms, linalg, universal
-from virwhit.cli import MAX_PARAMETER_BITS, build_parser, main
+from virwhit.cli import LIMITS, MAX_PARAMETER_BITS, build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = README.parent / "src"
 
 
 def run_cli(capsys, *args):
@@ -217,16 +220,22 @@ def test_universal_family_l_limit_exits_2_before_building(capsys, monkeypatch, v
     assert captured.err == f"error: --l must lie in 0..12, got {value}\n"
 
 
-@pytest.mark.parametrize("value", ["2", "101"])
-def test_universal_family_n_limit_exits_2_before_building(capsys, monkeypatch, value):
+@pytest.mark.parametrize(
+    "command, value",
+    [
+        (["family", "--family", "w-1-l-n", "--l", "2"], "2"),
+        (["family", "--family", "w-1-l-n", "--l", "2"], "101"),
+        (["search", "--length", "1"], "101"),  # 98 words, under the ansatz limit
+    ],
+    ids=["2", "101", "search-101"],
+)
+def test_universal_family_n_limit_exits_2_before_building(capsys, monkeypatch, command, value):
     def no_family(*args):
         raise AssertionError("family built before the limit check")
 
     monkeypatch.setattr(universal, "family_w_1_l_n", no_family)
-    code = main(
-        ["universal", "family", "--family", "w-1-l-n", "--n", value]
-        + ["--nu1", "1", "--nun", "2", "--l", "2"]
-    )
+    monkeypatch.setattr(universal, "level0_words", no_family)
+    code = main(["universal", *command, "--n", value, "--nu1", "1", "--nun", "2"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -247,14 +256,24 @@ def test_check_lemmas_r_limit_exits_2_before_sampling(capsys, monkeypatch, r):
     assert captured.err == f"error: --r must lie in 1..12, got {r}\n"
 
 
-@pytest.mark.parametrize("r", [0, 13, 20])
-def test_check_l0_li_r_limit_exits_2_before_checking(capsys, monkeypatch, r):
+@pytest.mark.parametrize(
+    "command, r",
+    [
+        (["check-l0-li"], 0),
+        (["check-l0-li"], 13),
+        (["check-l0-li"], 20),
+        (["gaiotto", "--cutoff", "2"], 13),
+    ],
+    ids=["0", "13", "20", "gaiotto-13"],
+)
+def test_check_l0_li_r_limit_exits_2_before_checking(capsys, monkeypatch, command, r):
     def no_check(*args):
         raise AssertionError("identities checked before the limit check")
 
     monkeypatch.setattr(forms, "check_L0_Li_on_basic", no_check)
+    monkeypatch.setattr(forms, "gaiotto_form", no_check)
     mu = ",".join(["1"] * (r + 1))
-    code = main(["check-l0-li", "--r", str(r), "--mu", mu, "--c", "1", "--delta", "1"])
+    code = main([*command, "--r", str(r), "--mu", mu, "--c", "1", "--delta", "1"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -388,6 +407,40 @@ def test_document_is_streamed(tmp_path, monkeypatch):
         body = _traced_peak(lambda: args.func(args))
         streamed = _traced_peak(lambda: main(GRAM_12))
     assert streamed - body < path.stat().st_size
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_2(unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "virwhit.cli", *GRAM_12]  # 0.38 MB, past any pipe buffer
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()  # the reader leaves, as `| head -c 10` does
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert code == 2
+    assert err.startswith("error: cannot write stdout: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def _int_options(parser):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for subparser in action.choices.values():
+                yield from _int_options(subparser)
+        elif action.type is int:
+            yield action
+
+
+def test_every_int_option_has_a_limit():
+    options = {a.dest: a.option_strings for a in _int_options(build_parser())}
+    assert set(options) - {"seed"} == set(LIMITS)
+    for dest, strings in options.items():  # main names the option from its dest
+        assert strings == ["--" + dest.replace("_", "-")]
 
 
 def test_cutoff_limit_exits_2(capsys):
