@@ -52,7 +52,7 @@ LIMITS = {
     # gaiotto and check-l0-li take 0.1 s at r = 12; gaiotto --r 20000 1.0 s.
     "r": (1, 12),
     # check-lemmas --r 12 --max-level 12 --max-length 12 (each mu 13/7,
-    # c = 13/5, seed 7): 1.7 s and 117 MB peak for 1000 samples.
+    # c = 13/5, seed 7): 1.7 s and 81 MB peak for 1000 samples.
     "samples": (1, 1000),
     "max_level": (0, 12),
     "max_length": (0, 12),
@@ -680,20 +680,27 @@ def _write_document(document: dict, path: str | None) -> OSError | None:
 
     The file is opened before anything goes to stdout, so an unwritable path
     leaves stdout empty; once open, stdout gets the whole document whatever
-    the file does.  json.dumps with an indent runs the same pure-Python
-    iterencode, so the bytes are the same; the chunks go out WRITE_BATCH at
-    a time.
+    the file does, and the file gets it whatever stdout does: a
+    BrokenPipeError from stdout is raised only after the file is closed.
+    json.dumps with an indent runs the same pure-Python iterencode, so the
+    bytes are the same; the chunks go out WRITE_BATCH at a time.
     """
     try:
         out = open(path, "w", encoding="utf-8", newline="\n") if path else None
     except OSError as exc:
         return exc
     chunks = json.JSONEncoder(indent=2).iterencode(document)
-    failure = None
+    failure = broken = None
     try:
         # iterencode yields no empty chunk, so only exhaustion joins to ""
         for batch in chain(iter(lambda: "".join(islice(chunks, WRITE_BATCH)), ""), ["\n"]):
-            sys.stdout.write(batch)
+            if broken is None:
+                try:
+                    sys.stdout.write(batch)
+                except BrokenPipeError as exc:
+                    if out is None:
+                        raise
+                    broken = exc
             if out is not None and failure is None:
                 try:
                     out.write(batch)
@@ -705,6 +712,8 @@ def _write_document(document: dict, path: str | None) -> OSError | None:
                 out.close()
             except OSError as exc:
                 failure = failure or exc
+    if broken is not None:
+        raise broken
     return failure
 
 

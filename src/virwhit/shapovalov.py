@@ -23,7 +23,7 @@ integer divided exactly by s^{len mu - len nu}.  The form is symmetric,
 so row i computes only its entries j >= i, from the L_k images of those
 columns, and takes entry j < i as rows[j][i] s^{len lambda_i - len lambda_j},
 an exact division when the exponent is negative.  Fractions appear only in
-the views (``entries``, ``entry``, ``pair``) and in solutions.  Matrices
+the views (``entries``, ``pair``) and in solutions.  Matrices
 are memoized in the ``tables`` of the context's straightener, so they
 are freed with its memo.  Degeneracy is reported through
 SingularGramError, never worked around: callers wanting to raise indices
@@ -64,12 +64,6 @@ class GramMatrix(Value):
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         pairs = zip(self.rows, self.row_scales())
         return tuple(tuple(Fraction(x, d) for x in row) for row, d in pairs)
-
-    def entry(self, row_partition, col_partition) -> Fraction:
-        order = partition_index(self.level)
-        lam = tuple(row_partition)
-        value = self.rows[order[lam]][order[tuple(col_partition)]]
-        return Fraction(value, self.scale ** len(lam))
 
     def pair(self, coords) -> list[Fraction]:
         """G_N x for x given by its coordinates in partition order."""

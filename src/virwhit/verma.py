@@ -10,9 +10,9 @@ V_{c,Delta} is induced from p = span{L_n, n >= 0} with the highest-weight
 end rule chi(L_0) = Delta, chi(L_{n>0}) = 0.  Its straightener
 (virasoro.Straightener, one per (c, Delta)) takes the partition itself as
 the word, letter x standing for L_{-x}, so the action of L_m on a basis
-vector is straightener(ctx).times(-m, partition), with no conversion: its
-integer on nu is the coefficient times s^{1 + len partition - len nu},
-with s = lcm(2 den c, den Delta).
+vector is straightener(ctx).times(-m, partition), with no conversion: it
+yields each (nu, integer) pair once, the integer being the coefficient
+times s^{1 + len partition - len nu}, with s = lcm(2 den c, den Delta).
 
 The reversed monomials R_mu = L_{-mu_k} ... L_{-mu_1} |Delta> exist only
 through reversed_monomial, a cached sparse integer column of the basis

@@ -37,6 +37,7 @@ All operations are pure and elements are treated as immutable.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 from math import lcm
 from operator import pos
@@ -85,6 +86,18 @@ def bracket(m: int, n: int, c: Fraction) -> EnvelopingElement:
     return EnvelopingElement(c, terms)
 
 
+def _accumulate_flat(acc: dict[Word, int], image: tuple, scalar: int) -> None:
+    # linalg.accumulate on a flat image; most images have one term, and this
+    # reads them without a zip.
+    it = iter(image)
+    for v in it:
+        new = acc.get(v, 0) + next(it) * scalar
+        if new:
+            acc[v] = new
+        else:
+            acc.pop(v, None)
+
+
 class Straightener:
     """L_m times the ordered words of one induced module U(Vir) (x)_{U(p)} C_chi.
 
@@ -113,14 +126,16 @@ class Straightener:
     sign (m - a) s, and the central term gets c m(m^2 - 1)/12 s^2, where
     m(m^2 - 1)/12 lies in Z/2.  ``times`` returns these integers, ``fold``
     applies a word to integer images, and ``apply`` is the boundary that
-    takes and returns Fractions.
+    takes and returns Fractions.  The memo stores each image as one flat
+    tuple (v0, n0, v1, n1, ...), not one 2-tuple per term; ``times`` reads
+    it back as (v, n) pairs.
     """
 
     def __init__(self, c, sign: int = 1, rank=pos, end=None, scalars=()):
         self.c, self.sign, self.rank, self.end = c, sign, rank, end
         self.scale = lcm(2 * c.denominator, *(x.denominator for x in scalars))
-        self._cache: dict[tuple[int, Word], tuple[tuple[Word, int], ...]] = {}
-        self._ends: dict[int, tuple[tuple[Word, int], ...]] = {}
+        self._cache: dict[tuple[int, Word], tuple] = {}  # flat images
+        self._ends: dict[int, tuple] = {}
         self._words: dict[Word, Word] = {}  # one stored copy of each word
         self.hits = 0  # memo lookups answered; every entry was one miss
         self.tables: dict = {}  # results derived from this module, freed with it
@@ -129,11 +144,11 @@ class Straightener:
         # L_m times the empty word: the letter itself or s chi(L_{sign m}).
         value = None if self.end is None else self.end(m)
         if value is None:
-            return (((m,), 1),)
+            return ((m,), 1)
         scaled, rest = divmod(value.numerator * self.scale, value.denominator)
         if rest:
             raise ArithmeticError(f"end value {value} is not cleared by scale {self.scale}")
-        return (((), scaled),) if scaled else ()
+        return ((), scaled) if scaled else ()
 
     def _lookup(self, m: int, word: Word):
         # The image if it needs no commutation or is memoized, else None.
@@ -143,7 +158,7 @@ class Straightener:
                 found = self._ends[m] = self._end(m)
             return found
         if self.rank(m) <= self.rank(word[0]):
-            return (((m,) + word, 1),)
+            return ((m,) + word, 1)
         found = self._cache.get((m, word))
         if found is not None:
             self.hits += 1
@@ -157,26 +172,35 @@ class Straightener:
         if tail is None:
             tail = yield (m, rest)
         acc: dict[Word, int] = {}
-        for u, coeff in tail:
+        pairs = iter(tail)
+        for u, coeff in zip(pairs, pairs):
             image = lookup(a, u)
             if image is None:
                 image = yield (a, u)
-            accumulate(acc, image, coeff)
+            _accumulate_flat(acc, image, coeff)
         merged = lookup(m + a, rest)
         if merged is None:
             merged = yield (m + a, rest)
         s = self.scale
-        accumulate(acc, merged, self.sign * (m - a) * s)
+        _accumulate_flat(acc, merged, self.sign * (m - a) * s)
         if m + a == 0:
             # c m(m^2 - 1)/12 s^2, exact: m(m^2 - 1) is divisible by 6, s by 2 den c.
             c = self.c.numerator * (s * s // self.c.denominator)
-            accumulate(acc, ((rest, self.sign * c * m * (m * m - 1) // 12),))
-        words = self._words
-        return tuple((words.setdefault(w, w), coeff) for w, coeff in acc.items())
+            _accumulate_flat(acc, (rest, self.sign * c * m * (m * m - 1) // 12), 1)
+        words, flat = self._words, []
+        for v, n in acc.items():
+            flat += (words.setdefault(v, v), n)
+        return tuple(flat)
 
-    def times(self, m: int, word: Word) -> tuple[tuple[Word, int], ...]:
-        """L_m times the ordered ``word``, as (ordered word v, integer) pairs;
-        the coefficient of v is the integer over s^{1 + len word - len v}."""
+    def times(self, m: int, word: Word) -> Iterator[tuple[Word, int]]:
+        """L_m times the ordered ``word``, as a one-pass iterator of (ordered
+        word v, integer) pairs; the coefficient of v is the integer over
+        s^{1 + len word - len v}."""
+        pairs = iter(self._image(m, word))
+        return zip(pairs, pairs)
+
+    def _image(self, m: int, word: Word) -> tuple:
+        # The flat image of L_m times word, filling the memo on a miss.
         image = self._lookup(m, word)
         if image is not None:
             return image
@@ -219,7 +243,7 @@ class Straightener:
         for x in reversed(word):
             acc: dict[Word, int] = {}
             for u, coeff in ints.items():
-                accumulate(acc, self.times(x, u), coeff)
+                _accumulate_flat(acc, self._image(x, u), coeff)
             ints = acc
         return ints
 

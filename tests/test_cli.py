@@ -409,22 +409,37 @@ def test_document_is_streamed(tmp_path, monkeypatch):
     assert streamed - body < path.stat().st_size
 
 
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-def test_closed_stdout_exits_2(unbuffered):
+def _close_stdout_early(unbuffered, *options):
+    # Runs GRAM_12 (0.38 MB, past any pipe buffer) and reads 10 bytes of it.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    argv = [sys.executable, "-m", "virwhit.cli", *GRAM_12]  # 0.38 MB, past any pipe buffer
+    argv = [sys.executable, "-m", "virwhit.cli", *GRAM_12, *options]
     with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         assert len(proc.stdout.read(10)) == 10
         proc.stdout.close()  # the reader leaves, as `| head -c 10` does
         err = proc.stderr.read().decode()
-        code = proc.wait(timeout=60)
+        return proc.wait(timeout=60), err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_2(unbuffered):
+    code, err = _close_stdout_early(unbuffered)
     assert code == 2
     assert err.startswith("error: cannot write stdout: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_still_writes_out(tmp_path, capsys, unbuffered):
+    path = tmp_path / "f.json"
+    code, err = _close_stdout_early(unbuffered, "--out", str(path))
+    assert code == 2
+    assert err.startswith("error: cannot write stdout: ")
+    assert err.count("\n") == 1
+    assert path.read_bytes() == run_cli(capsys, *GRAM_12)[1].encode()
 
 
 def _int_options(parser):

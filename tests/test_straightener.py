@@ -8,12 +8,14 @@ the module scale alone.
 from fractions import Fraction
 from math import lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbw_oracle import ReferenceRewriter, reference_normal_order, reference_verma_act
-from virwhit.universal import UniversalVector, apply_word, basis_vector
-from virwhit.verma import VermaContext, VermaVector, act, enumerate_partitions, straightener
+from virwhit.universal import UniversalVector, _psi_rule, apply_word, basis_vector
+from virwhit.verma import VermaContext, VermaVector, _highest_weight_rule, act
+from virwhit.verma import enumerate_partitions, straightener
 from virwhit.verma import basis_vector as verma_basis_vector
 from virwhit.virasoro import MAX_CONTEXTS, Straightener, Straighteners, normal_order
 from virwhit.whittaker import WhittakerType1N, WhittakerTypeR
@@ -77,7 +79,7 @@ def test_whittaker_action_matches_swap_recursion(case, c):
 def test_verma_images_are_integers_under_the_graded_denominator(m, partition, c, delta):
     rule = straightener(VermaContext(c, delta))
     assert rule.scale == lcm(2 * c.denominator, delta.denominator)
-    image = rule.times(-m, partition)
+    image = tuple(rule.times(-m, partition))
     assert all(type(n) is int for _, n in image)
     graded = {v: Fraction(n, rule.scale ** (1 + len(partition) - len(v))) for v, n in image}
     assert graded == reference_verma_act(m, partition, c, delta)
@@ -156,3 +158,27 @@ def test_family_keeps_the_last_max_contexts():
     for key in keys:
         family[key].times(1, (-1,))
     assert list(family) == keys[-MAX_CONTEXTS:]
+
+
+@pytest.mark.parametrize(
+    "rule, word, base",
+    [
+        (Straightener(C), (2, 1, 3, -1, -2, -3, 1), ()),
+        (_highest_weight_rule((C, Fraction(2, 7))), (-2, -1, 1, 1, -3, 2), (2, 1)),
+        (_psi_rule((WhittakerTypeR(2, (Fraction(1), Fraction(0), Fraction(3, 2))), C)),
+         (3, 2, -1, 1, -2, 4), (-1, 0)),
+        (_psi_rule((WhittakerType1N(5, Fraction(2), Fraction(-3)), C)), (4, 1, -1, 6, 2), (-2, 3)),
+    ],
+    ids=["enveloping", "verma", "order-type", "pair-type"],
+)
+def test_memo_stores_one_flat_tuple_per_image(rule, word, base):
+    rule.apply(word, {base: Fraction(1)})
+    assert rule._cache
+    for image in [*rule._cache.values(), *rule._ends.values()]:
+        assert type(image) is tuple and len(image) % 2 == 0
+        words, ints = image[::2], image[1::2]
+        for v in words:
+            ranks = list(map(rule.rank, v))
+            assert type(v) is tuple and ranks == sorted(ranks)
+        assert all(type(n) is int and n for n in ints)
+        assert len(set(words)) == len(words)
