@@ -57,9 +57,10 @@ LIMITS = {
     "max_level": (0, 12),
     "max_length": (0, 12),
 }
-# Most ansatz words a universal search may build.  On a 2-vCPU host
-# (Python 3.11) 219 words (n = 5, length 9) took 0.07 s, 454 words (n = 5,
-# length 12) 0.2 s and 1715 words (n = 9, length 6) 1.9-2.1 s at 38 MB peak.
+# Most ansatz words a universal search may build.  In process on a 2-vCPU
+# host (Python 3.11, nu_1 = 1, nu_n = 2, c = -11/5) the search over 219 words
+# (n = 5, length 9) took 0.02 s, over 454 words (n = 5, length 12) 0.07-0.09 s
+# and over 1715 words (n = 9, length 6) 0.78-0.94 s at 21.3 MB VmHWM.
 MAX_ANSATZ_WORDS = 500
 # Most bits in the numerator or the denominator of a parameter (c, Delta,
 # mu, nu, lambda, alpha0 and the --coeffs values, from flags or a verify

@@ -14,15 +14,15 @@ product with the transpose of the basis change B, or of B^-1 = D B D
 the nonzero integer entries of the cached columns
 verma.reversed_monomial(mu), and is never a solve.
 
-The module action on forms is (L_m f)(v) = f(L_{-m} v).  It is computed on
-the decreasing side, where the value at L_{-mu}|Delta> reads the canonical
-expansion of L_{-m} L_{-mu}|Delta> directly; act_on_form converts
-increasing-side forms to the decreasing side and back; verify_whittaker_form
-converts once per check and reads its residuals' first nonzero terms on
-the decreasing side.  A cutoff-N form
-represents the exact restriction of a generally infinite object to levels
-<= N, so every residual check is scoped to the levels where it is fully
-determined: (L_k f - expected f) is complete on levels <= N - k.
+The module action on forms is (L_m f)(v) = f(L_{-m} v), computed on the
+decreasing side from the integer images of verma.scaled_images.  The
+Whittaker conditions (L_k f)(v) = psi(L_k) f(v) at canonical basis
+vectors v are one set of integer rows (_whittaker_rows), which
+verify_whittaker_form pairs with f and whittaker_form_nullspace solves.
+A cutoff-N form represents the exact restriction of a generally infinite
+object to levels <= N, so every residual check is scoped to the levels
+where it is fully determined: (L_k f - expected f) is complete on levels
+<= N - k.
 
 Scalars are rational, so the anti-linearity of the forms coincides with
 linearity and all checks are exact equalities.
@@ -42,15 +42,15 @@ from fractions import Fraction
 from math import lcm, prod
 
 from . import linalg
-from .shapovalov import _scaled_images, gram, solve
+from .shapovalov import gram, solve
 from .verma import (
     Partition,
     VermaContext,
     VermaVector,
     enumerate_partitions,
-    partition_index,
     partition_key,
     reversed_monomial,
+    scaled_images,
     straightener,
 )
 from .whittaker import (
@@ -101,6 +101,12 @@ def restrict_form(f: DualForm, cutoff: int) -> DualForm:
     return DualForm(f.context, cutoff, f.basis_side, terms)
 
 
+def _cleared(terms: dict[Partition, Fraction]) -> tuple[dict[Partition, int], int]:
+    """The terms over one common denominator: (integer terms, denominator)."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {p: c.numerator * (den // c.denominator) for p, c in terms.items()}, den
+
+
 def _flip(terms: dict[Partition, Fraction]) -> dict[Partition, Fraction]:
     """D terms, with D = diag((-1)^{len lambda}); B^-1 = D B D."""
     return {p: -c if len(p) % 2 else c for p, c in terms.items()}
@@ -143,10 +149,8 @@ def convert_form(f: DualForm, side: str) -> DualForm:
     """
     if side == f.basis_side:
         return f
-    terms = _flip(f.terms) if side == DECREASING else f.terms
     # Over one common denominator every column sum is an integer sum.
-    den = lcm(*(c.denominator for c in terms.values()))
-    ints = {p: c.numerator * (den // c.denominator) for p, c in terms.items()}
+    ints, den = _cleared(_flip(f.terms) if side == DECREASING else f.terms)
     out = {}
     for lvl in sorted({sum(p) for p in ints}):
         for mu in enumerate_partitions(lvl):
@@ -159,34 +163,46 @@ def convert_form(f: DualForm, side: str) -> DualForm:
 def act_on_form(m: int, f: DualForm) -> DualForm:
     """(L_m f)(v) = f(L_{-m} v); the cutoff drops by max(m, 0).
 
-    Computed on the decreasing side for either basis side, reading
-    L_{-m} L_{-mu}|Delta> from the straightener for each mu.  For m above
-    the cutoff every reachable evaluation lands outside the stored window
-    and the result is the zero form of cutoff 0.
+    Computed on the decreasing side for either basis side, from the
+    integer images of L_{-m}.  For m above the cutoff every reachable
+    evaluation lands outside the stored window and the result is the zero
+    form of cutoff 0.
     """
-    return convert_form(_act_decreasing(m, convert_form(f, DECREASING)), f.basis_side)
-
-
-def _act_decreasing(m: int, f: DualForm) -> DualForm:
-    # act_on_form for a decreasing-side f, with the result on that side.
+    ctx = f.context
+    ints, den = _cleared(convert_form(f, DECREASING).terms)
+    scale = den * straightener(ctx).scale
+    sources = {sum(p) for p in ints}
     new_cutoff = max(0, f.cutoff - max(m, 0))
-    coeffs = f.terms
-    sources = {sum(p) for p in coeffs}
-    rule = straightener(f.context)
-    s = rule.scale
-    # Over one common denominator D s^{1 + len mu} every value is an
-    # integer sum: the straightener's integer on p carries s^{1 + len mu - len p}.
-    den = lcm(*(c.denominator for c in coeffs.values()))
-    ints = {p: c.numerator * (den // c.denominator) * s ** len(p) for p, c in coeffs.items()}
     terms: dict[Partition, Fraction] = {}
     for lvl in range(new_cutoff + 1):
         if lvl + m not in sources:
             continue
-        for mu in enumerate_partitions(lvl):
-            value = sum(ints[p] * n for p, n in rule.times(m, mu) if p in ints)
+        values = [ints.get(p, 0) for p in enumerate_partitions(lvl + m)]
+        for mu, image in zip(enumerate_partitions(lvl), scaled_images(-m, lvl, ctx)):
+            value = sum(values[t] * a for t, a in image)
             if value:
-                terms[mu] = Fraction(value, den * s ** (1 + len(mu)))
-    return DualForm(f.context, new_cutoff, DECREASING, terms)
+                terms[mu] = Fraction(value, scale)
+    return convert_form(DualForm(ctx, new_cutoff, DECREASING, terms), f.basis_side)
+
+
+def _whittaker_rows(typ: WhittakerType, ctx: VermaContext, cutoff: int):
+    """The Whittaker conditions that a cutoff-N form determines, as integer rows.
+
+    Yields (k, mu, row) by k, then level <= N - k, then partition mu; row
+    is s den psi(L_k) times L_{-k} L_{-mu}|Delta> - psi(L_k) L_{-mu}|Delta>
+    over canonical labels, so its pairing with a decreasing-side form f is
+    s den psi(L_k) ((L_k f) - psi(L_k) f)(L_{-mu}|Delta>).
+    """
+    s = straightener(ctx).scale
+    for k in subalgebra_indices(typ, cutoff):
+        expected = typ.value(k)
+        for lvl in range(cutoff - k + 1):
+            upper = enumerate_partitions(lvl + k)
+            for mu, image in zip(enumerate_partitions(lvl), scaled_images(-k, lvl, ctx)):
+                row = {upper[t]: a * expected.denominator for t, a in image}
+                if expected:
+                    row[mu] = -expected.numerator * s
+                yield k, mu, row
 
 
 def _monomial_form(ctx, cutoff, side, weights, frozen, coefficients) -> DualForm:
@@ -328,29 +344,24 @@ def verify_whittaker_form(f: DualForm, typ: WhittakerType) -> VerificationReport
 
     For each checked k the residual (L_k f) - psi(L_k) f is restricted to
     levels <= cutoff - k, where the truncated data determines it fully.
+    The first nonzero row of each k is its least label, reported as on
+    f's side: entry mu of either conversion reads only labels up to mu in
+    partition order, mu itself with coefficient 1 (B is unitriangular).
     """
-    f_dec = convert_form(f, DECREASING)
-    checks = []
-    for k in subalgebra_indices(typ, f.cutoff):
-        expected = typ.value(k)
-        window = f.cutoff - k
-        residual = form_combine(
-            _act_decreasing(k, f_dec), restrict_form(f_dec, window), -expected
+    ints, den = _cleared(convert_form(f, DECREASING).terms)
+    scale = den * straightener(f.context).scale
+    failures = {}
+    for k, mu, row in _whittaker_rows(typ, f.context, f.cutoff):
+        if k not in failures:
+            value = sum(ints[p] * a for p, a in row.items() if p in ints)
+            if value:
+                failures[k] = (sum(mu), mu, Fraction(value, scale * typ.value(k).denominator))
+    return VerificationReport(
+        tuple(
+            ResidualCheck(k, typ.value(k), f.cutoff - k, failures.get(k))
+            for k in subalgebra_indices(typ, f.cutoff)
         )
-        # Reported as on f's side without converting back: entry mu of either
-        # conversion reads only labels up to mu in partition order, mu itself
-        # with coefficient 1 (B is unitriangular), so the first nonzero label
-        # and its coefficient are the same on both sides.
-        failure = _first_nonzero(residual.terms)
-        checks.append(
-            ResidualCheck(
-                operator_index=k,
-                expected=expected,
-                complete_levels=window,
-                first_failure=failure,
-            )
-        )
-    return VerificationReport(tuple(checks))
+    )
 
 
 def verify_whittaker_state(
@@ -360,39 +371,33 @@ def verify_whittaker_state(
 
     The level-l component of (L_k - psi(L_k)) w is complete whenever
     l + k <= cutoff; only those components are asserted.  With w_l =
-    ints[l] / dens[l], s L_k w_{l+k} is ints[l + k] times the Gram
-    recursion's integer images, cross-multiplied against psi(L_k) w_l; a
+    ints[l] / dens[l], s L_k w_{l+k} is ints[l + k] times the integer
+    images of verma.scaled_images, cross-multiplied against psi(L_k) w_l; a
     failing (k, l) reports its first wrong label from the same integers.
     """
-    by_level: dict[int, dict[Partition, Fraction]] = {}
-    for p, coeff in w.terms.items():
-        by_level.setdefault(sum(p), {})[p] = coeff
-    rule = straightener(w.context)
+    s = straightener(w.context).scale
     ints, dens = [], []
     for lvl in range(cutoff + 1):
-        terms = by_level.get(lvl, {})
-        dens.append(lcm(*(c.denominator for c in terms.values())))
-        index = partition_index(lvl)
-        ints.append([0] * len(index))
-        for p, c in terms.items():
-            ints[lvl][index[p]] = c.numerator * (dens[lvl] // c.denominator)
+        cleared, den = _cleared(w.level_component(lvl).terms)
+        ints.append([cleared.get(p, 0) for p in enumerate_partitions(lvl)])
+        dens.append(den)
     checks = []
     for k in subalgebra_indices(typ, cutoff):
         expected = typ.value(k)
         failure = None
         for lvl in range(cutoff - k + 1):
             image = [0] * len(ints[lvl])
-            for x, pairs in zip(ints[lvl + k], _scaled_images(k, lvl + k, rule)):
+            for x, pairs in zip(ints[lvl + k], scaled_images(k, lvl + k, w.context)):
                 if x:
                     for t, a in pairs:
                         image[t] += x * a
             # image / (s dens[lvl + k]) against psi(L_k) ints[lvl] / dens[lvl].
             left = dens[lvl] * expected.denominator
-            right = expected.numerator * rule.scale * dens[lvl + k]
+            right = expected.numerator * s * dens[lvl + k]
             wrong = [t for t, (a, b) in enumerate(zip(image, ints[lvl])) if a * left != b * right]
             if wrong:  # report the least label, the last in reverse-lexicographic order
                 t = wrong[-1]
-                scale = rule.scale * dens[lvl + k] * left
+                scale = s * dens[lvl + k] * left
                 coeff = Fraction(image[t] * left - ints[lvl][t] * right, scale)
                 failure = (lvl, enumerate_partitions(lvl)[t], coeff)
                 break
@@ -424,24 +429,10 @@ def whittaker_form_nullspace(
     # Each equation is f(L_{-k} v - psi(L_k) v) = 0 for a canonical basis
     # vector v; per (k, level) these span the same rows as the equations
     # taken at the side's own basis vectors, since basis_change is invertible.
-    # The equation at v = L_{-mu}|Delta> is scaled by den psi(L_k) s^{1 + len mu}
-    # to integers, the straightener's integer on p carrying s^{1 + len mu - len p}.
-    rule = straightener(ctx)
-    s = rule.scale
-    rows: list[dict[int, int]] = []
-    for k in subalgebra_indices(typ, cutoff):
-        expected = typ.value(k)
-        for lo in range(cutoff - k + 1):
-            for mu in enumerate_partitions(lo):
-                residual = {
-                    p: n * s ** len(p) * expected.denominator for p, n in rule.times(k, mu)
-                }
-                scalar = -expected.numerator * s ** (1 + len(mu))
-                linalg.accumulate(residual, ((mu, scalar),))
-                coords = _side_coords(side, residual).items()
-                row = linalg.accumulate({}, ((index[p], value) for p, value in coords))
-                if row:
-                    rows.append(row)
+    rows = [
+        {index[p]: value for p, value in _side_coords(side, row).items()}
+        for _, _, row in _whittaker_rows(typ, ctx, cutoff)
+    ]
 
     kernel = linalg.nullspace(rows, ncols=len(unknowns))
     basis = [

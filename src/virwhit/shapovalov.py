@@ -14,20 +14,16 @@ images of the level-N basis under the single generator L_k.
 
 A GramMatrix stores integer rows: rows[lambda] = s^{len lambda} G_N[lambda]
 with s = lcm(2 den c, den Delta), the scale of the Verma straightener.
-For k > 0 every coefficient of L_k L_{-mu}|Delta> lies in
-Z + Z Delta + Z c/2 (the central term is c m(m^2-1)/12 and m(m^2-1)/12 is
-in Z/2), so s clears it, and each part of lambda adds one such factor.
-The straightener already holds s^{1 + len mu - len nu} times the
-coefficient on nu as an integer, so s times the coefficient is that
-integer divided exactly by s^{len mu - len nu}.  The form is symmetric,
-so row i computes only its entries j >= i, from the L_k images of those
-columns, and takes entry j < i as rows[j][i] s^{len lambda_i - len lambda_j},
-an exact division when the exponent is negative.  Fractions appear only in
-the views (``entries``, ``pair``) and in solutions.  Matrices
-are memoized in the ``tables`` of the context's straightener, so they
-are freed with its memo.  Degeneracy is reported through
-SingularGramError, never worked around: callers wanting to raise indices
-at a degenerate weight must pick a different (c, Delta).
+s clears every coefficient of L_k L_{-mu}|Delta> (verma.scaled_images
+gives those integers), and each part of lambda adds one such factor.
+The form is symmetric, so row i computes only its entries j >= i, from
+the L_k images of those columns, and takes entry j < i as rows[j][i]
+s^{len lambda_i - len lambda_j}, an exact division when the exponent is
+negative.  Fractions appear only in the views (``entries``, ``pair``)
+and in solutions.  Matrices are memoized in the ``tables`` of the
+context's straightener, so they are freed with its memo.  Degeneracy is
+reported through SingularGramError, never worked around: callers wanting
+to raise indices at a degenerate weight must pick a different (c, Delta).
 """
 
 from __future__ import annotations
@@ -43,6 +39,7 @@ from .verma import (
     VermaContext,
     enumerate_partitions,
     partition_index,
+    scaled_images,
     straightener,
 )
 
@@ -76,26 +73,6 @@ class GramMatrix(Value):
         ]
 
 
-def _scaled_images(k: int, level: int, rule, start: int = 0) -> list:
-    # s * (L_k L_{-mu}|Delta>) for the mu of the level from index start on,
-    # as (index at level - k, integer) pairs.
-    index = partition_index(level - k)
-    powers = [rule.scale**e for e in range(level + 1)]
-    images = []
-    for mu in enumerate_partitions(level)[start:]:
-        image = []
-        for nu, coeff in rule.times(-k, mu):
-            value, rest = divmod(coeff, powers[len(mu) - len(nu)])
-            if rest:
-                raise ArithmeticError(
-                    f"L_{k} image coefficient {coeff}/{rule.scale}^{1 + len(mu) - len(nu)} "
-                    f"of {mu} is not integral after scaling by {rule.scale}"
-                )
-            image.append((index[nu], value))
-        images.append(image)
-    return images
-
-
 def gram(level: int, ctx: VermaContext) -> GramMatrix:
     """The level-N Gram matrix, rows and columns in partition order."""
     rule = straightener(ctx)
@@ -125,7 +102,7 @@ def gram(level: int, ctx: VermaContext) -> GramMatrix:
         k, rest = lam[0], lam[1:]
         if not i or k != partitions[i - 1][0]:
             # The rows starting with k are contiguous: columns from here on.
-            first, images = i, _scaled_images(k, level, rule, i)
+            first, images = i, scaled_images(k, level, ctx, i)
         li = len(lam)  # mirrored: rows[j][i] = s^{len lambda_j} G[i][j]
         row = [
             rows[j][i] * powers[li - lj] if li >= lj else unscaled(j, i)

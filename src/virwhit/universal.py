@@ -157,47 +157,19 @@ def nilpotency_index(m: int, v: UniversalVector, limit: int = 10_000) -> int:
     return count
 
 
-def dot_nilpotency_bound(
-    m: int, word, typ: WhittakerTypeR, c: Fraction, settle: int = 12
-) -> int:
+def dot_nilpotency_bound(m: int, word, typ: WhittakerTypeR, c: Fraction) -> int:
     """Upper bound 2 max(k_+ + 1, k_- + 1) for the nilpotency index on L_word |w>.
 
     k_- (resp. k_+) is the largest number of iterated commutators of L_m
-    with the negative (resp. nonnegative) factor of the word that still act
-    nonzero on |w>.  Iteration stops once ``settle`` consecutive
-    applications vanish; each commutator pushes every index up by m, so
-    vanishing is eventually permanent.
+    with the negative (resp. nonnegative) factor X of the word that still
+    act nonzero on |w>.  For L_m in the subalgebra, ad(L_m)^j(X)|w> =
+    (L_m - psi(L_m))^j X|w>, so k + 1 is the nilpotency index of the dot
+    action on X|w>.  An m below the order raises IndexOutsideSubalgebraError,
+    through dot_act.
     """
-    from . import virasoro
-
     word = validate_pseudo_partition(typ, word)
-    minus = tuple(x for x in word if x < 0)
-    plus = tuple(x for x in word if x >= 0)
-    rewriter = _REWRITERS[typ, Fraction(c)]
-    lm = virasoro.generator(m, Fraction(c))
-
-    def applied_nonzero(element) -> bool:
-        acc: dict[PseudoPartition, Fraction] = {}
-        for mono, coeff in element.terms.items():
-            accumulate(acc, rewriter.apply(mono, {(): 1}).items(), coeff)
-        return bool(acc)
-
-    def last_nonzero(part: tuple[int, ...]) -> int:
-        element = virasoro.EnvelopingElement(Fraction(c), {part: Fraction(1)})
-        best = -1
-        j = 0
-        while not element.is_zero() and j <= best + settle:
-            if applied_nonzero(element):
-                best = j
-            element = virasoro.commutator(lm, element)
-            j += 1
-            if j > 400:
-                raise RuntimeError("iterated commutators did not settle")
-        return best
-
-    k_minus = last_nonzero(minus)
-    k_plus = last_nonzero(plus)
-    return 2 * max(k_plus + 1, k_minus + 1)
+    factors = (tuple(x for x in word if x < 0), tuple(x for x in word if x >= 0))
+    return 2 * max(nilpotency_index(m, basis_vector(typ, c, x)) for x in factors)
 
 
 def _checked_indices(

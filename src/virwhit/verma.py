@@ -13,6 +13,8 @@ the word, letter x standing for L_{-x}, so the action of L_m on a basis
 vector is straightener(ctx).times(-m, partition), with no conversion: it
 yields each (nu, integer) pair once, the integer being the coefficient
 times s^{1 + len partition - len nu}, with s = lcm(2 den c, den Delta).
+scaled_images turns those into s times the coefficients, by level, for
+the Gram recursion, the state check and the form equations.
 
 The reversed monomials R_mu = L_{-mu_k} ... L_{-mu_1} |Delta> exist only
 through reversed_monomial, a cached sparse integer column of the basis
@@ -142,6 +144,37 @@ def straightener(ctx: VermaContext) -> Straightener:
 def act(m: int, v: VermaVector) -> VermaVector:
     """The module action of L_m; maps level l to level l - m."""
     return VermaVector(v.context, straightener(v.context).apply((-m,), v.terms))
+
+
+def scaled_images(m: int, level: int, ctx: VermaContext, start: int = 0) -> list:
+    """s (L_m L_{-mu}|Delta>) for the mu of the level from index ``start``
+    on, each as a list of (index at level - m, integer) pairs.
+
+    s clears every coefficient: for m > 0 it lies in Z + Z Delta + Z c/2
+    (the central term is c m(m^2-1)/12, and m(m^2-1)/12 is in Z/2), L_0
+    acts as Delta + level, and for m < 0 it is an integer.  The
+    straightener's integer on nu is the coefficient times s^{1 + len mu -
+    len nu}, so s times the coefficient is that integer divided exactly by
+    s^{len mu - len nu}, or times s on the one term a part longer than mu.
+    """
+    rule = straightener(ctx)
+    s = rule.scale
+    index = partition_index(level - m)
+    powers = [s**e for e in range(level + 1)]
+    images = []
+    for mu in enumerate_partitions(level)[start:]:
+        image = []
+        for nu, coeff in rule.times(-m, mu):
+            e = len(mu) - len(nu)
+            value, rest = divmod(coeff, powers[e]) if e >= 0 else (coeff * s, 0)
+            if rest:
+                raise ArithmeticError(
+                    f"L_{m} image coefficient {coeff}/{s}^{1 + e} "
+                    f"of {mu} is not integral after scaling by {s}"
+                )
+            image.append((index[nu], value))
+        images.append(image)
+    return images
 
 
 @lru_cache(maxsize=None)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from forms_oracle import (
     reference_verify_whittaker_form,
     reference_verify_whittaker_state,
 )
+from fraction_oracle import reference_rref
 from virwhit.forms import (
     DECREASING,
     INCREASING,
@@ -320,6 +322,49 @@ def test_whittaker_form_nullspace_dimensions():
 
     dim3, _ = whittaker_form_nullspace(PSI_N3, CTX, 3)
     assert dim3 == 2  # admissible m_2 tuples: 0..1
+
+
+def exponent_tuples(weights, cutoff):
+    """Exponent tuples (one per weight j) with sum_j j m_j <= cutoff."""
+    ranges = [range(cutoff // j + 1) for j in weights]
+    tuples = itertools.product(*ranges)
+    return [e for e in tuples if sum(j * m for j, m in zip(weights, e)) <= cutoff]
+
+
+@pytest.mark.parametrize(
+    "psi, expected",
+    [
+        (PSI_R1, 1),
+        (PSI_R2, 13),
+        (WhittakerTypeR(3, (Fraction(1), Fraction(-2), Fraction(3, 4), Fraction(5))), 49),
+        (PSI_N3, 7),
+        (WhittakerType1N(5, Fraction(-2, 3), Fraction(4)), 34),
+    ],
+    ids=["r1", "r2", "r3", "n3", "n5"],
+)
+def test_whittaker_form_nullspace_is_the_basic_form_span(psi, expected):
+    # At cutoff 12 the truncated condition system has exactly the basic
+    # forms' span as its solutions: the dimension is the number of basic
+    # exponent tuples, the basic forms are independent, and adding them to
+    # the nullspace basis does not raise the rank.
+    ctx, cutoff = VermaContext(Fraction(-11, 5), Fraction(11, 7)), 12
+    dim, basis = whittaker_form_nullspace(psi, ctx, cutoff)
+    if isinstance(psi, WhittakerTypeR):
+        frozen = range(psi.r - 1, 0, -1)
+        basic = [gaiotto_basic_form(psi, e, cutoff, ctx) for e in exponent_tuples(frozen, cutoff)]
+    else:
+        frozen = range(2, psi.n)
+        basic = [bmt_basic_form(psi, e, cutoff, ctx) for e in exponent_tuples(frozen, cutoff)]
+    assert dim == len(basic) == expected
+    labels = [p for lvl in range(cutoff + 1) for p in enumerate_partitions(lvl)]
+
+    def rank(forms):
+        assert {f.basis_side for f in forms} == {basis[0].basis_side}
+        matrix = [[f.terms.get(p, Fraction(0)) for p in labels] for f in forms]
+        return len(reference_rref(matrix, len(labels))[1])
+
+    assert rank(basic) == dim
+    assert rank(basis + basic) == dim
 
 
 def test_check_l0_li_r1_and_r2():

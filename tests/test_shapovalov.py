@@ -9,13 +9,12 @@ import pytest
 
 from fraction_oracle import reference_det, reference_solve
 from virwhit import forms, shapovalov
-from virwhit.shapovalov import SingularGramError, _scaled_images, gram, solve
+from virwhit.shapovalov import SingularGramError, gram, scaled_images, solve
 from virwhit.verma import (
     VermaContext,
     _act_monomial,
     enumerate_partitions,
     partition_index,
-    straightener,
 )
 from virwhit.virasoro import MAX_CONTEXTS, normal_order
 from virwhit.whittaker import WhittakerTypeR
@@ -95,7 +94,6 @@ def full_row_gram_rows(level, ctx, memo):
     """The Gram recursion with every entry computed: row (k, rest) is row
     ``rest`` of the lower matrix applied to the L_k images of all columns."""
     if level not in memo:
-        rule = straightener(ctx)
         images, rows = {}, []
         for lam in enumerate_partitions(level):
             if not lam:
@@ -103,7 +101,7 @@ def full_row_gram_rows(level, ctx, memo):
                 continue
             k, rest = lam[0], lam[1:]
             if k not in images:
-                images[k] = _scaled_images(k, level, rule)
+                images[k] = scaled_images(k, level, ctx)
             row = full_row_gram_rows(level - k, ctx, memo)[partition_index(level - k)[rest]]
             rows.append(tuple(sum(row[i] * a for i, a in image) for image in images[k]))
         memo[level] = tuple(rows)
@@ -122,15 +120,15 @@ def test_mirrored_entry_with_a_remainder_raises(monkeypatch):
     # the latter is row (4, 1, 1)'s divided by s.  An L_4 image perturbed on
     # (1, 1) adds s^2 G_2[(1, 1)][(1, 1)] = 2^22 * 20 there, which s = 2^11 * 9
     # does not divide.
-    original = shapovalov._scaled_images
+    original = shapovalov.scaled_images
 
-    def perturbed(k, level, rule, start=0):
-        images = original(k, level, rule, start)
+    def perturbed(k, level, ctx, start=0):
+        images = original(k, level, ctx, start)
         if (k, level) == (4, 6):
             images = [image + [(1, 1)] for image in images]
         return images
 
-    monkeypatch.setattr(shapovalov, "_scaled_images", perturbed)
+    monkeypatch.setattr(shapovalov, "scaled_images", perturbed)
     ctx = VermaContext(Fraction(7, 1024), Fraction(-5, 9))
     with pytest.raises(ArithmeticError) as info:
         gram(6, ctx)

@@ -159,6 +159,27 @@ def test_nilpotency_respects_proof_bound():
         assert index <= dot_nilpotency_bound(m, word, psi, C), (r, mu, word, m)
 
 
+@pytest.mark.parametrize(
+    "m, word, psi, bound",
+    [
+        (2, (-1,), PSI_R2, 6),
+        (3, (-2, -1, 0, 1), PSI_R2, 8),
+        (4, (-4, -4, -3, -1, 1), PSI_R2, 14),
+        (1, (-4, -3, -3, -1, 0), WhittakerTypeR(1, (Fraction(-3), Fraction(-2))), 32),
+        (5, (-4, -3, 1, 2), WhittakerTypeR(3, (0, 1, 4, -4)), 8),
+        (9, (-3, 2, 2), WhittakerTypeR(3, (-1, -4, -1, 2)), 4),
+    ],
+)
+def test_dot_nilpotency_bound_pinned(m, word, psi, bound):
+    # Values of the iterated-commutator computation in U(Vir).
+    assert dot_nilpotency_bound(m, word, psi, C) == bound
+
+
+def test_dot_nilpotency_bound_rejects_low_index():
+    with pytest.raises(IndexOutsideSubalgebraError):
+        dot_nilpotency_bound(1, (-1, 0), PSI_R2, C)
+
+
 def test_subspace_high_rank_own_order():
     vecs = whittaker_subspace_level0(PSI_R2, 2, C)
     assert len(vecs) == 1

@@ -15,6 +15,8 @@ from virwhit.verma import (
     highest_weight_vector,
     partition_exponents,
     partition_index,
+    scaled_images,
+    straightener,
 )
 from virwhit.virasoro import bracket, normal_order
 
@@ -227,3 +229,20 @@ def test_random_mixed_level_action_linear():
         for part, coeff in v.terms.items():
             split = split + act(m, basis_vector(CTX, part)).scale(coeff)
         assert direct.terms == split.terms
+
+
+@pytest.mark.parametrize("ctx", [CTX, VermaContext(Fraction(7, 1024), Fraction(-5, 9))])
+@pytest.mark.parametrize("m", [-2, -1, 0, 1, 2])
+def test_scaled_images_are_s_times_the_action(m, ctx):
+    s = straightener(ctx).scale
+    for level in range(max(m, 0), 7):
+        target = enumerate_partitions(level - m)
+        images = scaled_images(m, level, ctx)
+        assert len(images) == len(enumerate_partitions(level))
+        for mu, image in zip(enumerate_partitions(level), images):
+            assert all(type(n) is int and n for _, n in image)
+            scaled = {target[t]: n for t, n in image}
+            assert len(scaled) == len(image)
+            expected = {p: s * c for p, c in act(m, basis_vector(ctx, mu)).terms.items()}
+            assert scaled == expected, (m, mu)
+        assert scaled_images(m, level, ctx, start=1) == images[1:]
