@@ -15,7 +15,8 @@ the nonzero integer entries of the cached columns
 verma.reversed_monomial(mu), and is never a solve.
 
 The module action on forms is (L_m f)(v) = f(L_{-m} v), computed on the
-decreasing side from the integer images of verma.scaled_images.  The
+decreasing side from the integer images of verma.scaled_images (s times
+the Verma module's level-graded lowering and raising rows).  The
 Whittaker conditions (L_k f)(v) = psi(L_k) f(v) at canonical basis
 vectors v are one set of integer rows (_whittaker_rows), which
 verify_whittaker_form pairs with f and whittaker_form_nullspace solves.

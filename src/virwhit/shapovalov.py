@@ -13,15 +13,17 @@ so row lambda is row ``rest`` of the lower Gram matrix applied to the
 images of the level-N basis under the single generator L_k.
 
 A GramMatrix stores integer rows: rows[lambda] = s^{len lambda} G_N[lambda]
-with s = lcm(2 den c, den Delta), the scale of the Verma straightener.
+with s = lcm(2 den c, den Delta), the scale of the Verma module.
 s clears every coefficient of L_k L_{-mu}|Delta> (verma.scaled_images
-gives those integers), and each part of lambda adds one such factor.
+reads those integers from its raising rows), and each part of lambda
+adds one such factor.
 The form is symmetric, so row i computes only its entries j >= i, from
 the L_k images of those columns, and takes entry j < i as rows[j][i]
 s^{len lambda_i - len lambda_j}, an exact division when the exponent is
 negative.  Fractions appear only in the views (``entries``, ``pair``)
 and in solutions.  Matrices are memoized in the ``tables`` of the
-context's straightener, so they are freed with its memo.  Degeneracy is
+context's straightener, beside the raising rows, so they are freed with
+the context.  Degeneracy is
 reported through SingularGramError, never worked around: callers wanting
 to raise indices at a degenerate weight must pick a different (c, Delta).
 """

@@ -7,23 +7,39 @@ reverse-lexicographic order, so matrix layouts and serializations are
 deterministic.
 
 V_{c,Delta} is induced from p = span{L_n, n >= 0} with the highest-weight
-end rule chi(L_0) = Delta, chi(L_{n>0}) = 0.  Its straightener
-(virasoro.Straightener, one per (c, Delta)) takes the partition itself as
-the word, letter x standing for L_{-x}, so the action of L_m on a basis
-vector is straightener(ctx).times(-m, partition), with no conversion: it
-yields each (nu, integer) pair once, the integer being the coefficient
-times s^{1 + len partition - len nu}, with s = lcm(2 den c, den Delta).
-scaled_images turns those into s times the coefficients, by level, for
-the Gram recursion, the state check and the form equations.
+end rule chi(L_0) = Delta, chi(L_{n>0}) = 0.  ``act`` applies L_m through
+its generic straightener (virasoro.Straightener, one per (c, Delta)),
+which takes the partition itself as the word, letter x standing for
+L_{-x}.  It is the independent reference the tables below are tested
+against; no command calls it.
+
+scaled_images gives s (L_m L_{-mu}|Delta>), s = lcm(2 den c, den Delta),
+to the Gram recursion, the state check and the form equations, from
+level-graded integer rows of (index, integer) pairs stored as one flat
+tuple each and filled the first time a caller asks for them:
+
+- lowering rows, L_{-j} L_{-mu}|Delta> from L_{-j} L_{-a} = L_{-a} L_{-j}
+  + (a - j) L_{-(a+j)}, have integer coefficients independent of
+  (c, Delta), so every context shares one store of them;
+- raising rows, s L_k L_{-mu}|Delta> for k > 0, from L_k L_{-a} rest =
+  L_{-a} (L_k rest) + (k + a) L_{k-a} rest + delta_{k,a} (c/12) k (k^2 -
+  1) rest, live in the ``tables`` of the context's straightener, so they
+  are freed with it like shapovalov's Gram matrices.
+
+Every raising value is exactly s times its coefficient: by induction over
+the rule, the lowering rows and k + a are integers, L_0 = Delta + level
+gives s Delta + s level, and s c k (k^2 - 1)/12 is an integer because
+k (k^2 - 1)/12 lies in Z/2 and s c in 2Z.  The recursion takes a few
+frames per part of mu.
 
 The reversed monomials R_mu = L_{-mu_k} ... L_{-mu_1} |Delta> exist only
 through reversed_monomial, a cached sparse integer column of the basis
-change B; B does not depend on (c, Delta).  B^-1 = D B D with
-D = diag((-1)^{len lambda}), so no elimination is needed: theta(L_{-n}) =
--L_{-n} extends to an anti-automorphism of U(Vir_-) with theta(L_{-lambda})
-= (-1)^{len lambda} R_lambda, so theta(R_mu = sum_lambda B[lambda][mu]
-L_{-lambda}) reads L_{-mu} = sum_lambda (-1)^{len lambda + len mu}
-B[lambda][mu] R_lambda.
+change B built from the lowering rows; B does not depend on (c, Delta).
+B^-1 = D B D with D = diag((-1)^{len lambda}), so no elimination is
+needed: theta(L_{-n}) = -L_{-n} extends to an anti-automorphism of
+U(Vir_-) with theta(L_{-lambda}) = (-1)^{len lambda} R_lambda, so
+theta(R_mu = sum_lambda B[lambda][mu] L_{-lambda}) reads L_{-mu} =
+sum_lambda (-1)^{len lambda + len mu} B[lambda][mu] R_lambda.
 """
 
 from __future__ import annotations
@@ -128,16 +144,17 @@ def _highest_weight_rule(key) -> Straightener:
     return Straightener(c, sign=-1, rank=neg, end=end, scalars=(delta,))
 
 
-# One straightener per (c, Delta), each owning its memo and the Gram
-# matrices shapovalov keeps in its tables; the family keeps the last
-# virasoro.MAX_CONTEXTS.  The name is the one the benchmark's tracer reads
-# cache_info() from.
+# One straightener per (c, Delta), each owning the memo of ``act`` and, in
+# its tables, the raising rows and shapovalov's Gram matrices; the family
+# keeps the last virasoro.MAX_CONTEXTS.  The name is the one the
+# benchmark's tracer reads cache_info() from.
 _act_monomial = Straighteners(_highest_weight_rule)
 
 
 def straightener(ctx: VermaContext) -> Straightener:
     """The highest-weight straightener of V_{c,Delta}: letter x is L_{-x}, so
-    ``straightener(ctx).times(-m, partition)`` is L_m L_{-partition}|Delta>."""
+    ``straightener(ctx).times(-m, partition)`` is L_m L_{-partition}|Delta>.
+    Its ``tables`` hold the context's raising rows and Gram matrices."""
     return _act_monomial[ctx.c, ctx.delta]
 
 
@@ -146,51 +163,145 @@ def act(m: int, v: VermaVector) -> VermaVector:
     return VermaVector(v.context, straightener(v.context).apply((-m,), v.terms))
 
 
+# Lowering rows, shared by every context: _LOWERING[j, level][i] is
+# L_{-j} L_{-mu}|Delta> for mu the i-th partition of the level, as one flat
+# tuple (index at level + j, integer, index, integer, ...), or None until
+# first asked for.
+_LOWERING: dict[tuple[int, int], list] = {}
+
+
+@lru_cache(maxsize=None)
+def _splits(level: int) -> tuple[tuple[int, int], ...]:
+    """(first part a, index of the rest at level - a) of each partition of
+    a positive level."""
+    return tuple(
+        (mu[0], partition_index(level - mu[0])[mu[1:]]) for mu in enumerate_partitions(level)
+    )
+
+
+def _rows(store: dict, key: tuple[int, int]) -> list:
+    rows = store.get(key)
+    if rows is None:
+        rows = store[key] = [None] * len(enumerate_partitions(key[1]))
+    return rows
+
+
+def _pairs(row: tuple):
+    it = iter(row)
+    return zip(it, it)
+
+
+def _flat(acc: dict[int, int]) -> tuple:
+    flat: list[int] = []
+    for u, x in acc.items():
+        if x:
+            flat += (u, x)
+    return tuple(flat)
+
+
+def _lowering(j: int, level: int, i: int) -> tuple:
+    """Row i of _LOWERING[j, level], filled on first use.
+
+    For mu = (a, rest) with a > j, L_{-j} L_{-a} = L_{-a} L_{-j} + (a - j)
+    L_{-(a+j)}: the first term is row (j, level - a) of rest with each of
+    its terms lowered by L_{-a}, the second a prepend.  No row is empty.
+    """
+    rows = _rows(_LOWERING, (j, level))
+    row = rows[i]
+    if row is not None:
+        return row
+    mu = enumerate_partitions(level)[i]
+    index = partition_index(level + j)
+    if not mu or mu[0] <= j:
+        row = (index[(j,) + mu], 1)
+    else:
+        a, rest = _splits(level)[i]
+        acc = {index[(a + j,) + mu[1:]]: a - j}
+        upper = _rows(_LOWERING, (a, level - a + j))
+        for t, n in _pairs(_lowering(j, level - a, rest)):
+            for u, x in _pairs(upper[t] or _lowering(a, level - a + j, t)):
+                acc[u] = acc.get(u, 0) + n * x
+        row = _flat(acc)
+    rows[i] = row
+    return row
+
+
+def _raising(k: int, level: int, i: int, env: tuple) -> tuple:
+    """Row i of tables[k, level] for k > 0, filled on first use: s L_k
+    L_{-mu}|Delta> for mu the i-th partition of the level, flat like a
+    lowering row over the indices at level - k.
+
+    With mu = (a, rest), L_k L_{-a} rest = L_{-a} (L_k rest) + (k + a)
+    L_{k-a} rest + delta_{k,a} (c/12) k (k^2 - 1) rest, where L_{k-a} is a
+    raising row, L_0 = Delta + level - a, or a lowering row.  ``env`` is
+    (tables, s, s Delta, s c).
+    """
+    tables, s, s_delta, s_c = env
+    rows = _rows(tables, (k, level))
+    row = rows[i]
+    if row is not None:
+        return row
+    a, rest = _splits(level)[i]
+    low = level - a
+    acc: dict[int, int] = {}
+    if low >= k:
+        upper = _rows(_LOWERING, (a, low - k))
+        for t, n in _pairs(_rows(tables, (k, low))[rest] or _raising(k, low, rest, env)):
+            for u, x in _pairs(upper[t] or _lowering(a, low - k, t)):
+                acc[u] = acc.get(u, 0) + n * x
+    if k > a:
+        sub = _rows(tables, (k - a, low))[rest] or _raising(k - a, low, rest, env)
+        for t, n in _pairs(sub):
+            acc[t] = acc.get(t, 0) + (k + a) * n
+    elif k == a:
+        # 2k s (Delta + low) plus s c k (k^2 - 1)/12, exact: s c is even.
+        central = s_c * (k * (k * k - 1) // 6) // 2
+        acc[rest] = acc.get(rest, 0) + 2 * k * (s_delta + s * low) + central
+    else:
+        for t, n in _pairs(_lowering(a - k, low, rest)):
+            acc[t] = acc.get(t, 0) + (k + a) * s * n
+    row = rows[i] = _flat(acc)
+    return row
+
+
 def scaled_images(m: int, level: int, ctx: VermaContext, start: int = 0) -> list:
     """s (L_m L_{-mu}|Delta>) for the mu of the level from index ``start``
     on, each as a list of (index at level - m, integer) pairs.
 
-    s clears every coefficient: for m > 0 it lies in Z + Z Delta + Z c/2
-    (the central term is c m(m^2-1)/12, and m(m^2-1)/12 is in Z/2), L_0
-    acts as Delta + level, and for m < 0 it is an integer.  The
-    straightener's integer on nu is the coefficient times s^{1 + len mu -
-    len nu}, so s times the coefficient is that integer divided exactly by
-    s^{len mu - len nu}, or times s on the one term a part longer than mu.
+    Rows for m > 0 are read from tables[m, level] of the context's
+    straightener, rows for m < 0 are s times the context-free lowering
+    rows, and L_0 is s (Delta + level).
     """
     rule = straightener(ctx)
     s = rule.scale
-    index = partition_index(level - m)
-    powers = [s**e for e in range(level + 1)]
-    images = []
-    for mu in enumerate_partitions(level)[start:]:
-        image = []
-        for nu, coeff in rule.times(-m, mu):
-            e = len(mu) - len(nu)
-            value, rest = divmod(coeff, powers[e]) if e >= 0 else (coeff * s, 0)
-            if rest:
-                raise ArithmeticError(
-                    f"L_{m} image coefficient {coeff}/{s}^{1 + e} "
-                    f"of {mu} is not integral after scaling by {s}"
-                )
-            image.append((index[nu], value))
-        images.append(image)
-    return images
+    count = len(enumerate_partitions(level))
+    if m < 0:
+        rows = (_lowering(-m, level, i) for i in range(start, count))
+        return [[(t, s * n) for t, n in _pairs(row)] for row in rows]
+    s_delta = s // ctx.delta.denominator * ctx.delta.numerator
+    if m == 0:
+        value = s_delta + s * level
+        return [[(i, value)] if value else [] for i in range(start, count)]
+    if m > level:
+        return [[] for _ in range(start, count)]
+    env = (rule.tables, s, s_delta, s // ctx.c.denominator * ctx.c.numerator)
+    return [list(_pairs(_raising(m, level, i, env))) for i in range(start, count)]
 
 
 @lru_cache(maxsize=None)
 def reversed_monomial(partition: Partition) -> tuple[tuple[Partition, int], ...]:
     """Column mu of basis_change: R_mu = L_{-mu_k} ... L_{-mu_1}|Delta> as
-    (lambda, integer) pairs, computed as L_{-mu_k} R_{mu_1..mu_{k-1}}.
+    (lambda, integer) pairs, computed as L_{-mu_k} R_{mu_1..mu_{k-1}} from
+    the lowering rows.
     """
     if not partition:
         return (((), 1),)
-    # Negative modes never meet c or Delta and give integer coefficients,
-    # so each stored integer is exactly divisible by its power of s = 2.
-    rule = _act_monomial[Fraction(0), Fraction(0)]
+    j, level = partition[-1], sum(partition) - partition[-1]
+    index, target = partition_index(level), enumerate_partitions(level + j)
     acc: dict[Partition, int] = {}
-    for parts, coeff in reversed_monomial(partition[:-1]):
-        image = rule.times(partition[-1], parts)
-        accumulate(acc, ((p, n >> (1 + len(parts) - len(p))) for p, n in image), coeff)
+    for lam, coeff in reversed_monomial(partition[:-1]):
+        row = _lowering(j, level, index[lam])
+        accumulate(acc, ((target[t], n) for t, n in _pairs(row)), coeff)
     return tuple(sorted(acc.items(), reverse=True))
 
 

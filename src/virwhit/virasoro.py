@@ -18,7 +18,8 @@ them.  Three end rules use it:
 
 - none (p = 0): U(Vir) itself; words ordered by index, this module;
 - highest weight (p = span{L_n, n >= 0}, chi(L_0) = Delta,
-  chi(L_{n>0}) = 0): the Verma module, see verma;
+  chi(L_{n>0}) = 0): the Verma module, for verma.act only, the reference
+  that verma's own level-graded tables are tested against;
 - psi on a Whittaker subalgebra: the universal Whittaker modules, see
   universal.
 
@@ -116,8 +117,9 @@ class Straightener:
     and each product on the right is again L_x times an ordered word.  The
     products are memoized and evaluated on an explicit stack, so no word
     is too long for the interpreter's recursion limit.  ``tables`` holds
-    what other layers derive from the module (shapovalov's Gram
-    matrices), so the memo and those results are freed together.
+    what other layers derive from the module (verma's raising rows and
+    shapovalov's Gram matrices), so the memo and those results are freed
+    together.
 
     The arithmetic is in integers.  With the module scale s = lcm(2 den c,
     den of each scalar), the coefficient of v in L_m u times

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from virwhit import forms, linalg, universal
+from virwhit import forms, linalg, universal, verma
 from virwhit.cli import LIMITS, MAX_PARAMETER_BITS, build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -101,6 +101,25 @@ def test_bmt_lambdas_and_verify(tmp_path, capsys):
     assert doc["form"]["basis_side"] == "increasing"
     code_verify, _ = run_cli(capsys, "verify", "--input", str(out_path))
     assert code_verify == 0
+
+
+def test_commands_leave_the_generic_verma_memo_empty(tmp_path, capsys):
+    # The Gram, form and check layers read verma's tables; only verma.act,
+    # the reference, fills the memo of the highest-weight straightener.
+    verma._act_monomial.clear()
+    ctx = ["--c=-11/5", "--delta", "11/7"]
+    gaiotto, bmt = tmp_path / "gaiotto.json", tmp_path / "bmt.json"
+    commands = [
+        ["gram", *ctx, "--level", "12"],
+        ["gaiotto", "--r", "1", "--mu", "1,0", *ctx, "--cutoff", "12", "--out", str(gaiotto)],
+        ["bmt", "--n", "5", "--nu1", "1", "--nun", "2", *ctx, "--cutoff", "10", "--out", str(bmt)],
+        ["verify", "--input", str(gaiotto)],
+        ["verify", "--input", str(bmt)],
+    ]
+    for argv in commands:
+        assert run_cli(capsys, *argv)[0] == 0, argv
+    assert verma._act_monomial
+    assert all(not rule._cache for rule in verma._act_monomial.values())
 
 
 def test_verify_rejects_tampered_state(tmp_path, capsys):

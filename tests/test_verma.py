@@ -1,10 +1,13 @@
+import inspect
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from fraction_oracle import reference_det
+from pbw_oracle import reference_verma_act
 from virwhit.verma import (
     VermaContext,
     VermaVector,
@@ -231,11 +234,20 @@ def test_random_mixed_level_action_linear():
         assert direct.terms == split.terms
 
 
-@pytest.mark.parametrize("ctx", [CTX, VermaContext(Fraction(7, 1024), Fraction(-5, 9))])
-@pytest.mark.parametrize("m", [-2, -1, 0, 1, 2])
+@pytest.mark.parametrize(
+    "ctx",
+    [
+        CTX,
+        VermaContext(Fraction(7, 1024), Fraction(-5, 9)),
+        VermaContext(Fraction(1), Fraction(1)),  # degenerate from level 3
+    ],
+)
+@pytest.mark.parametrize("m", range(-8, 9))
 def test_scaled_images_are_s_times_the_action(m, ctx):
+    # Two implementations that share no code with the tables: the generic
+    # straightener behind act, and the swap recursion of pbw_oracle.
     s = straightener(ctx).scale
-    for level in range(max(m, 0), 7):
+    for level in range(max(m, 0), 9):
         target = enumerate_partitions(level - m)
         images = scaled_images(m, level, ctx)
         assert len(images) == len(enumerate_partitions(level))
@@ -245,4 +257,25 @@ def test_scaled_images_are_s_times_the_action(m, ctx):
             assert len(scaled) == len(image)
             expected = {p: s * c for p, c in act(m, basis_vector(ctx, mu)).terms.items()}
             assert scaled == expected, (m, mu)
+            reference = reference_verma_act(m, mu, ctx.c, ctx.delta)
+            assert scaled == {p: s * c for p, c in reference.items()}, (m, mu)
         assert scaled_images(m, level, ctx, start=1) == images[1:]
+
+
+def test_long_partitions_stay_within_a_few_frames_per_part():
+    # L_1 L_{-1}^n |Delta> = n (2 Delta + n - 1) L_{-1}^{n-1} |Delta> and
+    # L_1 L_{-n} |Delta> = (n + 1) L_{-(n-1)} |Delta>, with a recursion limit
+    # that leaves three frames per part and a margin.
+    ctx = VermaContext(Fraction(-13, 5), Fraction(17, 11))
+    s, n = straightener(ctx).scale, 30
+    count = len(enumerate_partitions(n))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 3 * n + 40)
+    try:
+        ones = scaled_images(1, n, ctx, count - 1)
+        top = scaled_images(1, n, ctx)[0]
+    finally:
+        sys.setrecursionlimit(limit)
+    last = len(enumerate_partitions(n - 1)) - 1
+    assert ones == [[(last, s * n * (2 * ctx.delta + n - 1))]]
+    assert top == [(0, s * (n + 1))]
