@@ -349,7 +349,7 @@ def _context(args) -> VermaContext:
 
 def _coefficients(args, length: int) -> dict:
     """The --coeffs map, or the one basic form with zero exponents without it."""
-    if not args.coeffs:
+    if args.coeffs is None:
         return {(0,) * length: Fraction(1)}
     try:
         raw = json.loads(args.coeffs)
@@ -416,7 +416,7 @@ def _cmd_bmt(args):
     """build, raise and verify a BMT state"""
     from . import forms
     cutoff, psi, ctx = args.cutoff, _whittaker_type(args), _context(args)
-    if args.coeffs and args.lambdas:
+    if args.coeffs is not None and args.lambdas is not None:
         raise ConfigError("give either --coeffs or --lambdas, not both")
     if args.lambdas is not None:
         form = forms.bmt_special_form(psi, tuple(args.lambdas), cutoff, ctx)

@@ -128,7 +128,9 @@ def _side_coords(side: str, terms: dict[Partition, Fraction]) -> dict[Partition,
 
 
 def eval_form(f: DualForm, v: VermaVector) -> Fraction:
-    """Pair the form with a module vector; linear, exact."""
+    """Pair the form with a vector of its module; linear, exact."""
+    if v.context != f.context:
+        raise linalg.ContextMismatchError(f"form on {f.context}, vector of {v.context}")
     top = max(v.levels(), default=0)
     if top > f.cutoff:
         raise CutoffExceededError(f"argument has level {top} above cutoff {f.cutoff}")

@@ -26,10 +26,12 @@ that vanish on the pivot columns), so it is never larger than the
 fraction-free (Bareiss) row on that line.
 
 Sparse vectors throughout the package are dicts from basis labels to
-nonzero coefficients; ``accumulate`` is the one update rule they share.
-SparseVector is the one vector type built on it: U(Vir) elements, Verma
-vectors, dual forms and universal Whittaker vectors all inherit its
-arithmetic and its same-module check.
+nonzero coefficients.  One update rule serves two row shapes:
+``accumulate`` takes (key, coefficient) pairs, ``accumulate_flat`` a flat
+row (key, n, key, n, ...) of the straightener's memo or verma's tables,
+which ``pairs`` reads.  SparseVector, the one vector type, is built on
+``accumulate``: U(Vir) elements, Verma vectors, dual forms and universal
+Whittaker vectors all inherit its arithmetic and its same-module check.
 
 Value is the base of the package's immutable records, SparseVector
 among them: fields come from the class annotations, with the
@@ -100,6 +102,24 @@ def accumulate(acc: dict, items, scalar=1) -> dict:
         else:
             acc.pop(key, None)
     return acc
+
+
+def accumulate_flat(acc: dict, flat: tuple, scalar) -> dict:
+    """``accumulate`` on a flat row, read without a zip: most rows are short."""
+    it = iter(flat)
+    for key in it:
+        new = acc.get(key, 0) + next(it) * scalar
+        if new:
+            acc[key] = new
+        else:
+            acc.pop(key, None)
+    return acc
+
+
+def pairs(flat: tuple):
+    """The (key, coefficient) pairs of a flat row, one pass."""
+    it = iter(flat)
+    return zip(it, it)
 
 
 class Value:

@@ -9,9 +9,9 @@ deterministic.
 V_{c,Delta} is induced from p = span{L_n, n >= 0} with the highest-weight
 end rule chi(L_0) = Delta, chi(L_{n>0}) = 0.  ``act`` applies L_m through
 its generic straightener (virasoro.Straightener, one per (c, Delta)),
-which takes the partition itself as the word, letter x standing for
-L_{-x}.  It is the independent reference the tables below are tested
-against; no command calls it.
+whose word for a partition is its index word, the negated parts.  It is
+the independent reference the tables below are tested against; no
+command calls it.
 
 scaled_images gives s (L_m L_{-mu}|Delta>), s = lcm(2 den c, den Delta),
 to the Gram recursion, the state check and the form equations, from
@@ -46,9 +46,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import neg
+from itertools import chain
 
-from .linalg import SparseVector, Value, accumulate
+from .linalg import SparseVector, Value, accumulate, accumulate_flat, pairs
 from .virasoro import Straightener, Straighteners
 
 Partition = tuple[int, ...]
@@ -138,10 +138,10 @@ def exponents_partition(exponents) -> Partition:
 
 
 def _highest_weight_rule(key) -> Straightener:
-    # Letters are parts (L_{-x}); L_0 ends as Delta and L_{n>0} as 0.
+    # Letters are modes; L_0 ends as Delta and L_{n>0} as 0.
     c, delta = key
-    end = lambda x: None if x > 0 else delta if x == 0 else 0
-    return Straightener(c, sign=-1, rank=neg, end=end, scalars=(delta,))
+    end = lambda x: None if x < 0 else delta if x == 0 else 0
+    return Straightener(c, end=end, scalars=(delta,))
 
 
 # One straightener per (c, Delta), each owning the memo of ``act`` and, in
@@ -152,15 +152,18 @@ _act_monomial = Straighteners(_highest_weight_rule)
 
 
 def straightener(ctx: VermaContext) -> Straightener:
-    """The highest-weight straightener of V_{c,Delta}: letter x is L_{-x}, so
-    ``straightener(ctx).times(-m, partition)`` is L_m L_{-partition}|Delta>.
-    Its ``tables`` hold the context's raising rows and Gram matrices."""
+    """The highest-weight straightener of V_{c,Delta}: letter x is L_x, so
+    ``straightener(ctx).times(m, (-i_1, ..., -i_k))`` is L_m L_{-i_1} ...
+    L_{-i_k}|Delta>.  Its ``tables`` hold the context's raising rows and
+    Gram matrices."""
     return _act_monomial[ctx.c, ctx.delta]
 
 
 def act(m: int, v: VermaVector) -> VermaVector:
     """The module action of L_m; maps level l to level l - m."""
-    return VermaVector(v.context, straightener(v.context).apply((-m,), v.terms))
+    words = {tuple(-x for x in p): n for p, n in v.terms.items()}
+    image = straightener(v.context).apply((m,), words)
+    return VermaVector(v.context, {tuple(-x for x in w): n for w, n in image.items()})
 
 
 # Lowering rows, shared by every context: _LOWERING[j, level][i] is
@@ -186,19 +189,6 @@ def _rows(store: dict, key: tuple[int, int]) -> list:
     return rows
 
 
-def _pairs(row: tuple):
-    it = iter(row)
-    return zip(it, it)
-
-
-def _flat(acc: dict[int, int]) -> tuple:
-    flat: list[int] = []
-    for u, x in acc.items():
-        if x:
-            flat += (u, x)
-    return tuple(flat)
-
-
 def _lowering(j: int, level: int, i: int) -> tuple:
     """Row i of _LOWERING[j, level], filled on first use.
 
@@ -218,10 +208,9 @@ def _lowering(j: int, level: int, i: int) -> tuple:
         a, rest = _splits(level)[i]
         acc = {index[(a + j,) + mu[1:]]: a - j}
         upper = _rows(_LOWERING, (a, level - a + j))
-        for t, n in _pairs(_lowering(j, level - a, rest)):
-            for u, x in _pairs(upper[t] or _lowering(a, level - a + j, t)):
-                acc[u] = acc.get(u, 0) + n * x
-        row = _flat(acc)
+        for t, n in pairs(_lowering(j, level - a, rest)):
+            accumulate_flat(acc, upper[t] or _lowering(a, level - a + j, t), n)
+        row = tuple(chain.from_iterable(acc.items()))
     rows[i] = row
     return row
 
@@ -246,21 +235,18 @@ def _raising(k: int, level: int, i: int, env: tuple) -> tuple:
     acc: dict[int, int] = {}
     if low >= k:
         upper = _rows(_LOWERING, (a, low - k))
-        for t, n in _pairs(_rows(tables, (k, low))[rest] or _raising(k, low, rest, env)):
-            for u, x in _pairs(upper[t] or _lowering(a, low - k, t)):
-                acc[u] = acc.get(u, 0) + n * x
+        for t, n in pairs(_rows(tables, (k, low))[rest] or _raising(k, low, rest, env)):
+            accumulate_flat(acc, upper[t] or _lowering(a, low - k, t), n)
     if k > a:
         sub = _rows(tables, (k - a, low))[rest] or _raising(k - a, low, rest, env)
-        for t, n in _pairs(sub):
-            acc[t] = acc.get(t, 0) + (k + a) * n
+        accumulate_flat(acc, sub, k + a)
     elif k == a:
         # 2k s (Delta + low) plus s c k (k^2 - 1)/12, exact: s c is even.
         central = s_c * (k * (k * k - 1) // 6) // 2
-        acc[rest] = acc.get(rest, 0) + 2 * k * (s_delta + s * low) + central
+        accumulate_flat(acc, (rest, 2 * k * (s_delta + s * low) + central), 1)
     else:
-        for t, n in _pairs(_lowering(a - k, low, rest)):
-            acc[t] = acc.get(t, 0) + (k + a) * s * n
-    row = rows[i] = _flat(acc)
+        accumulate_flat(acc, _lowering(a - k, low, rest), (k + a) * s)
+    row = rows[i] = tuple(chain.from_iterable(acc.items()))
     return row
 
 
@@ -277,7 +263,7 @@ def scaled_images(m: int, level: int, ctx: VermaContext, start: int = 0) -> list
     count = len(enumerate_partitions(level))
     if m < 0:
         rows = (_lowering(-m, level, i) for i in range(start, count))
-        return [[(t, s * n) for t, n in _pairs(row)] for row in rows]
+        return [[(t, s * n) for t, n in pairs(row)] for row in rows]
     s_delta = s // ctx.delta.denominator * ctx.delta.numerator
     if m == 0:
         value = s_delta + s * level
@@ -285,7 +271,7 @@ def scaled_images(m: int, level: int, ctx: VermaContext, start: int = 0) -> list
     if m > level:
         return [[] for _ in range(start, count)]
     env = (rule.tables, s, s_delta, s // ctx.c.denominator * ctx.c.numerator)
-    return [list(_pairs(_raising(m, level, i, env))) for i in range(start, count)]
+    return [list(pairs(_raising(m, level, i, env))) for i in range(start, count)]
 
 
 @lru_cache(maxsize=None)
@@ -301,7 +287,7 @@ def reversed_monomial(partition: Partition) -> tuple[tuple[Partition, int], ...]
     acc: dict[Partition, int] = {}
     for lam, coeff in reversed_monomial(partition[:-1]):
         row = _lowering(j, level, index[lam])
-        accumulate(acc, ((target[t], n) for t, n in _pairs(row)), coeff)
+        accumulate(acc, ((target[t], n) for t, n in pairs(row)), coeff)
     return tuple(sorted(acc.items(), reverse=True))
 
 

@@ -11,10 +11,11 @@ Every module the package computes in is induced,
 U(Vir) (x)_{U(p)} C_chi: a vector is a combination of ordered words of
 letters outside p, and a letter of p that reaches the right end becomes
 its scalar chi.  Straightener computes "L_m times an ordered word" for a
-letter order and such an end rule, memoized, and is the only place the
-commutation rule is applied.  It computes in integers under one graded
-denominator; Fractions appear only where ``apply`` takes and returns
-them.  Three end rules use it:
+letter order and such an end rule, memoized.  The commutation rule is
+applied there and, for the Verma module alone, level by level in verma's
+tables, which are tested against verma.act and tests/pbw_oracle.py.  It
+computes in integers under one graded denominator; Fractions appear only
+where ``apply`` takes and returns them.  Three end rules use it:
 
 - none (p = 0): U(Vir) itself; words ordered by index, this module;
 - highest weight (p = span{L_n, n >= 0}, chi(L_0) = Delta,
@@ -43,7 +44,7 @@ from fractions import Fraction
 from math import lcm
 from operator import pos
 
-from .linalg import ContextMismatchError, SparseVector, accumulate
+from .linalg import ContextMismatchError, SparseVector, accumulate, accumulate_flat, pairs
 
 Word = tuple[int, ...]
 
@@ -87,30 +88,19 @@ def bracket(m: int, n: int, c: Fraction) -> EnvelopingElement:
     return EnvelopingElement(c, terms)
 
 
-def _accumulate_flat(acc: dict[Word, int], image: tuple, scalar: int) -> None:
-    # linalg.accumulate on a flat image; most images have one term, and this
-    # reads them without a zip.
-    it = iter(image)
-    for v in it:
-        new = acc.get(v, 0) + next(it) * scalar
-        if new:
-            acc[v] = new
-        else:
-            acc.pop(v, None)
-
-
 class Straightener:
     """L_m times the ordered words of one induced module U(Vir) (x)_{U(p)} C_chi.
 
-    A letter x stands for the generator L_{sign x}.  ``rank`` orders the
-    letters: a word is ordered when its ranks do not decrease.  ``end`` is
-    the end rule: end(x) is chi(L_{sign x}) for a letter of p and None for
-    a letter that stays; no rule means p = 0.  ``scalars`` lists every
-    value the end rule can return.  Letters of p must rank above all
-    others, so an ordered word holds none of them.
+    A letter x stands for the generator L_x.  ``rank`` orders the letters:
+    a word is ordered when its ranks do not decrease.  ``end`` is the end
+    rule: end(x) is chi(L_x) for a letter of p and None for a letter that
+    stays; no rule means p = 0.  ``scalars`` lists every value the end
+    rule can return.  Letters of p must rank above all others, so an
+    ordered word holds none of them.
 
-    The commutation rule is applied here and nowhere else.  For the first
-    letter a of the word and rank(m) > rank(a),
+    The commutation rule is applied here (and, for the Verma module only,
+    in verma's tables).  For the first letter a of the word and rank(m) >
+    rank(a),
 
         L_m L_a rest = L_a (L_m rest) + [L_m, L_a] rest,
 
@@ -125,7 +115,7 @@ class Straightener:
     den of each scalar), the coefficient of v in L_m u times
     s^{1 + len u - len v} is an integer, by induction over the rule: a
     prepended word gets 1, an end value psi gets psi s, a merged term gets
-    sign (m - a) s, and the central term gets c m(m^2 - 1)/12 s^2, where
+    (m - a) s, and the central term gets c m(m^2 - 1)/12 s^2, where
     m(m^2 - 1)/12 lies in Z/2.  ``times`` returns these integers, ``fold``
     applies a word to integer images, and ``apply`` is the boundary that
     takes and returns Fractions.  The memo stores each image as one flat
@@ -133,8 +123,8 @@ class Straightener:
     it back as (v, n) pairs.
     """
 
-    def __init__(self, c, sign: int = 1, rank=pos, end=None, scalars=()):
-        self.c, self.sign, self.rank, self.end = c, sign, rank, end
+    def __init__(self, c, rank=pos, end=None, scalars=()):
+        self.c, self.rank, self.end = c, rank, end
         self.scale = lcm(2 * c.denominator, *(x.denominator for x in scalars))
         self._cache: dict[tuple[int, Word], tuple] = {}  # flat images
         self._ends: dict[int, tuple] = {}
@@ -143,7 +133,7 @@ class Straightener:
         self.tables: dict = {}  # results derived from this module, freed with it
 
     def _end(self, m: int):
-        # L_m times the empty word: the letter itself or s chi(L_{sign m}).
+        # L_m times the empty word: the letter itself or s chi(L_m).
         value = None if self.end is None else self.end(m)
         if value is None:
             return ((m,), 1)
@@ -174,21 +164,20 @@ class Straightener:
         if tail is None:
             tail = yield (m, rest)
         acc: dict[Word, int] = {}
-        pairs = iter(tail)
-        for u, coeff in zip(pairs, pairs):
+        for u, coeff in pairs(tail):
             image = lookup(a, u)
             if image is None:
                 image = yield (a, u)
-            _accumulate_flat(acc, image, coeff)
+            accumulate_flat(acc, image, coeff)
         merged = lookup(m + a, rest)
         if merged is None:
             merged = yield (m + a, rest)
         s = self.scale
-        _accumulate_flat(acc, merged, self.sign * (m - a) * s)
+        accumulate_flat(acc, merged, (m - a) * s)
         if m + a == 0:
             # c m(m^2 - 1)/12 s^2, exact: m(m^2 - 1) is divisible by 6, s by 2 den c.
             c = self.c.numerator * (s * s // self.c.denominator)
-            _accumulate_flat(acc, (rest, self.sign * c * m * (m * m - 1) // 12), 1)
+            accumulate_flat(acc, (rest, c * m * (m * m - 1) // 12), 1)
         words, flat = self._words, []
         for v, n in acc.items():
             flat += (words.setdefault(v, v), n)
@@ -198,8 +187,7 @@ class Straightener:
         """L_m times the ordered ``word``, as a one-pass iterator of (ordered
         word v, integer) pairs; the coefficient of v is the integer over
         s^{1 + len word - len v}."""
-        pairs = iter(self._image(m, word))
-        return zip(pairs, pairs)
+        return pairs(self._image(m, word))
 
     def _image(self, m: int, word: Word) -> tuple:
         # The flat image of L_m times word, filling the memo on a miss.
@@ -245,7 +233,7 @@ class Straightener:
         for x in reversed(word):
             acc: dict[Word, int] = {}
             for u, coeff in ints.items():
-                _accumulate_flat(acc, self._image(x, u), coeff)
+                accumulate_flat(acc, self._image(x, u), coeff)
             ints = acc
         return ints
 

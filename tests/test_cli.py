@@ -809,6 +809,28 @@ def test_zero_coefficients_exit_2(capsys, command, coeffs):
     assert captured.err == "error: --coeffs has no nonzero coefficient: the form would be zero\n"
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["gaiotto", "--r", "1", "--mu", "1,0"], "error: bad coefficients JSON: "),
+        (["bmt", "--n", "4", "--nu1", "2/5", "--nun", "-3"], "error: bad coefficients JSON: "),
+        (
+            ["bmt", "--n", "4", "--nu1", "2/5", "--nun", "-3", "--lambdas", "1,2"],
+            "error: give either --coeffs or --lambdas, not both\n",
+        ),
+    ],
+    ids=["gaiotto", "bmt", "bmt-lambdas"],
+)
+def test_empty_coeffs_exit_2(capsys, command, message):
+    # An empty --coeffs is a malformed value, not an absent one.
+    code = main([*command, "--c", "1", "--delta", "1", "--cutoff", "2", "--coeffs", ""])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+    assert captured.err.count("\n") == 1
+
+
 GAIOTTO_R2 = ["gaiotto", "--r", "2", "--mu", "2,-1/3,7", "--c", "11/3", "--delta", "2/7"]
 GAIOTTO_COEFFS = (
     '[{"exponents": [0], "coefficient": "1"}, {"exponents": [2], "coefficient": "-1/3"}]'

@@ -337,6 +337,31 @@ def test_primes_are_the_primes_below_2_30_largest_first():
     assert not any(map(linalg._is_prime, (2047, 1373653, 25326001)))
 
 
+def test_update_rule_on_pairs_and_flat_rows():
+    # A key that cancels is dropped; a later term adds it back, at the end.
+    shapes = ((linalg.accumulate, [(1, 2), (2, 3)]), (linalg.accumulate_flat, (1, 2, 2, 3)))
+    for update, row in shapes:
+        acc = {1: -4, 3: 5}
+        assert update(acc, row, 2) is acc
+        assert list(acc.items()) == [(3, 5), (2, 6)]
+        update(acc, row, 1)
+        assert list(acc.items()) == [(3, 5), (2, 9), (1, 2)]
+        update(acc, row, 0)
+        assert list(acc.items()) == [(3, 5), (2, 9), (1, 2)]
+    # On random rows, with cancellations, the two shapes agree term for term and in order.
+    rng = random.Random(24)
+    for _ in range(200):
+        acc = {k: rng.choice([-3, -1, 2, 5]) for k in rng.sample(range(8), rng.randint(0, 6))}
+        row = {k: rng.choice([-2, -1, 1, 3]) for k in rng.sample(range(8), rng.randint(0, 6))}
+        flat = tuple(x for item in row.items() for x in item)
+        assert list(linalg.pairs(flat)) == list(row.items())
+        scalar = rng.randint(-3, 3)
+        expected = linalg.accumulate(dict(acc), linalg.pairs(flat), scalar)
+        got = linalg.accumulate_flat(acc, flat, scalar)
+        assert list(got.items()) == list(expected.items())
+        assert all(got.values())
+
+
 def test_sparse_rows_give_the_dense_nullspace():
     rng = random.Random(11)
     for _ in range(20):
@@ -367,6 +392,10 @@ _PSI = WhittakerType1N(4, Fraction(2), Fraction(3))
             forms.zero_form(_CTX, 3, forms.DECREASING), forms.zero_form(_CTX, 3, forms.INCREASING)
         ),
         lambda: forms.zero_form(_CTX, 3) + forms.zero_form(_CTX, 2),
+        lambda: forms.eval_form(
+            forms.zero_form(_CTX, 3),
+            verma.highest_weight_vector(verma.VermaContext(Fraction(1), Fraction(5))),
+        ),
     ],
     ids=[
         "enveloping-charge",
@@ -376,6 +405,7 @@ _PSI = WhittakerType1N(4, Fraction(2), Fraction(3))
         "universal-charge",
         "form-basis-side",
         "form-cutoff",
+        "form-vector-context",
     ],
 )
 def test_combining_vectors_of_different_modules_raises(combine):

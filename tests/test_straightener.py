@@ -79,9 +79,13 @@ def test_whittaker_action_matches_swap_recursion(case, c):
 def test_verma_images_are_integers_under_the_graded_denominator(m, partition, c, delta):
     rule = straightener(VermaContext(c, delta))
     assert rule.scale == lcm(2 * c.denominator, delta.denominator)
-    image = tuple(rule.times(-m, partition))
+    # The straightener's word for a partition is its negated parts.
+    image = tuple(rule.times(m, tuple(-x for x in partition)))
     assert all(type(n) is int for _, n in image)
-    graded = {v: Fraction(n, rule.scale ** (1 + len(partition) - len(v))) for v, n in image}
+    graded = {
+        tuple(-x for x in v): Fraction(n, rule.scale ** (1 + len(partition) - len(v)))
+        for v, n in image
+    }
     assert graded == reference_verma_act(m, partition, c, delta)
 
 
@@ -164,7 +168,7 @@ def test_family_keeps_the_last_max_contexts():
     "rule, word, base",
     [
         (Straightener(C), (2, 1, 3, -1, -2, -3, 1), ()),
-        (_highest_weight_rule((C, Fraction(2, 7))), (-2, -1, 1, 1, -3, 2), (2, 1)),
+        (_highest_weight_rule((C, Fraction(2, 7))), (2, 1, -1, -1, 3, -2), (-2, -1)),
         (_psi_rule((WhittakerTypeR(2, (Fraction(1), Fraction(0), Fraction(3, 2))), C)),
          (3, 2, -1, 1, -2, 4), (-1, 0)),
         (_psi_rule((WhittakerType1N(5, Fraction(2), Fraction(-3)), C)), (4, 1, -1, 6, 2), (-2, 3)),
