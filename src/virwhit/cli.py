@@ -52,7 +52,7 @@ LIMITS = {
     # gaiotto and check-l0-li take 0.1 s at r = 12; gaiotto --r 20000 1.0 s.
     "r": (1, 12),
     # check-lemmas --r 12 --max-level 12 --max-length 12 (each mu 13/7,
-    # c = 13/5, seed 7): 1.7 s and 81 MB peak for 1000 samples.
+    # c = 13/5, seed 7): 1.4-1.6 s and 81 MB peak for 1000 samples.
     "samples": (1, 1000),
     "max_level": (0, 12),
     "max_length": (0, 12),

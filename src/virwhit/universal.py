@@ -24,6 +24,7 @@ smallest nonnegative letter (the subalgebra order when there is none).
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
 from operator import pos
@@ -48,11 +49,11 @@ class NotClassifiedError(ValueError):
 
 
 def pp_level(word: PseudoPartition) -> int:
-    return -sum(x for x in word if x < 0)
+    return -sum(word[: bisect_left(word, 0)])
 
 
 def pp_length(word: PseudoPartition) -> int:
-    return sum(1 for x in word if x >= 0)
+    return len(word) - bisect_left(word, 0)
 
 
 def pp_l_value(word: PseudoPartition, order: int) -> int:
@@ -247,6 +248,8 @@ def whittaker_subspace_level0(
     r <= r' <= s.  Every other r' raises NotClassifiedError.  The spanning
     set is restricted to words no longer than ``max_length``.
     """
+    if not isinstance(psi, WhittakerTypeR):
+        raise ValueError(f"the classified subspaces need an order type, got {psi}")
     r, s = psi.r, psi.rank
     high_rank = s in (2 * r - 1, 2 * r)
     if high_rank:
@@ -391,73 +394,71 @@ def check_lemma_bounds(
     drop inside the subalgebra window; and, when m = k + rank for the
     smallest represented depth k, the exact leading coefficient
     count(-k) psi(L_s) (2k + s) together with the level/length classes of
-    the remainder.
+    the remainder.  No range contains an m below the order r.
 
-    Both commutators are read off the straightener's integer images: the
-    two products in [L_m, L_part] L_rest |w> apply the same number of
-    letters to |w>, so their integers share one graded denominator and
-    subtract as ints.  L_m L_plus |w> serves both commutators.
+    Only L_m L_plus |w> and L_m L_word |w> are straightened; the two
+    products of each commutator apply as many letters to |w>, so their
+    integers share one graded denominator and subtract as ints.  For
+    m >= r, L_m |w> is psi(L_m) |w>, so L_plus L_m |w> is psi(L_m) on the
+    ordered word plus; the words of L_m L_plus |w> have no negative
+    letter, so L_minus only prepends minus to each.
     """
+    if not isinstance(psi, WhittakerTypeR):
+        raise ValueError(f"the lemma bounds need an order type, got {psi}")
     word = validate_pseudo_partition(psi, word)
     r, s = psi.r, psi.rank
-    minus = tuple(x for x in word if x < 0)
-    plus = tuple(x for x in word if x >= 0)
-    level = pp_level(word)
-    length = pp_length(word)
-    rule = _REWRITERS[psi, Fraction(c)]
+    if m < r:
+        return CommutatorBoundsReport(m, word, ())
+    split = bisect_left(word, 0)
+    minus, plus = word[:split], word[split:]
+    level, length = -sum(minus), len(plus)
+    rule = _REWRITERS[psi, c]
     clauses: list[ClauseResult] = []
 
     m_plus = dict(rule.times(m, plus))
-    plus_m = rule.fold(plus, dict(rule.times(m, ())))
-    comm_plus = accumulate(dict(m_plus), plus_m.items(), -1)
-    comm_minus = accumulate(dict(rule.times(m, word)), rule.fold(minus, m_plus).items(), -1)
-    max_length = max(map(pp_length, comm_plus), default=0)
+    comm_plus = accumulate(dict(m_plus), ((plus, n) for _, n in rule.times(m, ())), -1)
+    minus_m_plus = ((minus + u, n) for u, n in m_plus.items())
+    comm_minus = accumulate(dict(rule.times(m, word)), minus_m_plus, -1)
     max_level = max(map(pp_level, comm_minus), default=0)
 
-    if m > s:
-        detail = f"[L_{m}, L_plus]|w> must vanish for m > {s}"
-        clauses.append(ClauseResult("raising_vanishes", not comm_plus, detail))
-    if r <= m <= s:
+    if m <= s:
+        max_length = max(map(len, comm_plus), default=0)  # no negative letters
         ok = not comm_plus or max_length < length
         detail = f"max length {max_length} must drop below {length}"
         clauses.append(ClauseResult("raising_length_drop", ok, detail))
-    if m > s + level:
-        detail = f"[L_{m}, L_minus] L_plus |w> must vanish for m > {s + level}"
-        clauses.append(ClauseResult("lowering_vanishes", not comm_minus, detail))
-    if s < m <= s + level:
-        ok = not comm_minus or max_level <= level + s - m
-        detail = f"max level {max_level} must not exceed {level + s - m}"
-        clauses.append(ClauseResult("lowering_level_window", ok, detail))
-    if r <= m <= s:
         ok = not comm_minus or max_level < level
         detail = f"max level {max_level} must drop below {level}"
         clauses.append(ClauseResult("lowering_level_drop", ok, detail))
+    else:
+        detail = f"[L_{m}, L_plus]|w> must vanish for m > {s}"
+        clauses.append(ClauseResult("raising_vanishes", not comm_plus, detail))
+        if m > s + level:
+            detail = f"[L_{m}, L_minus] L_plus |w> must vanish for m > {s + level}"
+            clauses.append(ClauseResult("lowering_vanishes", not comm_minus, detail))
+        else:
+            ok = not comm_minus or max_level <= level + s - m
+            detail = f"max level {max_level} must not exceed {level + s - m}"
+            clauses.append(ClauseResult("lowering_level_window", ok, detail))
 
     if minus and m == s - minus[-1]:
-        # Smallest depth k; comm_minus's integer for v is over scale^(top - len v).
+        # Smallest depth k; comm_minus's integer for v is over scale^(top - len v),
+        # scale^2 on the leading word.  scale clears psi(L_s)'s denominator.
         k, top, scale = -minus[-1], 1 + len(word), rule.scale
-
-        def value(v, n):
-            return Fraction(n, scale ** (top - len(v)))
-
-        expected = minus.count(-k) * psi.value(s) * (2 * k + s)
-        remaining = list(word)
-        remaining.remove(-k)
-        leading_word = tuple(remaining)
-        actual = value(leading_word, comm_minus.get(leading_word, 0))
+        mu = psi.value(s)
+        lift = minus.count(-k) * (2 * k + s) * mu.numerator * (scale // mu.denominator) * scale
+        leading_word = minus[:-1] + plus
+        n = comm_minus.get(leading_word, 0)
+        actual, expected = Fraction(n, scale * scale), Fraction(lift, scale * scale)
         detail = f"coefficient on {leading_word} is {actual}, expected {expected}"
-        clauses.append(ClauseResult("leading_term", actual == expected, detail))
-        lift = -expected * scale ** (top - len(leading_word))
-        remainder = accumulate(dict(comm_minus), ((leading_word, 1),), lift)
+        clauses.append(ClauseResult("leading_term", n == lift, detail))
+        remainder = accumulate(dict(comm_minus), ((leading_word, -lift),))
         ok = True
         detail = "remainder splits into the level/length classes"
         for out_word, n in remainder.items():
-            out_level = pp_level(out_word)
-            if out_level > level - k or (
-                out_level == level - k and pp_length(out_word) >= length
-            ):
+            if (pp_level(out_word), pp_length(out_word)) >= (level - k, length):
                 ok = False
-                detail = f"term {out_word} (coeff {value(out_word, n)}) escapes both classes"
+                coeff = Fraction(n, scale ** (top - len(out_word)))
+                detail = f"term {out_word} (coeff {coeff}) escapes both classes"
                 break
         clauses.append(ClauseResult("remainder_split", ok, detail))
 

@@ -164,11 +164,24 @@ class Straightener:
         if tail is None:
             tail = yield (m, rest)
         acc: dict[Word, int] = {}
-        for u, coeff in pairs(tail):
-            image = lookup(a, u)
-            if image is None:
-                image = yield (a, u)
-            accumulate_flat(acc, image, coeff)
+        rank = self.rank
+        get, it, low = acc.get, iter(tail), rank(a)
+        for u in it:
+            coeff = next(it)
+            if u and rank(u[0]) < low:
+                image = lookup(a, u)
+                if image is None:
+                    image = yield (a, u)
+                accumulate_flat(acc, image, coeff)
+                continue
+            # Else L_a u is the word a u (a, a letter of an ordered word, is
+            # not in p): the common case, so accumulate_flat is inlined.
+            v = (a,) + u
+            n = get(v, 0) + coeff
+            if n:
+                acc[v] = n
+            else:
+                del acc[v]
         merged = lookup(m + a, rest)
         if merged is None:
             merged = yield (m + a, rest)

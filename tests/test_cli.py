@@ -202,6 +202,29 @@ def test_check_lemmas_exit(capsys):
     assert json.loads(out)["passed"]
 
 
+def test_check_lemmas_memo_accounting(capsys, monkeypatch):
+    # The seed-0 r = 2 check-lemmas job of perfbench's universal workload:
+    # its memo hits and entries are what universal.rewrite.memo_entries and
+    # the rewriter's cache_info() report for that job.
+    monkeypatch.setattr(universal, "_REWRITERS", universal.Straighteners(universal._psi_rule))
+    code, out = run_cli(
+        capsys,
+        "check-lemmas",
+        "--r=2",
+        "--mu=13/7,-13/5,-11/7",
+        "--c=-13/7",
+        "--samples", "400",
+        "--max-level", "10",
+        "--max-length", "6",
+        "--seed=1207258441",
+    )
+    assert code == 0
+    digest = "726906b5f03f10ca0602bee29668482e4250cac923c9ccee4d86cb36950d2639"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    info = universal._REWRITERS.cache_info()
+    assert (info.hits, info.currsize) == (3938, 2512)
+
+
 @pytest.mark.parametrize(
     "option, value",
     [

@@ -9,6 +9,7 @@ from lemma_oracle import reference_check_lemma_bounds
 
 from virwhit.universal import (
     NotClassifiedError,
+    _REWRITERS,
     _checked_indices,
     UniversalVector,
     act_universal,
@@ -396,8 +397,8 @@ small_rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 13))
 def _lemma_cases(draw):
     # An order-r type with some mu zero but never all, a pseudo-partition of
     # level <= 8 and length <= 5, and the check-lemmas command's three m
-    # choices plus one more anywhere in r..s + level + 3.
-    r = draw(st.integers(1, 3))
+    # choices plus one more anywhere in r..s + level + 3 and one below r.
+    r = draw(st.integers(1, 4))
     maybe_zero = st.one_of(st.just(Fraction(0)), small_rationals)
     mu = draw(st.lists(maybe_zero, min_size=r + 1, max_size=r + 1).filter(any))
     psi = WhittakerTypeR(r, tuple(mu))
@@ -410,6 +411,7 @@ def _lemma_cases(draw):
         draw(st.integers(s + 1, s + level + 3)),
         draw(st.integers(r, s)),
         draw(st.integers(r, s + level + 3)),
+        draw(st.integers(-s - level - 3, r - 1)),
     ]
     if level:
         ms.append(depths[-1] + s)
@@ -421,9 +423,39 @@ def _lemma_cases(draw):
 def test_lemma_bounds_match_the_fraction_oracle(case):
     psi, word, ms, c = case
     for m in ms:
-        assert check_lemma_bounds(m, word, psi, c) == reference_check_lemma_bounds(
-            m, word, psi, c
-        ), (psi, word, m, c)
+        report = check_lemma_bounds(m, word, psi, c)
+        assert report == reference_check_lemma_bounds(m, word, psi, c), (psi, word, m, c)
+        if m < psi.r:
+            assert report.clauses == ()
+
+
+@settings(deadline=None, max_examples=100)
+@given(_lemma_cases())
+def test_lemma_products_that_need_no_straightening(case):
+    # check_lemma_bounds straightens only L_m L_plus |w> and L_m L_word |w>
+    # for m >= r; these are the two facts that let it skip the others.
+    psi, word, ms, c = case
+    rule = _REWRITERS[psi, c]
+    split = sum(1 for x in word if x < 0)
+    minus, plus = word[:split], word[split:]
+    for m in (m for m in ms if m >= psi.r):
+        # L_m |w> = psi(L_m) |w>, so L_plus L_m |w> is psi(L_m) s on plus.
+        scaled = psi.value(m) * rule.scale
+        expected = {plus: scaled} if scaled else {}
+        assert rule.fold(plus, dict(rule.times(m, ()))) == expected, (psi, word, m)
+        # L_m L_plus |w> has no negative letter, so L_minus only prepends minus.
+        m_plus = dict(rule.times(m, plus))
+        assert all(x >= 0 for u in m_plus for x in u), (psi, word, m)
+        concatenated = {minus + u: n for u, n in m_plus.items()}
+        assert rule.fold(minus, m_plus) == concatenated, (psi, word, m)
+
+
+def test_order_type_functions_reject_pair_types():
+    pair = WhittakerType1N(4, 1, 2)
+    with pytest.raises(ValueError, match="order type"):
+        check_lemma_bounds(3, (2,), pair, 1)
+    with pytest.raises(ValueError, match="order type"):
+        whittaker_subspace_level0(pair, 1, 1)
 
 
 def test_search_rejects_duplicates():
