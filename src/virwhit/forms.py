@@ -48,11 +48,11 @@ from .verma import (
     Partition,
     VermaContext,
     VermaVector,
+    context_tables,
     enumerate_partitions,
     partition_key,
     reversed_monomial,
     scaled_images,
-    straightener,
 )
 from .whittaker import (
     ResidualCheck,
@@ -173,7 +173,7 @@ def act_on_form(m: int, f: DualForm) -> DualForm:
     """
     ctx = f.context
     ints, den = _cleared(convert_form(f, DECREASING).terms)
-    scale = den * straightener(ctx).scale
+    scale = den * context_tables(ctx).scale
     sources = {sum(p) for p in ints}
     new_cutoff = max(0, f.cutoff - max(m, 0))
     terms: dict[Partition, Fraction] = {}
@@ -196,7 +196,7 @@ def _whittaker_rows(typ: WhittakerType, ctx: VermaContext, cutoff: int):
     over canonical labels, so its pairing with a decreasing-side form f is
     s den psi(L_k) ((L_k f) - psi(L_k) f)(L_{-mu}|Delta>).
     """
-    s = straightener(ctx).scale
+    s = context_tables(ctx).scale
     for k in subalgebra_indices(typ, cutoff):
         expected = typ.value(k)
         for lvl in range(cutoff - k + 1):
@@ -352,7 +352,7 @@ def verify_whittaker_form(f: DualForm, typ: WhittakerType) -> VerificationReport
     partition order, mu itself with coefficient 1 (B is unitriangular).
     """
     ints, den = _cleared(convert_form(f, DECREASING).terms)
-    scale = den * straightener(f.context).scale
+    scale = den * context_tables(f.context).scale
     failures = {}
     for k, mu, row in _whittaker_rows(typ, f.context, f.cutoff):
         if k not in failures:
@@ -378,7 +378,7 @@ def verify_whittaker_state(
     images of verma.scaled_images, cross-multiplied against psi(L_k) w_l; a
     failing (k, l) reports its first wrong label from the same integers.
     """
-    s = straightener(w.context).scale
+    s = context_tables(w.context).scale
     ints, dens = [], []
     for lvl in range(cutoff + 1):
         cleared, den = _cleared(w.level_component(lvl).terms)

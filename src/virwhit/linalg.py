@@ -41,6 +41,7 @@ cost of importing and generating dataclasses at start-up.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 from operator import attrgetter, mul
@@ -122,24 +123,55 @@ def pairs(flat: tuple):
     return zip(it, it)
 
 
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+MAX_CONTEXTS = 4  # members kept per family; a CLI command uses at most two
+
+
+class Straighteners(dict):
+    """One family of per-module members (virasoro's straighteners, verma's
+    context tables), made on first use from their parameters.  Each owns
+    its memo or tables; a family holds the last MAX_CONTEXTS made, and
+    making one more frees the oldest with all it owns."""
+
+    def __init__(self, make):
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key):
+        if len(self) >= MAX_CONTEXTS:
+            del self[next(iter(self))]
+        rule = self[key] = self._make(key)
+        return rule
+
+    def cache_info(self) -> CacheInfo:
+        """Memo hits and misses pooled over a family of straighteners;
+        misses are entries."""
+        entries = sum(len(r._cache) for r in self.values())
+        return CacheInfo(sum(r.hits for r in self.values()), entries, None, entries)
+
+
 class Value:
     """Base of the immutable records: the fields are the names annotated in
     the class body, after those of its bases.
 
     The constructor takes them by position or keyword; a field assigned in
-    the class body defaults to that value (a fresh copy of a dict), and
-    ``__post_init__`` runs last.  Records of one class with equal fields
-    are equal and hash alike; assignment raises AttributeError.
+    the class body defaults to that value (a fresh copy of a dict), and the
+    class's ``__post_init__``, if it has one, runs last.  Records of one
+    class with equal fields are equal and hash alike; assignment raises
+    AttributeError.
     """
 
     _fields: tuple[str, ...] = ()
     _defaults: dict = {}
+    _validates = False  # whether the class has a __post_init__
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         own = cls.__dict__.get("__annotations__", {})
         cls._fields += tuple(own)
         cls._defaults = {**cls._defaults, **{k: v for k, v in vars(cls).items() if k in own}}
+        cls._validates = hasattr(cls, "__post_init__")
 
     def __init__(self, *args, **kwargs):
         names = self._fields
@@ -149,12 +181,12 @@ class Value:
             twice = kwargs.keys() & set(names[: len(args)])
             if len(args) > len(names) or twice or values.keys() != set(names):
                 raise TypeError(f"{type(self).__name__} takes the fields {names}")
-            args = map(values.get, names)
-        self.__dict__.update(zip(names, args))
-        self.__post_init__()
-
-    def __post_init__(self):
-        pass
+            args = tuple(map(values.get, names))
+        fields = self.__dict__  # indexed stores: update(zip(...)) measured slower
+        for i, name in enumerate(names):
+            fields[name] = args[i]
+        if self._validates:
+            self.__post_init__()
 
     def _values(self) -> tuple:
         return tuple(map(self.__dict__.__getitem__, self._fields))

@@ -21,9 +21,8 @@ The form is symmetric, so row i computes only its entries j >= i, from
 the L_k images of those columns, and takes entry j < i as rows[j][i]
 s^{len lambda_i - len lambda_j}, an exact division when the exponent is
 negative.  Fractions appear only in the views (``entries``, ``pair``)
-and in solutions.  Matrices are memoized in the ``tables`` of the
-context's straightener, beside the raising rows, so they are freed with
-the context.  Degeneracy is
+and in solutions.  Matrices are memoized in verma.context_tables(ctx),
+beside the raising rows, so they are freed with the context.  Degeneracy is
 reported through SingularGramError, never worked around: callers wanting
 to raise indices at a degenerate weight must pick a different (c, Delta).
 """
@@ -39,10 +38,10 @@ from .linalg import SingularGramError, Value
 from .verma import (
     Partition,
     VermaContext,
+    context_tables,
     enumerate_partitions,
     partition_index,
     scaled_images,
-    straightener,
 )
 
 
@@ -77,14 +76,14 @@ class GramMatrix(Value):
 
 def gram(level: int, ctx: VermaContext) -> GramMatrix:
     """The level-N Gram matrix, rows and columns in partition order."""
-    rule = straightener(ctx)
+    tables = context_tables(ctx)
     key = ("gram", level)
-    cached = rule.tables.get(key)
+    cached = tables.get(key)
     if cached is not None:
         return cached
     partitions = enumerate_partitions(level)
     lengths = [len(lam) for lam in partitions]
-    powers = [rule.scale**e for e in range(level + 1)]
+    powers = [tables.scale**e for e in range(level + 1)]
     rows: list[tuple[int, ...]] = []
 
     def unscaled(j: int, i: int) -> int:
@@ -113,7 +112,7 @@ def gram(level: int, ctx: VermaContext) -> GramMatrix:
         lower = gram(level - k, ctx).rows[partition_index(level - k)[rest]]
         row.extend(sum(lower[t] * a for t, a in image) for image in images[i - first :])
         rows.append(tuple(row))
-    result = rule.tables[key] = GramMatrix(level, ctx, partitions, tuple(rows), rule.scale)
+    result = tables[key] = GramMatrix(level, ctx, partitions, tuple(rows), tables.scale)
     return result
 
 

@@ -11,7 +11,7 @@ end rule chi(L_0) = Delta, chi(L_{n>0}) = 0.  ``act`` applies L_m through
 its generic straightener (virasoro.Straightener, one per (c, Delta)),
 whose word for a partition is its index word, the negated parts.  It is
 the independent reference the tables below are tested against; no
-command calls it.
+command calls it, so only act imports virasoro.
 
 scaled_images gives s (L_m L_{-mu}|Delta>), s = lcm(2 den c, den Delta),
 to the Gram recursion, the state check and the form equations, from
@@ -23,8 +23,8 @@ tuple each and filled the first time a caller asks for them:
   (c, Delta), so every context shares one store of them;
 - raising rows, s L_k L_{-mu}|Delta> for k > 0, from L_k L_{-a} rest =
   L_{-a} (L_k rest) + (k + a) L_{k-a} rest + delta_{k,a} (c/12) k (k^2 -
-  1) rest, live in the ``tables`` of the context's straightener, so they
-  are freed with it like shapovalov's Gram matrices.
+  1) rest, live in context_tables(ctx) beside shapovalov's Gram matrices;
+  the last MAX_CONTEXTS contexts keep theirs, an older one's are freed.
 
 Every raising value is exactly s times its coefficient: by induction over
 the rule, the lowering rows and k + a are integers, L_0 = Delta + level
@@ -47,9 +47,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
+from math import lcm
 
-from .linalg import SparseVector, Value, accumulate, accumulate_flat, pairs
-from .virasoro import Straightener, Straighteners
+from .linalg import SparseVector, Straighteners, Value, accumulate, accumulate_flat, pairs
 
 Partition = tuple[int, ...]
 
@@ -137,26 +137,43 @@ def exponents_partition(exponents) -> Partition:
     return tuple(sorted(parts, reverse=True))
 
 
-def _highest_weight_rule(key) -> Straightener:
-    # Letters are modes; L_0 ends as Delta and L_{n>0} as 0.
+def _highest_weight_rule(key):
+    # Letters are modes; L_0 ends as Delta and L_{n>0} as 0.  Only act, the
+    # reference, builds one, so the commands never load virasoro.
+    from .virasoro import Straightener
     c, delta = key
     end = lambda x: None if x < 0 else delta if x == 0 else 0
     return Straightener(c, end=end, scalars=(delta,))
 
 
-# One straightener per (c, Delta), each owning the memo of ``act`` and, in
-# its tables, the raising rows and shapovalov's Gram matrices; the family
-# keeps the last virasoro.MAX_CONTEXTS.  The name is the one the
+# One straightener per (c, Delta), each owning the memo of ``act``; the
+# family keeps the last linalg.MAX_CONTEXTS.  The name is the one the
 # benchmark's tracer reads cache_info() from.
 _act_monomial = Straighteners(_highest_weight_rule)
 
 
-def straightener(ctx: VermaContext) -> Straightener:
-    """The highest-weight straightener of V_{c,Delta}: letter x is L_x, so
-    ``straightener(ctx).times(m, (-i_1, ..., -i_k))`` is L_m L_{-i_1} ...
-    L_{-i_k}|Delta>.  Its ``tables`` hold the context's raising rows and
-    Gram matrices."""
+def straightener(ctx: VermaContext):
+    """The highest-weight virasoro.Straightener of V_{c,Delta}: letter x
+    is L_x, so ``straightener(ctx).times(m, (-i_1, ..., -i_k))`` is L_m
+    L_{-i_1} ... L_{-i_k}|Delta>."""
     return _act_monomial[ctx.c, ctx.delta]
+
+
+class ContextTables(dict):
+    """The raising rows and shapovalov's Gram matrices of one context, and
+    its scale s = lcm(2 den c, den Delta)."""
+
+    def __init__(self, key):
+        super().__init__()
+        self.scale = lcm(2 * key[0].denominator, key[1].denominator)
+
+
+# One ContextTables per (c, Delta); the family keeps the last MAX_CONTEXTS.
+_TABLES = Straighteners(ContextTables)
+
+
+def context_tables(ctx: VermaContext) -> ContextTables:
+    return _TABLES[ctx.c, ctx.delta]
 
 
 def act(m: int, v: VermaVector) -> VermaVector:
@@ -254,12 +271,12 @@ def scaled_images(m: int, level: int, ctx: VermaContext, start: int = 0) -> list
     """s (L_m L_{-mu}|Delta>) for the mu of the level from index ``start``
     on, each as a list of (index at level - m, integer) pairs.
 
-    Rows for m > 0 are read from tables[m, level] of the context's
-    straightener, rows for m < 0 are s times the context-free lowering
-    rows, and L_0 is s (Delta + level).
+    Rows for m > 0 are read from context_tables(ctx)[m, level], rows for
+    m < 0 are s times the context-free lowering rows, and L_0 is s (Delta
+    + level).
     """
-    rule = straightener(ctx)
-    s = rule.scale
+    tables = context_tables(ctx)
+    s = tables.scale
     count = len(enumerate_partitions(level))
     if m < 0:
         rows = (_lowering(-m, level, i) for i in range(start, count))
@@ -270,7 +287,7 @@ def scaled_images(m: int, level: int, ctx: VermaContext, start: int = 0) -> list
         return [[(i, value)] if value else [] for i in range(start, count)]
     if m > level:
         return [[] for _ in range(start, count)]
-    env = (rule.tables, s, s_delta, s // ctx.c.denominator * ctx.c.numerator)
+    env = (tables, s, s_delta, s // ctx.c.denominator * ctx.c.numerator)
     return [list(pairs(_raising(m, level, i, env))) for i in range(start, count)]
 
 

@@ -15,7 +15,10 @@ letter order and such an end rule, memoized.  The commutation rule is
 applied there and, for the Verma module alone, level by level in verma's
 tables, which are tested against verma.act and tests/pbw_oracle.py.  It
 computes in integers under one graded denominator; Fractions appear only
-where ``apply`` takes and returns them.  Three end rules use it:
+where ``apply`` takes and returns them.  Each kind of module keeps its
+straighteners in a linalg.Straighteners family (re-exported here with
+MAX_CONTEXTS); verma's tables have their own family in verma, so no
+Verma command loads this module.  Three end rules use it:
 
 - none (p = 0): U(Vir) itself; words ordered by index, this module;
 - highest weight (p = span{L_n, n >= 0}, chi(L_0) = Delta,
@@ -38,13 +41,13 @@ All operations are pure and elements are treated as immutable.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
 from math import lcm
 from operator import pos
 
 from .linalg import ContextMismatchError, SparseVector, accumulate, accumulate_flat, pairs
+from .linalg import MAX_CONTEXTS, Straighteners  # noqa: F401  (re-exported)
 
 Word = tuple[int, ...]
 
@@ -106,10 +109,7 @@ class Straightener:
 
     and each product on the right is again L_x times an ordered word.  The
     products are memoized and evaluated on an explicit stack, so no word
-    is too long for the interpreter's recursion limit.  ``tables`` holds
-    what other layers derive from the module (verma's raising rows and
-    shapovalov's Gram matrices), so the memo and those results are freed
-    together.
+    is too long for the interpreter's recursion limit.
 
     The arithmetic is in integers.  With the module scale s = lcm(2 den c,
     den of each scalar), the coefficient of v in L_m u times
@@ -130,7 +130,6 @@ class Straightener:
         self._ends: dict[int, tuple] = {}
         self._words: dict[Word, Word] = {}  # one stored copy of each word
         self.hits = 0  # memo lookups answered; every entry was one miss
-        self.tables: dict = {}  # results derived from this module, freed with it
 
     def _end(self, m: int):
         # L_m times the empty word: the letter itself or s chi(L_m).
@@ -249,33 +248,6 @@ class Straightener:
                 accumulate_flat(acc, self._image(x, u), coeff)
             ints = acc
         return ints
-
-
-CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
-
-MAX_CONTEXTS = 4  # members kept per family; a CLI command uses at most two
-
-
-class Straighteners(dict):
-    """The straighteners of one family of modules, made on first use from
-    their parameters.  Each owns its memo and its ``tables``; a family
-    holds the last MAX_CONTEXTS made, and making one more frees the
-    oldest with all it owns."""
-
-    def __init__(self, make):
-        super().__init__()
-        self._make = make
-
-    def __missing__(self, key):
-        if len(self) >= MAX_CONTEXTS:
-            del self[next(iter(self))]
-        rule = self[key] = self._make(key)
-        return rule
-
-    def cache_info(self) -> CacheInfo:
-        """Memo hits and misses pooled over the family; misses are entries."""
-        entries = sum(len(r._cache) for r in self.values())
-        return CacheInfo(sum(r.hits for r in self.values()), entries, None, entries)
 
 
 # U(Vir) itself: p = 0, letters are modes.  The name is the one the

@@ -14,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from virwhit import forms, linalg, universal, verma
-from virwhit.cli import LIMITS, MAX_PARAMETER_BITS, build_parser, main
+from virwhit import cli, cli_universal, forms, linalg, universal, verma
+from virwhit.cli import LIMITS, build_parser, main
+from virwhit.cli_common import MAX_PARAMETER_BITS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = README.parent / "src"
@@ -104,8 +105,8 @@ def test_bmt_lambdas_and_verify(tmp_path, capsys):
 
 
 def test_commands_leave_the_generic_verma_memo_empty(tmp_path, capsys):
-    # The Gram, form and check layers read verma's tables; only verma.act,
-    # the reference, fills the memo of the highest-weight straightener.
+    # The Gram, form and check layers read verma's context tables; only
+    # verma.act, the reference, builds a highest-weight straightener.
     verma._act_monomial.clear()
     ctx = ["--c=-11/5", "--delta", "11/7"]
     gaiotto, bmt = tmp_path / "gaiotto.json", tmp_path / "bmt.json"
@@ -118,8 +119,8 @@ def test_commands_leave_the_generic_verma_memo_empty(tmp_path, capsys):
     ]
     for argv in commands:
         assert run_cli(capsys, *argv)[0] == 0, argv
-    assert verma._act_monomial
-    assert all(not rule._cache for rule in verma._act_monomial.values())
+    assert (Fraction(-11, 5), Fraction(11, 7)) in verma._TABLES
+    assert not verma._act_monomial
 
 
 def test_verify_rejects_tampered_state(tmp_path, capsys):
@@ -186,6 +187,10 @@ def test_universal_family_document(capsys):
     assert doc["verification"]["passed"]
     counts = doc["vector"]["terms"][0]["pseudo_partition"]["counts"]
     assert counts == [{"index": 2, "multiplicity": 2}]
+
+
+def test_family_choices_are_the_family_builders():
+    assert cli.FAMILIES == list(cli_universal.FAMILIES)
 
 
 def test_check_lemmas_exit(capsys):
@@ -498,6 +503,60 @@ def test_every_int_option_has_a_limit():
     assert set(options) - {"seed"} == set(LIMITS)
     for dest, strings in options.items():  # main names the option from its dest
         assert strings == ["--" + dest.replace("_", "-")]
+
+
+# A command line of each command, of universal alone, of no command, of an
+# unknown command and of the top-level --help, before the inputs below.
+PARSER_PREFIXES = {
+    "gram": "gram --c 1 --delta 1 --level 2",
+    "gaiotto": "gaiotto --r 1 --mu 1,0 --c 1 --delta 1 --cutoff 2",
+    "bmt": "bmt --n 3 --nu1 1 --nun 1 --c 1 --delta 1 --cutoff 2",
+    "verify": "verify --input state.json",
+    "universal family": "universal family --family w-l-2 --n 4 --nu1 1 --nun 2",
+    "universal search": "universal search --n 5 --nu1 1 --nun 2 --length 2",
+    "check-lemmas": "check-lemmas --r 2 --mu 1,2,3 --c 1",
+    "check-l0-li": "check-l0-li --r 1 --mu 1,1 --c 1 --delta 1",
+    "universal": "universal",
+    "none": "",
+    "unknown": "no-such-command",
+    "top-level help": "--help",
+}
+# Inputs after the prefix: help, a missing required option (the prefix
+# loses its last option), an unknown option and a bad --family choice.
+PARSER_INPUTS = {
+    "help": lambda argv: [*argv, "--help"],
+    "missing": lambda argv: argv[:-2] if len(argv) > 2 else argv,
+    "unknown option": lambda argv: [*argv, "--no-such-option", "1"],
+    "bad family": lambda argv: [*argv, "--family", "no-such-family"],
+}
+
+
+def _parse_outcome(parser, argv, capsys):
+    try:
+        parser.parse_args(argv)
+        code = 0
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _commands(parser) -> dict:
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+@pytest.mark.parametrize("case", list(PARSER_INPUTS))
+@pytest.mark.parametrize("prefix", list(PARSER_PREFIXES))
+def test_argv_parser_matches_the_whole_tree(prefix, case, capsys, monkeypatch):
+    # main builds only the subparser its argv names; every text it prints
+    # and every exit code must be the whole tree's.
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = PARSER_INPUTS[case](PARSER_PREFIXES[prefix].split())
+    whole, built = build_parser(), build_parser(argv)
+    assert _parse_outcome(built, argv, capsys) == _parse_outcome(whole, argv, capsys)
+    named = bool(argv) and argv[0] in _commands(whole)
+    assert len(_commands(built)) == (1 if named else len(_commands(whole)))
 
 
 def test_cutoff_limit_exits_2(capsys):

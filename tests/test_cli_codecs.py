@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from virwhit.cli import (
-    ConfigError,
+from virwhit.cli_common import ConfigError, type_json
+from virwhit.cli_verma import (
     _coeffs_from_json,
     _coeffs_json,
     _context_from_json,
@@ -22,7 +22,6 @@ from virwhit.cli import (
     _state_from_json,
     _state_json,
     _type_from_json,
-    _type_json,
 )
 from virwhit.forms import DECREASING, INCREASING, DualForm
 from virwhit.verma import VermaContext, VermaVector, enumerate_partitions
@@ -88,7 +87,7 @@ def test_coefficient_map_round_trip(data):
 @given(types(), rationals, rationals)
 def test_type_and_context_round_trip(psi, c, delta):
     ctx = VermaContext(c, delta)
-    parameters = through_json({**_type_json(psi), **_context_json(ctx)})
+    parameters = through_json({**type_json(psi), **_context_json(ctx)})
     assert _type_from_json(parameters) == psi
     assert _context_from_json(parameters) == ctx
 

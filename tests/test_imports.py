@@ -31,25 +31,28 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps([code, sorted(set(sys.modules) - before)]))
 """
 
-VERMA_SIDE = {"virwhit.verma", "virwhit.shapovalov", "virwhit.forms"}
+# A Verma command straightens nothing in U(Vir): only verma.act, which no
+# command calls, loads virasoro.
+UNIVERSAL_SIDE = {"virwhit.universal", "virwhit.virasoro", "virwhit.cli_universal"}
+VERMA_SIDE = {"virwhit.verma", "virwhit.shapovalov", "virwhit.forms", "virwhit.cli_verma"}
 COMMANDS = {
     "gram": (
         ["gram", "--c", "1", "--delta", "1", "--level", "2"],
-        {"virwhit.forms", "virwhit.universal"},
+        {"virwhit.forms", *UNIVERSAL_SIDE},
     ),
     "gaiotto": (
         ["gaiotto", "--r", "1", "--mu", "1,0", "--c", "1", "--delta", "1", "--cutoff", "2"],
-        {"virwhit.universal"},
+        UNIVERSAL_SIDE,
     ),
     "bmt": (
         ["bmt", "--n", "3", "--nu1", "1", "--nun", "1", "--c", "1", "--delta", "1"]
         + ["--cutoff", "2"],
-        {"virwhit.universal"},
+        UNIVERSAL_SIDE,
     ),
-    "verify": (["verify", "--input", "{state}"], {"virwhit.universal"}),
+    "verify": (["verify", "--input", "{state}"], UNIVERSAL_SIDE),
     "check-l0-li": (
         ["check-l0-li", "--r", "1", "--mu", "1,1", "--c", "1", "--delta", "1", "--cutoff", "2"],
-        {"virwhit.universal"},
+        UNIVERSAL_SIDE,
     ),
     "universal search": (
         ["universal", "search", "--n", "5", "--nu1", "1", "--nun", "2", "--length", "2"],
@@ -85,13 +88,14 @@ EXPORTED = {
 }
 
 
-def _python(*args: str) -> str:
+def _python(*args: str, stderr: bool = False) -> str:
+    """The stdout, or with ``stderr`` the stderr, of a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     done = subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, check=True
     )
-    return done.stdout
+    return done.stderr if stderr else done.stdout
 
 
 @pytest.mark.parametrize("name", list(COMMANDS))
@@ -107,6 +111,33 @@ def test_command_loads_only_what_it_runs(name, tmp_path, capsys):
     assert "virwhit.cli" in loaded
     assert "dataclasses" not in loaded
     assert not unloaded & set(loaded), sorted(unloaded & set(loaded))
+
+
+@pytest.mark.parametrize("name", ["gram", "bmt", "universal search", "check-lemmas"])
+def test_command_under_dash_m_imports_each_module_once(name):
+    # Under -m the cli module runs as __main__, so importing it by name
+    # would compile it twice.  -X importtime prints a line per module
+    # imported through the interpreter's import statement; -v prints one
+    # per module loaded by any route, importlib.import_module and the
+    # "from . import name" of a package included.
+    argv, unloaded = COMMANDS[name]
+    err = _python("-X", "importtime", "-v", "-m", "virwhit.cli", *argv, stderr=True)
+    timed = [line.split("|")[-1].strip() for line in err.splitlines() if "import time:" in line]
+    loaded = [line.split("'")[1] for line in err.splitlines() if line.startswith("import '")]
+    timed = [module for module in timed if module.startswith("virwhit")]
+    loaded = [module for module in loaded if module.startswith("virwhit")]
+    assert len(timed) == len(set(timed)) and len(loaded) == len(set(loaded)), loaded
+    assert set(timed) <= set(loaded)
+    assert "virwhit.cli" not in loaded
+    assert {"virwhit.linalg", "virwhit.rational"} <= set(loaded)
+    assert not unloaded & set(loaded), sorted(unloaded & set(loaded))
+
+
+def test_import_cli_loads_no_command_module():
+    out = _python("-c", "import sys, virwhit.cli; print(*sorted(sys.modules))")
+    loaded = set(out.split())
+    assert "virwhit.cli" in loaded
+    assert not {"virwhit.cli_verma", "virwhit.cli_universal"} & loaded
 
 
 def test_import_package_loads_no_submodule():

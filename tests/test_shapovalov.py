@@ -12,7 +12,7 @@ from virwhit import forms, shapovalov
 from virwhit.shapovalov import SingularGramError, gram, scaled_images, solve
 from virwhit.verma import (
     VermaContext,
-    _act_monomial,
+    _TABLES,
     enumerate_partitions,
     partition_index,
 )
@@ -322,7 +322,7 @@ def test_evicted_context_gives_the_same_state_and_grams():
     grams = [gram(level, ctx) for level in range(cutoff + 1)]
     for i in range(MAX_CONTEXTS):
         _raise(VermaContext(ctx.c, Fraction(12 + i, 13)), cutoff)
-    assert (ctx.c, ctx.delta) not in _act_monomial
+    assert (ctx.c, ctx.delta) not in _TABLES
     assert _raise(ctx, cutoff) == state
     again = [gram(level, ctx) for level in range(cutoff + 1)]
     assert again == grams
