@@ -23,7 +23,7 @@ MAX_ANSATZ_WORDS = 500
 def _universal_vector_json(v: universal.UniversalVector) -> dict:
     variant = "order-r" if isinstance(v.whittaker_type, WhittakerTypeR) else "pair-1n"
     terms = []
-    for word in sorted(v.terms, key=lambda w: (universal.pp_level(w), universal.pp_length(w), w)):
+    for word in sorted(v.terms, key=universal.word_key):
         counts = [{"index": i, "multiplicity": m} for i, m in universal.pp_counts(word)]
         terms.append(
             {

@@ -256,6 +256,7 @@ def cmd_verify(args):
         raise ConfigError(f"unsupported schema {doc.get('schema')!r}")
     params, state = doc.get("parameters", {}), None
     try:
+        command = _require(doc.get("command", "unknown"), str, "command must be a string")
         typ = _type_from_json(params)
         ctx = _context_from_json(params)
         form = _form_from_json(doc["form"], ctx)
@@ -267,7 +268,7 @@ def cmd_verify(args):
         raise ConfigError(f"malformed document: {exc}")
 
     report = forms.verify_whittaker_form(form, typ)
-    body = {"input": doc.get("command", "unknown"), "verification": report_json(report)}
+    body = {"input": command, "verification": report_json(report)}
     passed = report.passed
     if state is not None:
         state_report = forms.verify_whittaker_state(state, typ, form.cutoff)

@@ -347,9 +347,10 @@ def verify_whittaker_form(f: DualForm, typ: WhittakerType) -> VerificationReport
 
     For each checked k the residual (L_k f) - psi(L_k) f is restricted to
     levels <= cutoff - k, where the truncated data determines it fully.
-    The first nonzero row of each k is its least label, reported as on
-    f's side: entry mu of either conversion reads only labels up to mu in
-    partition order, mu itself with coefficient 1 (B is unitriangular).
+    The first nonzero row of each k is its least label in partition_key
+    order, reported as on f's side: entry mu of either conversion reads
+    only labels up to mu in that order, mu itself with coefficient 1 (B
+    is unitriangular).
     """
     ints, den = _cleared(convert_form(f, DECREASING).terms)
     scale = den * context_tables(f.context).scale
@@ -359,12 +360,7 @@ def verify_whittaker_form(f: DualForm, typ: WhittakerType) -> VerificationReport
             value = sum(ints[p] * a for p, a in row.items() if p in ints)
             if value:
                 failures[k] = (sum(mu), mu, Fraction(value, scale * typ.value(k).denominator))
-    return VerificationReport(
-        tuple(
-            ResidualCheck(k, typ.value(k), f.cutoff - k, failures.get(k))
-            for k in subalgebra_indices(typ, f.cutoff)
-        )
-    )
+    return VerificationReport.build(typ, subalgebra_indices(typ, f.cutoff), failures, f.cutoff)
 
 
 def verify_whittaker_state(
@@ -376,7 +372,8 @@ def verify_whittaker_state(
     l + k <= cutoff; only those components are asserted.  With w_l =
     ints[l] / dens[l], s L_k w_{l+k} is ints[l + k] times the integer
     images of verma.scaled_images, cross-multiplied against psi(L_k) w_l; a
-    failing (k, l) reports its first wrong label from the same integers.
+    failing k reports, from the same integers, its lowest failing level
+    and there its least wrong label in partition_key order.
     """
     s = context_tables(w.context).scale
     ints, dens = [], []
@@ -384,10 +381,10 @@ def verify_whittaker_state(
         cleared, den = _cleared(w.level_component(lvl).terms)
         ints.append([cleared.get(p, 0) for p in enumerate_partitions(lvl)])
         dens.append(den)
-    checks = []
-    for k in subalgebra_indices(typ, cutoff):
+    indices = subalgebra_indices(typ, cutoff)
+    failures = {}
+    for k in indices:
         expected = typ.value(k)
-        failure = None
         for lvl in range(cutoff - k + 1):
             image = [0] * len(ints[lvl])
             for x, pairs in zip(ints[lvl + k], scaled_images(k, lvl + k, w.context)):
@@ -398,21 +395,12 @@ def verify_whittaker_state(
             left = dens[lvl] * expected.denominator
             right = expected.numerator * s * dens[lvl + k]
             wrong = [t for t, (a, b) in enumerate(zip(image, ints[lvl])) if a * left != b * right]
-            if wrong:  # report the least label, the last in reverse-lexicographic order
-                t = wrong[-1]
-                scale = s * dens[lvl + k] * left
-                coeff = Fraction(image[t] * left - ints[lvl][t] * right, scale)
-                failure = (lvl, enumerate_partitions(lvl)[t], coeff)
+            if wrong:  # the least label: enumerate_partitions is in partition_key order
+                t = wrong[0]
+                coeff = Fraction(image[t] * left - ints[lvl][t] * right, s * dens[lvl + k] * left)
+                failures[k] = (lvl, enumerate_partitions(lvl)[t], coeff)
                 break
-        checks.append(
-            ResidualCheck(
-                operator_index=k,
-                expected=expected,
-                complete_levels=cutoff - k,
-                first_failure=failure,
-            )
-        )
-    return VerificationReport(tuple(checks))
+    return VerificationReport.build(typ, indices, failures, cutoff)
 
 
 def whittaker_form_nullspace(

@@ -33,7 +33,6 @@ from . import linalg
 from .linalg import SparseVector, Value, accumulate
 from .virasoro import Straightener, Straighteners
 from .whittaker import (
-    ResidualCheck,
     VerificationReport,
     WhittakerType,
     WhittakerType1N,
@@ -54,6 +53,11 @@ def pp_level(word: PseudoPartition) -> int:
 
 def pp_length(word: PseudoPartition) -> int:
     return len(word) - bisect_left(word, 0)
+
+
+def word_key(word: PseudoPartition) -> tuple:
+    """Sort key of the universal side's label order: level, length, then the word."""
+    return pp_level(word), pp_length(word), word
 
 
 def pp_l_value(word: PseudoPartition, order: int) -> int:
@@ -195,24 +199,15 @@ def verify_whittaker_vector(
     report certifies all conditions, untruncated.
     """
     rule = _REWRITERS[v.module]
-    checks = []
-    for k in _checked_indices(v.whittaker_type, v.max_level(), target):
-        expected = target.value(k)
+    indices = _checked_indices(v.whittaker_type, v.max_level(), target)
+    failures = {}
+    for k in indices:
         image = UniversalVector(*v.module, rule.apply((k,), v.terms))
-        residual = image.add_scaled(v, -expected)
-        failure = None
-        if not residual.is_zero():
-            word = min(residual.terms)
-            failure = (pp_level(word), word, residual.terms[word])
-        checks.append(
-            ResidualCheck(
-                operator_index=k,
-                expected=expected,
-                complete_levels=None,
-                first_failure=failure,
-            )
-        )
-    return VerificationReport(tuple(checks))
+        residual = image.add_scaled(v, -target.value(k)).terms
+        if residual:
+            word = min(residual, key=word_key)
+            failures[k] = (pp_level(word), word, residual[word])
+    return VerificationReport.build(target, indices, failures, None)
 
 
 def level0_words(
@@ -452,15 +447,13 @@ def check_lemma_bounds(
         detail = f"coefficient on {leading_word} is {actual}, expected {expected}"
         clauses.append(ClauseResult("leading_term", n == lift, detail))
         remainder = accumulate(dict(comm_minus), ((leading_word, -lift),))
-        ok = True
+        escaping = [u for u in remainder if (pp_level(u), pp_length(u)) >= (level - k, length)]
         detail = "remainder splits into the level/length classes"
-        for out_word, n in remainder.items():
-            if (pp_level(out_word), pp_length(out_word)) >= (level - k, length):
-                ok = False
-                coeff = Fraction(n, scale ** (top - len(out_word)))
-                detail = f"term {out_word} (coeff {coeff}) escapes both classes"
-                break
-        clauses.append(ClauseResult("remainder_split", ok, detail))
+        if escaping:
+            out_word = min(escaping, key=word_key)
+            coeff = Fraction(remainder[out_word], scale ** (top - len(out_word)))
+            detail = f"term {out_word} (coeff {coeff}) escapes both classes"
+        clauses.append(ClauseResult("remainder_split", not escaping, detail))
 
     return CommutatorBoundsReport(m, word, tuple(clauses))
 
@@ -487,7 +480,7 @@ def search_whittaker(
     """
     words = sorted(
         (validate_pseudo_partition(psi, w) for w in ansatz),
-        key=lambda w: (pp_level(w), pp_length(w), w),
+        key=word_key,
     )
     if len(set(words)) != len(words):
         raise ValueError("ansatz contains duplicate pseudo-partitions")

@@ -116,7 +116,9 @@ class ResidualCheck(Value):
     ``complete_levels`` is the highest level on which the condition is fully
     determined (cutoff - k for truncated forms); None means the computation
     was exact and complete.  ``first_failure`` records (level, label,
-    coefficient) of the first nonzero residual term, if any.
+    coefficient) of the first nonzero residual term, if any: the least
+    failing label in its side's order, verma.partition_key on the Verma
+    side and universal.word_key on the universal side.
     """
 
     operator_index: int
@@ -135,6 +137,16 @@ class ResidualCheck(Value):
 
 class VerificationReport(Value):
     checks: tuple[ResidualCheck, ...]
+
+    @classmethod
+    def build(cls, typ: WhittakerType, indices, failures: dict, cutoff: int | None):
+        """The checks of L_k - typ(L_k) for k in indices, each failing with
+        failures.get(k): complete on levels <= cutoff - k, or exact (None)."""
+        checks = (
+            ResidualCheck(k, typ.value(k), None if cutoff is None else cutoff - k, failures.get(k))
+            for k in indices
+        )
+        return cls(tuple(checks))
 
     @property
     def passed(self) -> bool:

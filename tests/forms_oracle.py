@@ -167,9 +167,8 @@ def reference_verify_whittaker_state(w, typ, cutoff):
         failure = None
         for lvl in range(cutoff - k + 1):
             residual = act(k, component[lvl + k]).add_scaled(component[lvl], -expected)
-            if not residual.is_zero():
-                part = min(residual.terms)
-                failure = (lvl, part, residual.terms[part])
+            failure = _first_nonzero(residual.terms)
+            if failure is not None:
                 break
         checks.append(ResidualCheck(k, expected, cutoff - k, failure))
     return VerificationReport(tuple(checks))

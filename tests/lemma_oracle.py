@@ -19,6 +19,7 @@ from virwhit.universal import (
     pp_length,
     pp_level,
     validate_pseudo_partition,
+    word_key,
 )
 from virwhit.whittaker import WhittakerTypeR
 
@@ -108,7 +109,7 @@ def reference_check_lemma_bounds(
         remainder = comm_minus.add_scaled(basis_vector(psi, c, leading_word), -expected)
         ok = True
         detail = "remainder splits into the level/length classes"
-        for out_word, coeff in remainder.terms.items():
+        for out_word, coeff in sorted(remainder.terms.items(), key=lambda t: word_key(t[0])):
             out_level = pp_level(out_word)
             if out_level > level - k or (
                 out_level == level - k and pp_length(out_word) >= length

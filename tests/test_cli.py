@@ -600,13 +600,14 @@ def test_verify_form_only_document(tmp_path, capsys):
         "--out", str(out_path),
     )
     doc = json.loads(out_path.read_text())
-    del doc["state"]
+    del doc["state"], doc["command"]
     out_path.write_text(json.dumps(doc))
     code, out = run_cli(capsys, "verify", "--input", str(out_path))
     assert code == 0
     result = json.loads(out)
     assert result["passed"]
     assert "raise_roundtrip" not in result
+    assert result["input"] == "unknown"
 
 
 def test_invalid_type_exits_2(capsys):
@@ -712,6 +713,10 @@ def _number_state(doc):
     doc["state"] = 3
 
 
+def _list_command(doc):
+    doc["command"] = [1]
+
+
 @pytest.mark.parametrize(
     "tamper",
     [
@@ -734,6 +739,7 @@ def _number_state(doc):
         _list_state,
         _string_state,
         _number_state,
+        _list_command,
     ],
     ids=[
         "missing-coefficient",
@@ -755,6 +761,7 @@ def _number_state(doc):
         "list-state",
         "string-state",
         "number-state",
+        "list-command",
     ],
 )
 def test_verify_rejects_malformed_document(tmp_path, capsys, tamper):

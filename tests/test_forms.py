@@ -219,6 +219,18 @@ def test_single_dual_element_fails_verification():
     assert failing[2].first_failure == (1, (1,), -PSI_R1.mu[1])
 
 
+def test_state_check_names_the_least_wrong_label():
+    # Both level-2 labels of L_1's residual fail; (2,) comes first in
+    # partition_key order.
+    ctx = VermaContext(Fraction(-11, 5), Fraction(11, 7))
+    psi = WhittakerTypeR(1, (Fraction(1), Fraction(0)))
+    state = raise_indices(gaiotto_form(psi, {(): Fraction(1)}, 4, ctx))
+    bump = VermaVector(ctx, {(3,): Fraction(1), (1, 1, 1): Fraction(1)})
+    report = verify_whittaker_state(state.add_scaled(bump, Fraction(1)), psi, 4)
+    assert report.checks[0].operator_index == 1
+    assert report.checks[0].first_failure == (2, (2,), Fraction(4))
+
+
 def test_bmt_basic_coefficients():
     f = bmt_basic_form(PSI_N3, (0,), 6, CTX)
     nu1, nu3 = PSI_N3.nu1, PSI_N3.nun

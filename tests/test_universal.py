@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from fraction_oracle import reference_rref
 from lemma_oracle import reference_check_lemma_bounds
 
+from virwhit import universal
 from virwhit.universal import (
     NotClassifiedError,
     _REWRITERS,
@@ -448,6 +449,38 @@ def test_lemma_products_that_need_no_straightening(case):
         assert all(x >= 0 for u in m_plus for x in u), (psi, word, m)
         concatenated = {minus + u: n for u, n in m_plus.items()}
         assert rule.fold(minus, m_plus) == concatenated, (psi, word, m)
+
+
+def test_vector_check_names_the_least_word_in_word_key_order():
+    # L_2's residual on L_{-3} L_0 |w> fails on the level-3 word (-3,) and on
+    # the level-1 word (-1, 0); the lower level comes first.
+    psi = WhittakerTypeR(2, (Fraction(1), Fraction(2), Fraction(3)))
+    v = basis_vector(psi, Fraction(-13, 7), (-3, 0))
+    assert {(-3,), (-1, 0)} <= dot_act(2, v).terms.keys()
+    check = verify_whittaker_vector(v, psi).checks[0]
+    assert check.operator_index == 2
+    assert check.first_failure == (1, (-1, 0), Fraction(5))
+
+
+class _EscapingStraightener:
+    """Stub whose L_m L_word |w> lists two escaping words, level 2 before level 1."""
+
+    scale = 1
+
+    def times(self, m, word):
+        return [((-2,), 5), ((-1,), 7), ((), 4)] if word else []
+
+
+def test_remainder_split_names_the_least_escaping_word(monkeypatch):
+    # For word (-1,) at m = s + 1 the leading word () carries the expected
+    # 1 * psi(L_2) * (2 + 2) = 4, so the remainder is (-2,) and (-1,), both
+    # at or above (level 0, length 0): the detail names the least under word_key.
+    psi = WhittakerTypeR(1, (Fraction(1), Fraction(1)))
+    monkeypatch.setattr(universal, "_REWRITERS", {(psi, C): _EscapingStraightener()})
+    clauses = {c.clause: c for c in check_lemma_bounds(3, (-1,), psi, C).clauses}
+    assert clauses["leading_term"].passed
+    assert not clauses["remainder_split"].passed
+    assert clauses["remainder_split"].detail == "term (-1,) (coeff 7) escapes both classes"
 
 
 def test_order_type_functions_reject_pair_types():
