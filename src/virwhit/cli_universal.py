@@ -15,8 +15,8 @@ from .whittaker import WhittakerTypeR
 
 # Most ansatz words a universal search may build.  In process on a 2-vCPU
 # host (Python 3.11, nu_1 = 1, nu_n = 2, c = -11/5) the search over 219 words
-# (n = 5, length 9) took 0.02 s, over 454 words (n = 5, length 12) 0.07-0.09 s
-# and over 1715 words (n = 9, length 6) 0.78-0.94 s at 21.3 MB VmHWM.
+# (n = 5, length 9) took 0.01 s, over 454 words (n = 5, length 12) 0.03 s
+# and over 1715 words (n = 9, length 6) 0.19-0.21 s at 20.4 MB VmHWM.
 MAX_ANSATZ_WORDS = 500
 
 

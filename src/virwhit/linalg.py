@@ -18,12 +18,14 @@ mod p only where a slot is read (delayed reduction).  Primes are drawn
 largest first by a deterministic Miller-Rabin test.
 
 The nullspace and the singular decision of a solve share one sparse
-exact Gauss-Jordan elimination (``_echelon``) on primitive copies of
-the rows: columns left to right, updates only on the rows holding the
-pivot column, and each updated row divided by its content.  Such a row
-is the primitive vector of a line (its combinations with the pivot rows
-that vanish on the pivot columns), so it is never larger than the
-fraction-free (Bareiss) row on that line.
+exact elimination in two passes on primitive copies of the rows, each
+update a row combination divided by its content (``_reduce``).  The
+forward pass (``_echelon``) goes left to right and updates only the rows
+without a pivot that hold the pivot column; the solve reads its pivot
+count.  The nullspace then back-substitutes from the last pivot to the
+reduced rows.  A reduced row is the primitive vector of a line (its
+combinations with the pivot rows that vanish on the other pivot
+columns), so it is never larger than the fraction-free (Bareiss) row.
 
 Sparse vectors throughout the package are dicts from basis labels to
 nonzero coefficients.  One update rule serves two row shapes:
@@ -265,15 +267,25 @@ class SparseVector(Value):
         return type(self)(*self.module, terms)
 
 
+def _reduce(row: dict[int, int], top: dict[int, int], col: int) -> dict[int, int]:
+    """(a row - b top) / content, which clears column col: a / b is top[col]
+    over row[col] in lowest terms.  The one update of both passes."""
+    g = gcd(top[col], row[col])
+    a, b = top[col] // g, row[col] // g
+    row = accumulate({j: a * v for j, v in row.items()}, top.items(), -b)
+    content = gcd(*row.values())
+    return {j: v // content for j, v in row.items()} if content > 1 else row
+
+
 def _echelon(matrix: list[dict[int, int]], ncols: int):
-    """Sparse exact Gauss-Jordan elimination of primitive copies of the integer rows.
+    """Forward sparse exact elimination of primitive copies of the integer rows.
 
     Columns go left to right; the pivot is the row without a pivot that
-    holds the column and has the fewest nonzeros (the first on a tie).
-    Every other row holding the column, earlier pivot rows included,
-    becomes (a row - b pivot_row) / content, a / b being the pivot entry
-    over the row's entry in lowest terms.  Returns the rows and the
-    pivots as (column, row index) in column order.
+    holds the column and has the fewest nonzeros (the first on a tie),
+    and every other row without a pivot that holds the column is
+    ``_reduce``d by it.  Pivot rows are not touched again, so each holds
+    no earlier pivot column.  Returns the rows and the pivots as
+    (column, row index) in column order.
     """
     rows = []
     for row in matrix:
@@ -287,19 +299,9 @@ def _echelon(matrix: list[dict[int, int]], ncols: int):
             continue
         piv = min(holders, key=lambda i: len(rows[i]))
         waiting.remove(piv)
-        top = rows[piv]
-        p = top[col]
-        for i in holders + [i for _, i in pivots if col in rows[i]]:
-            if i == piv:
-                continue
-            f = rows[i][col]
-            g = gcd(p, f)
-            a = p // g
-            row = accumulate({j: a * v for j, v in rows[i].items()}, top.items(), -(f // g))
-            content = gcd(*row.values())
-            if content > 1:
-                row = {j: v // content for j, v in row.items()}
-            rows[i] = row
+        for i in holders:
+            if i != piv:
+                rows[i] = _reduce(rows[i], rows[piv], col)
         pivots.append((col, piv))
     return rows, pivots
 
@@ -446,9 +448,9 @@ def bareiss_solve(matrix: list[list[int]], rhs: list[Fraction]) -> list[Fraction
     each augmented row divided by its content.  The rows are factored
     once mod the first of ``primes()`` (``_lu_mod``); D x is lifted
     p-adically and certified by the exact integer check (``_dixon``).
-    When the LU finds no pivot mod p, ``_echelon`` decides: fewer than n
-    pivots raises SingularMatrixError, else the next primes are tried
-    until one does not divide the determinant.
+    When the LU finds no pivot mod p, the forward pass ``_echelon``
+    decides: fewer than n pivots raises SingularMatrixError, else the
+    next primes are tried until one does not divide the determinant.
 
     The name is that of the fraction-free (Bareiss) solve this method
     replaced; ``perfbench/traced_job.py`` traces it by name.
@@ -482,17 +484,21 @@ def nullspace(rows: list[dict[int, int]], ncols: int) -> list[list[Fraction]]:
     The vector for a free column holds 1 there and 0 at every other free
     column, which makes the basis unique: it is the reduced-row-echelon one,
     with -R_c[f] / R_c[c] at pivot column c for the reduced pivot row R_c.
+    After ``_echelon``'s forward pass, R_c comes by back substitution from
+    the last pivot: the pivot row is ``_reduce``d by the reduced rows of the
+    later pivot columns it holds, which hold no other pivot column.
     """
     rows, pivots = _echelon(rows, ncols)
-    pivot_columns = {c for c, _ in pivots}
-    basis = []
-    for free in range(ncols):
-        if free in pivot_columns:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for c, i in pivots:
-            if free in rows[i]:
-                vec[c] = Fraction(-rows[i][free], rows[i][c])
-        basis.append(vec)
-    return basis
+    reduced: dict[int, dict[int, int]] = {}
+    for c, i in reversed(pivots):
+        for later in [j for j in rows[i] if j in reduced]:
+            rows[i] = _reduce(rows[i], reduced[later], later)
+        reduced[c] = rows[i]
+    basis = {f: [Fraction(0)] * ncols for f in range(ncols) if f not in reduced}
+    for f, vec in basis.items():
+        vec[f] = Fraction(1)
+    for c, row in reduced.items():
+        for f, v in row.items():
+            if f != c:
+                basis[f][c] = Fraction(-v, row[c])
+    return list(basis.values())

@@ -981,6 +981,11 @@ DOCUMENT_DIGESTS = {
         + ["--c", "11/3", "--length", "4"],
         "2588a03d81e8042d8670776bf461ca0a987900357158842ececf4d593a9523ae",
     ),
+    "universal-search-454-words": (  # n = 5, dimension 24, near MAX_ANSATZ_WORDS
+        ["universal", "search", "--n", "5", "--nu1", "1", "--nun", "2"]
+        + ["--c", "11/3", "--length", "12"],
+        "8926e23a774979c9144321474ee44159efaa566ea6dc8ed998331a78a881169f",
+    ),
     "check-lemmas": (
         ["check-lemmas", *CHECK_R2, "--samples", "10", "--seed", "3"],
         "16d71df8b9f75d9d7084264a46c18ec8b679d93d1a3850e2d77771101602deef",
