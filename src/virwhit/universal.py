@@ -11,7 +11,7 @@ The module is induced from the Whittaker subalgebra p with the end rule
 chi = psi: a letter of p that reaches |w> becomes psi(L_k).  The action
 is virasoro.Straightener with that rule, one per (type, central charge);
 a word is applied by folding its letters in from the right, and
-``search_whittaker`` and ``check_lemma_bounds`` read the straightener's
+``search_whittaker`` and ``lemma_clauses`` read the straightener's
 integer images.  The letter order is the index order, except that for a
 pair type letter 1 ranks just below n, so that every letter of p ranks
 above the basis letters.
@@ -376,6 +376,24 @@ class CommutatorBoundsReport(Value):
         return all(c.passed for c in self.clauses)
 
 
+# The detail of each clause, from the numbers lemma_clauses gives it.
+_DETAILS = {
+    "raising_length_drop": "max length {} must drop below {}".format,
+    "lowering_level_drop": "max level {} must drop below {}".format,
+    "raising_vanishes": "[L_{}, L_plus]|w> must vanish for m > {}".format,
+    "lowering_vanishes": "[L_{}, L_minus] L_plus |w> must vanish for m > {}".format,
+    "lowering_level_window": "max level {} must not exceed {}".format,
+    "leading_term": lambda word, n, lift, den: (
+        f"coefficient on {word} is {Fraction(n, den)}, expected {Fraction(lift, den)}"
+    ),
+    "remainder_split": lambda word=None, n=0, den=1: (
+        "remainder splits into the level/length classes"
+        if word is None
+        else f"term {word} (coeff {Fraction(n, den)}) escapes both classes"
+    ),
+}
+
+
 def check_lemma_bounds(
     m: int, word, psi: WhittakerTypeR, c: Fraction
 ) -> CommutatorBoundsReport:
@@ -391,6 +409,28 @@ def check_lemma_bounds(
     count(-k) psi(L_s) (2k + s) together with the level/length classes of
     the remainder.  No range contains an m below the order r.
 
+    The clauses are those of ``lemma_clauses``, each with its detail.  The
+    check-lemmas command reads the verdicts of ``lemma_clauses`` itself and
+    builds this report only for a check with a failing clause.
+    """
+    if not isinstance(psi, WhittakerTypeR):
+        raise ValueError(f"the lemma bounds need an order type, got {psi}")
+    word = validate_pseudo_partition(psi, word)
+    clauses = tuple(
+        ClauseResult(clause, passed, _DETAILS[clause](*numbers))
+        for clause, passed, numbers in lemma_clauses(m, word, psi, _REWRITERS[psi, c])
+    )
+    return CommutatorBoundsReport(m, word, clauses)
+
+
+def lemma_clauses(
+    m: int, word: PseudoPartition, psi: WhittakerTypeR, rule: Straightener
+) -> list[tuple[str, bool, tuple]]:
+    """The (clause, passed, numbers) of ``check_lemma_bounds`` for L_m against
+    a valid ``word`` of the order type ``psi``, with ``rule`` the straightener
+    of psi's module; the numbers are what the clause's detail prints, and
+    an m below the order r has no clause.
+
     Only L_m L_plus |w> and L_m L_word |w> are straightened; the two
     products of each commutator apply as many letters to |w>, so their
     integers share one graded denominator and subtract as ints.  For
@@ -398,17 +438,12 @@ def check_lemma_bounds(
     ordered word plus; the words of L_m L_plus |w> have no negative
     letter, so L_minus only prepends minus to each.
     """
-    if not isinstance(psi, WhittakerTypeR):
-        raise ValueError(f"the lemma bounds need an order type, got {psi}")
-    word = validate_pseudo_partition(psi, word)
     r, s = psi.r, psi.rank
     if m < r:
-        return CommutatorBoundsReport(m, word, ())
+        return []
     split = bisect_left(word, 0)
     minus, plus = word[:split], word[split:]
     level, length = -sum(minus), len(plus)
-    rule = _REWRITERS[psi, c]
-    clauses: list[ClauseResult] = []
 
     m_plus = dict(rule.times(m, plus))
     comm_plus = accumulate(dict(m_plus), ((plus, n) for _, n in rule.times(m, ())), -1)
@@ -418,22 +453,18 @@ def check_lemma_bounds(
 
     if m <= s:
         max_length = max(map(len, comm_plus), default=0)  # no negative letters
-        ok = not comm_plus or max_length < length
-        detail = f"max length {max_length} must drop below {length}"
-        clauses.append(ClauseResult("raising_length_drop", ok, detail))
-        ok = not comm_minus or max_level < level
-        detail = f"max level {max_level} must drop below {level}"
-        clauses.append(ClauseResult("lowering_level_drop", ok, detail))
+        clauses = [
+            ("raising_length_drop", not comm_plus or max_length < length, (max_length, length)),
+            ("lowering_level_drop", not comm_minus or max_level < level, (max_level, level)),
+        ]
     else:
-        detail = f"[L_{m}, L_plus]|w> must vanish for m > {s}"
-        clauses.append(ClauseResult("raising_vanishes", not comm_plus, detail))
+        clauses = [("raising_vanishes", not comm_plus, (m, s))]
         if m > s + level:
-            detail = f"[L_{m}, L_minus] L_plus |w> must vanish for m > {s + level}"
-            clauses.append(ClauseResult("lowering_vanishes", not comm_minus, detail))
+            clauses.append(("lowering_vanishes", not comm_minus, (m, s + level)))
         else:
-            ok = not comm_minus or max_level <= level + s - m
-            detail = f"max level {max_level} must not exceed {level + s - m}"
-            clauses.append(ClauseResult("lowering_level_window", ok, detail))
+            bound = level + s - m
+            ok = not comm_minus or max_level <= bound
+            clauses.append(("lowering_level_window", ok, (max_level, bound)))
 
     if minus and m == s - minus[-1]:
         # Smallest depth k; comm_minus's integer for v is over scale^(top - len v),
@@ -443,19 +474,16 @@ def check_lemma_bounds(
         lift = minus.count(-k) * (2 * k + s) * mu.numerator * (scale // mu.denominator) * scale
         leading_word = minus[:-1] + plus
         n = comm_minus.get(leading_word, 0)
-        actual, expected = Fraction(n, scale * scale), Fraction(lift, scale * scale)
-        detail = f"coefficient on {leading_word} is {actual}, expected {expected}"
-        clauses.append(ClauseResult("leading_term", n == lift, detail))
+        clauses.append(("leading_term", n == lift, (leading_word, n, lift, scale * scale)))
         remainder = accumulate(dict(comm_minus), ((leading_word, -lift),))
         escaping = [u for u in remainder if (pp_level(u), pp_length(u)) >= (level - k, length)]
-        detail = "remainder splits into the level/length classes"
+        term = ()
         if escaping:
             out_word = min(escaping, key=word_key)
-            coeff = Fraction(remainder[out_word], scale ** (top - len(out_word)))
-            detail = f"term {out_word} (coeff {coeff}) escapes both classes"
-        clauses.append(ClauseResult("remainder_split", not escaping, detail))
+            term = (out_word, remainder[out_word], scale ** (top - len(out_word)))
+        clauses.append(("remainder_split", not escaping, term))
 
-    return CommutatorBoundsReport(m, word, tuple(clauses))
+    return clauses
 
 
 class SearchResult(Value):

@@ -17,6 +17,7 @@ import pytest
 from virwhit import cli, cli_universal, forms, linalg, universal, verma
 from virwhit.cli import LIMITS, build_parser, main
 from virwhit.cli_common import MAX_PARAMETER_BITS
+from virwhit.whittaker import WhittakerTypeR
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = README.parent / "src"
@@ -230,6 +231,31 @@ def test_check_lemmas_memo_accounting(capsys, monkeypatch):
     assert (info.hits, info.currsize) == (3938, 2512)
 
 
+class _NonzeroStraightener:
+    """Stub whose every product L_m u is one long word, so that no commutator vanishes."""
+
+    scale = 1
+
+    def times(self, m, word):
+        return [((0,) * 7, 1)]
+
+
+def test_check_lemmas_lists_each_failing_check_once(capsys, monkeypatch):
+    # Seed 0 draws (-4, -1, -1, 1, 1, 1, 1): three checks, each failing its
+    # raising and its lowering clause against the stub.
+    psi, c = WhittakerTypeR(2, (Fraction(1), Fraction(2), Fraction(3))), Fraction(1)
+    monkeypatch.setattr(universal, "_REWRITERS", {(psi, c): _NonzeroStraightener()})
+    code, out = run_cli(capsys, "check-lemmas", "--r=2", "--mu=1,2,3", "--c=1", "--samples=1")
+    assert code == 1
+    failures = json.loads(out)["failures"]
+    checks = [(entry["operator_index"], tuple(entry["word"])) for entry in failures]
+    assert len(checks) == len(set(checks)) == 3
+    for entry, (m, word) in zip(failures, checks):
+        report = universal.check_lemma_bounds(m, word, psi, c)
+        assert entry == cli_universal._lemma_report_json(report)
+        assert sum(not clause["passed"] for clause in entry["clauses"]) >= 2
+
+
 @pytest.mark.parametrize(
     "option, value",
     [
@@ -294,7 +320,7 @@ def test_check_lemmas_r_limit_exits_2_before_sampling(capsys, monkeypatch, r):
     def no_check(*args):
         raise AssertionError("sample checked before the limit check")
 
-    monkeypatch.setattr(universal, "check_lemma_bounds", no_check)
+    monkeypatch.setattr(universal, "lemma_clauses", no_check)
     mu = ",".join(["1"] * (r + 1))
     code = main(["check-lemmas", "--r", str(r), "--mu", mu, "--c", "1", "--samples", "3"])
     captured = capsys.readouterr()

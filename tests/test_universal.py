@@ -24,6 +24,7 @@ from virwhit.universal import (
     family_w_l_2,
     family_w_l_2_n,
     generating_vector,
+    lemma_clauses,
     level0_words,
     nilpotency_index,
     pp_counts,
@@ -428,6 +429,21 @@ def test_lemma_bounds_match_the_fraction_oracle(case):
         assert report == reference_check_lemma_bounds(m, word, psi, c), (psi, word, m, c)
         if m < psi.r:
             assert report.clauses == ()
+
+
+@settings(deadline=None, max_examples=100)
+@given(_lemma_cases())
+def test_lemma_clauses_are_the_report_verdicts(case):
+    # check-lemmas counts clauses from lemma_clauses and builds a report
+    # only for a check with a failing clause.
+    psi, word, ms, c = case
+    rule = _REWRITERS[psi, c]
+    for m in ms:
+        verdicts = [(clause, passed) for clause, passed, _ in lemma_clauses(m, word, psi, rule)]
+        report = check_lemma_bounds(m, word, psi, c)
+        assert verdicts == [(x.clause, x.passed) for x in report.clauses], (psi, word, m, c)
+        if m < psi.r:
+            assert verdicts == []
 
 
 @settings(deadline=None, max_examples=100)
