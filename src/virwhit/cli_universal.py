@@ -16,7 +16,7 @@ from .whittaker import WhittakerTypeR
 # Most ansatz words a universal search may build.  In process on a 2-vCPU
 # host (Python 3.11, nu_1 = 1, nu_n = 2, c = -11/5) the search over 219 words
 # (n = 5, length 9) took 0.01 s, over 454 words (n = 5, length 12) 0.03 s
-# and over 1715 words (n = 9, length 6) 0.19-0.21 s at 20.4 MB VmHWM.
+# and over 1715 words (n = 9, length 6) 0.16-0.17 s at 20.4 MB VmHWM.
 MAX_ANSATZ_WORDS = 500
 
 

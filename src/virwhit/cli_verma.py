@@ -104,9 +104,9 @@ def _form_from_json(obj, ctx: VermaContext) -> forms.DualForm:
             exps = [_json_int(e, "exponent") for e in entry["exponents"]]
             if any(e < 0 for e in exps):
                 raise ConfigError(f"negative exponent in {exps}")
-            part = verma.exponents_partition(exps[::step])
-            if sum(part) != lvl:
+            if sum(i * e for i, e in enumerate(exps[::step], 1)) != lvl:
                 raise ConfigError(f"exponents {entry['exponents']} are not level {lvl}")
+            part = verma.exponents_partition(exps[::step])
             if part in terms:
                 raise ConfigError(f"level {lvl} repeats exponents {entry['exponents']}")
             terms[part] = parse_rational(entry["coefficient"])

@@ -20,10 +20,11 @@ largest first by a deterministic Miller-Rabin test.
 The nullspace and the singular decision of a solve share one sparse
 exact elimination in two passes on primitive copies of the rows, each
 update a row combination divided by its content (``_reduce``).  The
-forward pass (``_echelon``) goes left to right and updates only the rows
-without a pivot that hold the pivot column; the solve reads its pivot
-count.  The nullspace then back-substitutes from the last pivot to the
-reduced rows.  A reduced row is the primitive vector of a line (its
+forward pass (``_echelon``) takes the rows one at a time, shortest
+first, and reduces each by the pivot row of its least column until it
+vanishes or becomes the pivot row of that column; the solve reads its
+pivot count.  The nullspace then back-substitutes from the last pivot
+to the reduced rows.  A reduced row is the primitive vector of a line (its
 combinations with the pivot rows that vanish on the other pivot
 columns), so it is never larger than the fraction-free (Bareiss) row.
 
@@ -277,33 +278,27 @@ def _reduce(row: dict[int, int], top: dict[int, int], col: int) -> dict[int, int
     return {j: v // content for j, v in row.items()} if content > 1 else row
 
 
-def _echelon(matrix: list[dict[int, int]], ncols: int):
+def _echelon(matrix: list[dict[int, int]]) -> dict[int, dict[int, int]]:
     """Forward sparse exact elimination of primitive copies of the integer rows.
 
-    Columns go left to right; the pivot is the row without a pivot that
-    holds the column and has the fewest nonzeros (the first on a tie),
-    and every other row without a pivot that holds the column is
-    ``_reduce``d by it.  Pivot rows are not touched again, so each holds
-    no earlier pivot column.  Returns the rows and the pivots as
-    (column, row index) in column order.
+    Rows are taken one at a time, shortest first.  While a row is
+    nonzero, its least column c is read: if c has a pivot row, the row is
+    ``_reduce``d by it; if not, the row becomes the pivot row of c.  A row
+    that reduces to zero ends there.  Pivot rows are never touched again,
+    so the pivot row of c holds no column before c.  Returns {c: pivot row}.
     """
-    rows = []
-    for row in matrix:
+    pivots: dict[int, dict[int, int]] = {}
+    for row in sorted(matrix, key=len):
         content = gcd(*row.values())
-        rows.append({j: v // content for j, v in row.items()} if content > 1 else row)
-    waiting = list(range(len(rows)))
-    pivots: list[tuple[int, int]] = []
-    for col in range(ncols):
-        holders = [i for i in waiting if col in rows[i]]
-        if not holders:
-            continue
-        piv = min(holders, key=lambda i: len(rows[i]))
-        waiting.remove(piv)
-        for i in holders:
-            if i != piv:
-                rows[i] = _reduce(rows[i], rows[piv], col)
-        pivots.append((col, piv))
-    return rows, pivots
+        if content > 1:
+            row = {j: v // content for j, v in row.items()}
+        while row:
+            col = min(row)
+            if col not in pivots:
+                pivots[col] = row
+                break
+            row = _reduce(row, pivots[col], col)
+    return pivots
 
 
 def _pack(values, width: int) -> int:
@@ -471,9 +466,9 @@ def bareiss_solve(matrix: list[list[int]], rhs: list[Fraction]) -> list[Fraction
             nums, den = _dixon(a, b, factors, p)
             return [Fraction(v, den * scale) for v in nums]
         if k == 0:
-            pivots = _echelon([{j: x for j, x in enumerate(row) if x} for row in a], n)[1]
-            if len(pivots) < n:
-                raise SingularMatrixError(f"{len(pivots)} pivots < {n}")
+            rank = len(_echelon([{j: x for j, x in enumerate(row) if x} for row in a]))
+            if rank < n:
+                raise SingularMatrixError(f"{rank} pivots < {n}")
     raise AssertionError("a nonzero determinant has finitely many prime factors")
 
 
@@ -485,15 +480,17 @@ def nullspace(rows: list[dict[int, int]], ncols: int) -> list[list[Fraction]]:
     column, which makes the basis unique: it is the reduced-row-echelon one,
     with -R_c[f] / R_c[c] at pivot column c for the reduced pivot row R_c.
     After ``_echelon``'s forward pass, R_c comes by back substitution from
-    the last pivot: the pivot row is ``_reduce``d by the reduced rows of the
-    later pivot columns it holds, which hold no other pivot column.
+    the last pivot column: the pivot row of c, which holds no earlier
+    column, is ``_reduce``d by the reduced rows of the later pivot columns
+    it holds, which hold no other pivot column.
     """
-    rows, pivots = _echelon(rows, ncols)
+    pivots = _echelon(rows)
     reduced: dict[int, dict[int, int]] = {}
-    for c, i in reversed(pivots):
-        for later in [j for j in rows[i] if j in reduced]:
-            rows[i] = _reduce(rows[i], reduced[later], later)
-        reduced[c] = rows[i]
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        for later in [j for j in row if j in reduced]:
+            row = _reduce(row, reduced[later], later)
+        reduced[c] = row
     basis = {f: [Fraction(0)] * ncols for f in range(ncols) if f not in reduced}
     for f, vec in basis.items():
         vec[f] = Fraction(1)

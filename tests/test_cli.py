@@ -599,17 +599,13 @@ def test_cutoff_limit_exits_2(capsys):
 
 
 def test_singular_gram_exits_3(capsys):
-    # level-2 Kac zero: c = 1, Delta = 1/4
-    code, _ = run_cli(
-        capsys,
-        "gaiotto",
-        "--r", "1",
-        "--mu", "3/2,0",
-        "--delta", "1/4",
-        "--c", "1",
-        "--cutoff", "3",
-    )
-    assert code == 3
+    # Kac zeros (c, Delta, first singular level): Delta_{1,2} at c = 1, and
+    # Delta_{2,3} at b = 3/2 (c = 13 - 6(b^2 + b^-2)), where levels 0-5 have full rank.
+    for c, delta, mu, level in [("1", "1/4", "3/2,0", 2), ("-19/6", "11/144", "1,0", 6)]:
+        args = ["gaiotto", "--r", "1", "--mu", mu, f"--delta={delta}", f"--c={c}"]
+        assert main([*args, "--cutoff", str(level)]) == 3
+        assert f"level {level}" in capsys.readouterr().err
+        assert main([*args, "--cutoff", str(level - 1)]) == 0
 
 
 def test_verify_form_only_document(tmp_path, capsys):
@@ -727,6 +723,12 @@ def _boolean_exponent(doc):
     block["terms"][0]["exponents"] = [True]
 
 
+def _huge_exponent(doc):
+    # Rejected by its level before a partition of 2^61 parts is built.
+    (block,) = [b for b in doc["form"]["levels"] if b["level"] == 1]
+    block["terms"][0]["exponents"] = [2**61]
+
+
 def _list_state(doc):
     doc["state"] = []
 
@@ -762,6 +764,7 @@ def _list_command(doc):
         _string_level,
         _float_partition_part,
         _boolean_exponent,
+        _huge_exponent,
         _list_state,
         _string_state,
         _number_state,
@@ -784,6 +787,7 @@ def _list_command(doc):
         "string-level",
         "float-partition-part",
         "boolean-exponent",
+        "huge-exponent",
         "list-state",
         "string-state",
         "number-state",

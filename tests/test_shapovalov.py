@@ -195,6 +195,11 @@ def test_singular_gram_detected():
     with pytest.raises(SingularGramError) as info:
         solve(g, [Fraction(1), Fraction(0)])
     assert info.value.level == 2
+    # Above level 2: Delta_{2,3} at b = 3/2 (c = -19/6), rank 10 of 11 at level 6.
+    g = gram(6, VermaContext(Fraction(-19, 6), Fraction(11, 144)))
+    with pytest.raises(SingularGramError) as info:
+        solve(g, [Fraction(1)] + [Fraction(0)] * 10)
+    assert info.value.level == 6
 
 
 def test_gram_is_memoized():
