@@ -320,8 +320,8 @@ def raise_indices(f: DualForm) -> VermaVector:
     """Module vector w with <L_{-lambda} Delta, w> = f(L_{-lambda} Delta).
 
     Solves gram(level) * b = (f on the canonical level basis) for every
-    level up to the cutoff.  SingularGramError propagates when the form is
-    degenerate at some level.
+    level up to the cutoff.  SingularGramError, naming the level and its
+    Kac value, propagates from the first such level where G is degenerate.
     """
     ctx = f.context
     coeffs = convert_form(f, DECREASING).terms

@@ -11,22 +11,23 @@ augmented row divided by its content, then one LU mod p; x is lifted
 one p-digit at a time against the integer rows, each coordinate is
 recovered by rational reconstruction over a running common denominator,
 and the answer is returned only when the exact integer check A x = b
-holds.  A Hadamard bound caps the lifting.  The LU, the triangular
-solves and the residual pack a vector into one int of fixed-width
-slots: each row or column update is one big-int multiply-add, reduced
-mod p only where a slot is read (delayed reduction).  Primes are drawn
-largest first by a deterministic Miller-Rabin test.
+holds.  A Hadamard bound caps the lifting, and the primes tried: each
+prime with no LU pivot divides det, so det = 0 once their product passes
+it.  The LU, the triangular solves and the residual pack a vector into
+one int of fixed-width slots: each row or column update is one big-int
+multiply-add, reduced mod p only where a slot is read (delayed
+reduction).  Primes are drawn largest first by a deterministic
+Miller-Rabin test.
 
-The nullspace and the singular decision of a solve share one sparse
-exact elimination in two passes on primitive copies of the rows, each
-update a row combination divided by its content (``_reduce``).  The
-forward pass (``_echelon``) takes the rows one at a time, shortest
-first, and reduces each by the pivot row of its least column until it
-vanishes or becomes the pivot row of that column; the solve reads its
-pivot count.  The nullspace then back-substitutes from the last pivot
-to the reduced rows.  A reduced row is the primitive vector of a line (its
-combinations with the pivot rows that vanish on the other pivot
-columns), so it is never larger than the fraction-free (Bareiss) row.
+The nullspace is one sparse exact elimination in two passes on
+primitive copies of the rows, each update a row combination divided by
+its content (``_reduce``).  The forward pass takes the rows one at a
+time, shortest first, and reduces each by the pivot row of its least
+column until it vanishes or becomes the pivot row of that column; back
+substitution then runs from the last pivot to the reduced rows.  A
+reduced row is the primitive vector of a line (its combinations with the
+pivot rows that vanish on the other pivot columns), so it is never
+larger than the fraction-free (Bareiss) row.
 
 Sparse vectors throughout the package are dicts from basis labels to
 nonzero coefficients.  One update rule serves two row shapes:
@@ -80,15 +81,17 @@ class SingularMatrixError(ValueError):
 
 
 class SingularGramError(ValueError):
-    """The Shapovalov form is degenerate at this level for this (c, Delta).
+    """The Shapovalov form is degenerate at this level for this (c, Delta),
+    which is Delta_{r,s}(c) or Delta_{s,r}(c) with r <= s and rs <= level.
 
-    Raised by shapovalov; defined here so that the CLI can map it to its
-    exit code without importing the Gram layer.
+    Raised by shapovalov.solve; defined here so that the CLI can map it to
+    its exit code without importing the Gram layer.
     """
 
-    def __init__(self, level: int):
-        super().__init__(f"singular Gram matrix at level {level}")
-        self.level = level
+    def __init__(self, level: int, r: int, s: int):
+        kac = f"Delta is the Kac value Delta_{{{r},{s}}}"
+        super().__init__(f"singular Gram matrix at level {level}: {kac}")
+        self.level, self.r, self.s = level, r, s
 
 
 class ContextMismatchError(ValueError):
@@ -278,29 +281,6 @@ def _reduce(row: dict[int, int], top: dict[int, int], col: int) -> dict[int, int
     return {j: v // content for j, v in row.items()} if content > 1 else row
 
 
-def _echelon(matrix: list[dict[int, int]]) -> dict[int, dict[int, int]]:
-    """Forward sparse exact elimination of primitive copies of the integer rows.
-
-    Rows are taken one at a time, shortest first.  While a row is
-    nonzero, its least column c is read: if c has a pivot row, the row is
-    ``_reduce``d by it; if not, the row becomes the pivot row of c.  A row
-    that reduces to zero ends there.  Pivot rows are never touched again,
-    so the pivot row of c holds no column before c.  Returns {c: pivot row}.
-    """
-    pivots: dict[int, dict[int, int]] = {}
-    for row in sorted(matrix, key=len):
-        content = gcd(*row.values())
-        if content > 1:
-            row = {j: v // content for j, v in row.items()}
-        while row:
-            col = min(row)
-            if col not in pivots:
-                pivots[col] = row
-                break
-            row = _reduce(row, pivots[col], col)
-    return pivots
-
-
 def _pack(values, width: int) -> int:
     """sum(values[i] << i * width): the values as the slots of one int."""
     return sum(v << i * width for i, v in enumerate(values))
@@ -443,9 +423,9 @@ def bareiss_solve(matrix: list[list[int]], rhs: list[Fraction]) -> list[Fraction
     each augmented row divided by its content.  The rows are factored
     once mod the first of ``primes()`` (``_lu_mod``); D x is lifted
     p-adically and certified by the exact integer check (``_dixon``).
-    When the LU finds no pivot mod p, the forward pass ``_echelon``
-    decides: fewer than n pivots raises SingularMatrixError, else the
-    next primes are tried until one does not divide the determinant.
+    A prime with no LU pivot divides det, and the next is tried; once their
+    product P has P^2 > prod |row|^2 >= det^2, det = 0 and
+    SingularMatrixError is raised (254 primes on a level-12 Gram matrix).
 
     The name is that of the fraction-free (Bareiss) solve this method
     replaced; ``perfbench/traced_job.py`` traces it by name.
@@ -460,16 +440,17 @@ def bareiss_solve(matrix: list[list[int]], rhs: list[Fraction]) -> list[Fraction
         content = gcd(*row, bi) or 1
         a.append([x // content for x in row] if content > 1 else row)
         b.append(bi // content)
-    for k, p in enumerate(primes()):
+    bound = prod(sum(v * v for v in row) for row in a)  # Hadamard: det^2 <= bound
+    divisors = 1  # the product of the primes with no LU pivot
+    for p in primes():
         factors = _lu_mod(a, p)
         if factors is not None:
             nums, den = _dixon(a, b, factors, p)
             return [Fraction(v, den * scale) for v in nums]
-        if k == 0:
-            rank = len(_echelon([{j: x for j, x in enumerate(row) if x} for row in a]))
-            if rank < n:
-                raise SingularMatrixError(f"{rank} pivots < {n}")
-    raise AssertionError("a nonzero determinant has finitely many prime factors")
+        divisors *= p
+        if divisors * divisors > bound:
+            break
+    raise SingularMatrixError(f"det = 0: primes down to {p} divide it, past the Hadamard bound")
 
 
 def nullspace(rows: list[dict[int, int]], ncols: int) -> list[list[Fraction]]:
@@ -479,12 +460,23 @@ def nullspace(rows: list[dict[int, int]], ncols: int) -> list[list[Fraction]]:
     The vector for a free column holds 1 there and 0 at every other free
     column, which makes the basis unique: it is the reduced-row-echelon one,
     with -R_c[f] / R_c[c] at pivot column c for the reduced pivot row R_c.
-    After ``_echelon``'s forward pass, R_c comes by back substitution from
-    the last pivot column: the pivot row of c, which holds no earlier
-    column, is ``_reduce``d by the reduced rows of the later pivot columns
-    it holds, which hold no other pivot column.
+    The forward pass ``_reduce``s each primitive row by the pivot row of
+    its least column c until it vanishes or becomes the pivot row of c,
+    which is never touched again, so it holds no column before c.  Back
+    substitution from the last pivot column ``_reduce``s the pivot row of
+    c by the reduced rows of the later pivot columns it holds.
     """
-    pivots = _echelon(rows)
+    pivots: dict[int, dict[int, int]] = {}
+    for row in sorted(rows, key=len):
+        content = gcd(*row.values())
+        if content > 1:
+            row = {j: v // content for j, v in row.items()}
+        while row:
+            col = min(row)
+            if col not in pivots:
+                pivots[col] = row
+                break
+            row = _reduce(row, pivots[col], col)
     reduced: dict[int, dict[int, int]] = {}
     for c in sorted(pivots, reverse=True):
         row = pivots[c]

@@ -22,16 +22,17 @@ the L_k images of those columns, and takes entry j < i as rows[j][i]
 s^{len lambda_i - len lambda_j}, an exact division when the exponent is
 negative.  Fractions appear only in the views (``entries``, ``pair``)
 and in solutions.  Matrices are memoized in verma.context_tables(ctx),
-beside the raising rows, so they are freed with the context.  Degeneracy is
-reported through SingularGramError, never worked around: callers wanting
-to raise indices at a degenerate weight must pick a different (c, Delta).
+beside the raising rows, so they are freed with the context.  By the Kac
+determinant formula (Kac 1979; Feigin-Fuchs 1982) det G_N = 0 exactly when
+Delta = Delta_{r,s}(c) for some rs <= N: ``kac_zero`` decides degeneracy
+with no matrix, and ``solve`` raises SingularGramError there.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import isqrt, lcm
 
 from . import linalg
 from .linalg import SingularGramError, Value
@@ -116,21 +117,38 @@ def gram(level: int, ctx: VermaContext) -> GramMatrix:
     return result
 
 
-def solve(g: GramMatrix, rhs: list[Fraction]) -> list[Fraction]:
-    """Exact x with g x = rhs.
+def kac_zero(level: int, ctx: VermaContext) -> tuple[int, int] | None:
+    """The least (r, s), by rs and then r, with r <= s, rs <= level and
+    Delta = Delta_{r,s}(c) or Delta_{s,r}(c); None if there is none.
 
-    The integer rows go to ``linalg.bareiss_solve`` as they are, with
-    the rhs scaled row by row by s^{len lambda}; it clears the rhs to
-    integers once and solves by a packed LU mod a prime below 2^30 and
-    p-adic lifting, certified by the exact integer check.  A degenerate
-    level raises SingularGramError.
+    With u = (13 - c)/6 = t + 1/t, a = r^2 - 1 and b = s^2 - 1, the two give
+    y = 4 Delta + 2(rs - 1) = a t + b/t and b t + a/t, the roots of the rational
+    quadratic y^2 - (a + b) u y + ab(u^2 - 2) + a^2 + b^2, (y - a u)^2 if r = s.
+    t -> 1/t swaps (r, s) and (s, r), so only the pair is intrinsic.
+    """
+    u = (13 - ctx.c) / 6
+    for rs in range(1, level + 1):
+        y = 4 * ctx.delta + 2 * (rs - 1)
+        for r in range(1, isqrt(rs) + 1):
+            a, b = r * r - 1, (rs // r) ** 2 - 1
+            if not rs % r and y * (y - (a + b) * u) + a * b * (u * u - 2) + a * a + b * b == 0:
+                return r, rs // r
+    return None
+
+
+def solve(g: GramMatrix, rhs: list[Fraction]) -> list[Fraction]:
+    """Exact x with g x = rhs; SingularGramError where ``kac_zero`` finds one.
+
+    The integer rows of the regular G_N go to ``linalg.bareiss_solve`` as
+    they are, with the rhs scaled row by row by s^{len lambda}; it clears
+    the rhs to integers once and solves by a packed LU mod a prime below
+    2^30 and p-adic lifting, certified by the exact integer check.
     """
     if len(rhs) != len(g.partitions):
         raise ValueError(
             f"rhs has length {len(rhs)}, expected {len(g.partitions)}"
         )
+    if (zero := kac_zero(g.level, g.context)) is not None:
+        raise SingularGramError(g.level, *zero)
     scaled = [b * d for b, d in zip(rhs, g.row_scales())]
-    try:
-        return linalg.bareiss_solve(g.rows, scaled)
-    except linalg.SingularMatrixError as exc:
-        raise SingularGramError(g.level) from exc
+    return linalg.bareiss_solve(g.rows, scaled)

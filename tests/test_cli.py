@@ -599,12 +599,21 @@ def test_cutoff_limit_exits_2(capsys):
 
 
 def test_singular_gram_exits_3(capsys):
-    # Kac zeros (c, Delta, first singular level): Delta_{1,2} at c = 1, and
-    # Delta_{2,3} at b = 3/2 (c = 13 - 6(b^2 + b^-2)), where levels 0-5 have full rank.
-    for c, delta, mu, level in [("1", "1/4", "3/2,0", 2), ("-19/6", "11/144", "1,0", 6)]:
+    # Kac zeros (c, Delta, first singular level, (r, s)): Delta_{1,2} at c = 1;
+    # Delta_{1,2} = -1/8 and Delta_{2,1} = 1 at c = -2; Delta_{2,3} at b = 3/2
+    # (c = 13 - 6(b^2 + b^-2)), where levels 0-5 have full rank; and Delta_{3,4}
+    # at b^2 = -25/16, first singular at level 12.
+    for c, delta, mu, level, kac in [
+        ("1", "1/4", "3/2,0", 2, "1,2"),
+        ("-2", "-1/8", "1,0", 2, "1,2"),
+        ("-2", "1", "1,0", 2, "1,2"),
+        ("-19/6", "11/144", "1,0", 6, "2,3"),
+        ("5243/200", "-441/40", "1,0", 12, "3,4"),
+    ]:
         args = ["gaiotto", "--r", "1", "--mu", mu, f"--delta={delta}", f"--c={c}"]
         assert main([*args, "--cutoff", str(level)]) == 3
-        assert f"level {level}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"level {level}" in err and f"Delta_{{{kac}}}" in err, err
         assert main([*args, "--cutoff", str(level - 1)]) == 0
 
 

@@ -45,9 +45,20 @@ def test_solve_needs_pivoting():
     assert bareiss_solve([[0, 1], [1, 0]], [Fraction(3), Fraction(4)]) == [Fraction(4), Fraction(3)]
 
 
-def test_solve_singular_raises():
+def test_solve_singular_raises(monkeypatch):
     with pytest.raises(SingularMatrixError):
         bareiss_solve([[1, 2], [2, 4]], [Fraction(1), Fraction(1)])
+    # Primitive rows, singular mod every prime.  det = 0 once the product P
+    # of the primes tried has P^2 > prod |row|^2 = (big^2 + 1)^2: eleven
+    # primes, for big the product of the first five.
+    big = prod(islice(linalg.primes(), 5))
+    tried = []
+    lu_mod = linalg._lu_mod
+    monkeypatch.setattr(linalg, "_lu_mod", lambda a, p: tried.append(p) or lu_mod(a, p))
+    with pytest.raises(SingularMatrixError):
+        bareiss_solve([[big, 1], [big, 1]], [Fraction(1), Fraction(1)])
+    assert len(tried) == 11
+    assert prod(tried[:10]) ** 2 <= (big * big + 1) ** 2 < prod(tried) ** 2
 
 
 def test_solve_random_round_trip():

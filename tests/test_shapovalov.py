@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from fraction_oracle import reference_det, reference_solve
-from virwhit import forms, shapovalov
-from virwhit.shapovalov import SingularGramError, gram, scaled_images, solve
+from virwhit import forms, linalg, shapovalov
+from virwhit.shapovalov import SingularGramError, gram, kac_zero, scaled_images, solve
 from virwhit.verma import (
     VermaContext,
     _TABLES,
@@ -180,7 +180,12 @@ def _level2_det(c, delta):
     return g.entries[0][0] * g.entries[1][1] - g.entries[0][1] * g.entries[1][0]
 
 
-def test_singular_gram_detected():
+def test_singular_gram_detected(monkeypatch):
+    # The Kac pre-check decides: the solve is never reached.
+    def unreachable(*args):
+        raise AssertionError("bareiss_solve called at a Kac point")
+
+    monkeypatch.setattr(linalg, "bareiss_solve", unreachable)
     # Scan rational weights at c = 1 for a degenerate level-2 form, using
     # this module's own gram() to compute the determinant.
     c = Fraction(1)
@@ -199,7 +204,13 @@ def test_singular_gram_detected():
     g = gram(6, VermaContext(Fraction(-19, 6), Fraction(11, 144)))
     with pytest.raises(SingularGramError) as info:
         solve(g, [Fraction(1)] + [Fraction(0)] * 10)
-    assert info.value.level == 6
+    assert (info.value.level, info.value.r, info.value.s) == (6, 2, 3)
+    # Delta_{3,4} at t = -25/16 (c = 13 - 6(t + 1/t)), first singular at level 12.
+    g = gram(12, VermaContext(Fraction(5243, 200), Fraction(-441, 40)))
+    with pytest.raises(SingularGramError) as info:
+        solve(g, [Fraction(1)] * 77)
+    assert (info.value.level, info.value.r, info.value.s) == (12, 3, 4)
+    assert str(info.value).endswith("Delta is the Kac value Delta_{3,4}")
 
 
 def test_gram_is_memoized():
@@ -311,6 +322,39 @@ def test_kac_determinant_vanishes_with_kac_product():
     for level in range(7):
         assert (reference_det(gram(level, ctx).entries) == 0) == (level >= 3)
         assert (kac_product(level, ctx) == 0) == (level >= 3)
+
+
+def _kac_points():
+    """(c, Delta) at t in {9/4, -9/4, 25/16, 1, -1}, c = 13 - 6(t + 1/t): every
+    Kac value Delta_{r,s} = ((r^2 - 1) t + (s^2 - 1)/t)/4 - (rs - 1)/2 with
+    rs <= 6, and the off-table 11/7 and -3/11."""
+    for t in (Fraction(9, 4), Fraction(-9, 4), Fraction(25, 16), Fraction(1), Fraction(-1)):
+        kac = {
+            ((r * r - 1) * t + (s * s - 1) / t) / 4 - Fraction(r * s - 1, 2)
+            for r in range(1, 7)
+            for s in range(1, 6 // r + 1)
+        }
+        for delta in sorted(kac | {Fraction(11, 7), Fraction(-3, 11)}):
+            yield VermaContext(13 - 6 * (t + 1 / t), delta)
+
+
+def test_kac_zero_matches_exact_determinant():
+    # kac_zero(N) names a pair (r, s), r <= s, exactly where det G_N = 0, and
+    # rs is the first such level.
+    singular = 0
+    for ctx in _kac_points():
+        first = None
+        for level in range(7):
+            regular = reference_det(gram(level, ctx).entries) != 0
+            assert (kac_product(level, ctx) != 0) == regular, (ctx, level)
+            zero = kac_zero(level, ctx)
+            assert (zero is None) == regular, (ctx, level)
+            if not regular:
+                first = level if first is None else first
+                r, s = zero
+                assert r <= s and r * s == first, (ctx, level, zero)
+                singular += 1
+    assert singular == 165  # of 448 cases
 
 
 PSI_SCAN = WhittakerTypeR(1, (Fraction(1), Fraction(0)))
