@@ -148,7 +148,7 @@ def _coeffs_from_json(raw, length: int) -> dict:
             value = _read_parameter(entry["coefficient"], "--coeffs coefficient")
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"{bad}: {exc!r}")
-        # Not left to the basic forms: they never see a zero coefficient.
+        # Checked here too, for the CLI's own message; the forms check every entry.
         if len(exps) != length:
             raise ConfigError(f"coefficients exponent tuples must have length {length}")
         if exps in out:

@@ -228,15 +228,15 @@ def _monomial_form(ctx, cutoff, side, weights, frozen, coefficients) -> DualForm
 
 
 def _exponent_table(coefficients, length: int, names: str) -> dict[tuple[int, ...], Fraction]:
-    """The nonzero coefficients by exponent tuple, each tuple checked."""
+    """The nonzero coefficients by exponent tuple, every tuple checked, zeros too."""
     table: dict[tuple[int, ...], Fraction] = {}
     for exponents, coeff in sorted(coefficients.items()):
+        exponents = tuple(int(e) for e in exponents)
+        if len(exponents) != length:
+            raise ValueError(f"expected {length} exponents ({names})")
+        if any(e < 0 for e in exponents):
+            raise ValueError("exponents must be nonnegative")
         if coeff:
-            exponents = tuple(int(e) for e in exponents)
-            if len(exponents) != length:
-                raise ValueError(f"expected {length} exponents ({names})")
-            if any(e < 0 for e in exponents):
-                raise ValueError("exponents must be nonnegative")
             table[exponents] = table.get(exponents, 0) + Fraction(coeff)
     return table
 
@@ -426,11 +426,8 @@ def whittaker_form_nullspace(
     ]
 
     kernel = linalg.nullspace(rows, ncols=len(unknowns))
-    basis = [
-        DualForm(ctx, cutoff, side, {p: value for p, value in zip(unknowns, vec) if value})
-        for vec in kernel
-    ]
-    return len(kernel), basis
+    terms = ({unknowns[j]: v for j, v in vec.items()} for vec in kernel)
+    return len(kernel), [DualForm(ctx, cutoff, side, t) for t in terms]
 
 
 def _mu_derivative(psi: WhittakerTypeR, l: int, cutoff: int, ctx: VermaContext) -> DualForm:

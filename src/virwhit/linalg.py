@@ -27,7 +27,8 @@ column until it vanishes or becomes the pivot row of that column; back
 substitution then runs from the last pivot to the reduced rows.  A
 reduced row is the primitive vector of a line (its combinations with the
 pivot rows that vanish on the other pivot columns), so it is never
-larger than the fraction-free (Bareiss) row.
+larger than the fraction-free (Bareiss) row.  The kernel vectors are
+sparse too, {column: nonzero Fraction}, read off the reduced rows.
 
 Sparse vectors throughout the package are dicts from basis labels to
 nonzero coefficients.  One update rule serves two row shapes:
@@ -453,13 +454,13 @@ def bareiss_solve(matrix: list[list[int]], rhs: list[Fraction]) -> list[Fraction
     raise SingularMatrixError(f"det = 0: primes down to {p} divide it, past the Hadamard bound")
 
 
-def nullspace(rows: list[dict[int, int]], ncols: int) -> list[list[Fraction]]:
+def nullspace(rows: list[dict[int, int]], ncols: int) -> list[dict[int, Fraction]]:
     """Basis of the kernel of the sparse {column: nonzero int} rows, one
-    vector per free (non-pivot) column of range(ncols).
+    sparse {column: nonzero Fraction} vector per free (non-pivot) column f.
 
-    The vector for a free column holds 1 there and 0 at every other free
-    column, which makes the basis unique: it is the reduced-row-echelon one,
-    with -R_c[f] / R_c[c] at pivot column c for the reduced pivot row R_c.
+    The vector for f holds 1 at f and no other free column, which makes the
+    basis unique: it is the reduced-row-echelon one, with -R_c[f] / R_c[c]
+    at each pivot column c < f whose reduced pivot row R_c holds f.
     The forward pass ``_reduce``s each primitive row by the pivot row of
     its least column c until it vanishes or becomes the pivot row of c,
     which is never touched again, so it holds no column before c.  Back
@@ -483,11 +484,11 @@ def nullspace(rows: list[dict[int, int]], ncols: int) -> list[list[Fraction]]:
         for later in [j for j in row if j in reduced]:
             row = _reduce(row, reduced[later], later)
         reduced[c] = row
-    basis = {f: [Fraction(0)] * ncols for f in range(ncols) if f not in reduced}
-    for f, vec in basis.items():
-        vec[f] = Fraction(1)
-    for c, row in reduced.items():
+    basis = {f: {} for f in range(ncols) if f not in reduced}
+    for c, row in sorted(reduced.items()):
         for f, v in row.items():
             if f != c:
                 basis[f][c] = Fraction(-v, row[c])
+    for f, vec in basis.items():
+        vec[f] = Fraction(1)
     return list(basis.values())

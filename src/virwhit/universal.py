@@ -131,7 +131,7 @@ _REWRITERS = Straighteners(_psi_rule)
 def apply_word(word, v: UniversalVector) -> UniversalVector:
     """Left-multiply by L_{word[0]} ... L_{word[-1]}, exactly."""
     terms = _REWRITERS[v.whittaker_type, v.central_charge].apply(tuple(word), v.terms)
-    return UniversalVector(v.whittaker_type, v.central_charge, dict(terms))
+    return UniversalVector(v.whittaker_type, v.central_charge, terms)
 
 
 def act_universal(m: int, v: UniversalVector) -> UniversalVector:
@@ -148,8 +148,9 @@ def dot_act(m: int, v: UniversalVector) -> UniversalVector:
     return act_universal(m, v).add_scaled(v, -scalar)
 
 
-def nilpotency_index(m: int, v: UniversalVector, limit: int = 10_000) -> int:
-    """Least k with the k-fold dot action of L_m annihilating v."""
+def nilpotency_index(m: int, v: UniversalVector) -> int:
+    """Least k with the k-fold dot action of L_m annihilating v; past
+    10,000 steps RuntimeError is raised."""
     if v.is_zero():
         raise ValueError("nilpotency index is defined for nonzero vectors")
     count = 0
@@ -157,8 +158,8 @@ def nilpotency_index(m: int, v: UniversalVector, limit: int = 10_000) -> int:
     while not current.is_zero():
         current = dot_act(m, current)
         count += 1
-        if count > limit:
-            raise RuntimeError("dot action did not nilpotate within the limit")
+        if count > 10_000:
+            raise RuntimeError("dot action did not nilpotate within 10,000 steps")
     return count
 
 
@@ -192,18 +193,17 @@ def _checked_indices(
 def verify_whittaker_vector(
     v: UniversalVector, target: WhittakerType
 ) -> VerificationReport:
-    """Exact Whittaker-condition check against a target type.
+    """Exact Whittaker-condition check against a target type: the residual
+    at k is act_universal(k, v) - target(L_k) v, as in ``dot_act``.
 
     The checked index set covers every generator that can act nonzero on
     the vector's support (module rank plus maximal level), so a passing
     report certifies all conditions, untruncated.
     """
-    rule = _REWRITERS[v.module]
     indices = _checked_indices(v.whittaker_type, v.max_level(), target)
     failures = {}
     for k in indices:
-        image = UniversalVector(*v.module, rule.apply((k,), v.terms))
-        residual = image.add_scaled(v, -target.value(k)).terms
+        residual = act_universal(k, v).add_scaled(v, -target.value(k)).terms
         if residual:
             word = min(residual, key=word_key)
             failures[k] = (pp_level(word), word, residual[word])
@@ -215,8 +215,6 @@ def level0_words(
 ) -> list[PseudoPartition]:
     """All nonempty non-decreasing words over [min_letter, max_letter]."""
     out: list[PseudoPartition] = []
-    if min_letter > max_letter:
-        return out
     for length in range(1, max_length + 1):
         out.extend(
             itertools.combinations_with_replacement(
@@ -246,18 +244,11 @@ def whittaker_subspace_level0(
     if not isinstance(psi, WhittakerTypeR):
         raise ValueError(f"the classified subspaces need an order type, got {psi}")
     r, s = psi.r, psi.rank
-    high_rank = s in (2 * r - 1, 2 * r)
-    if high_rank:
-        if r_prime == r:
-            return [generating_vector(psi, c)]
-        if not (s - r + 2 <= r_prime <= s):
-            raise NotClassifiedError(
-                f"order {r_prime} is not classified for rank {s}, order {r}"
-            )
-    elif not (r <= r_prime <= s):
-        raise NotClassifiedError(
-            f"order {r_prime} is not classified for rank {s}, order {r}"
-        )
+    high_rank = s >= 2 * r - 1  # the rank is at most 2r
+    if high_rank and r_prime == r:
+        return [generating_vector(psi, c)]
+    if not ((s - r + 2 if high_rank else r) <= r_prime <= s):
+        raise NotClassifiedError(f"order {r_prime} is not classified for rank {s}, order {r}")
     lowest = s - r_prime + 1
     words: list[PseudoPartition] = [()]
     words.extend(level0_words(lowest, r - 1, max_length))
@@ -534,8 +525,6 @@ def search_whittaker(
                 rows.setdefault((k, out), {})[j] = coeff
 
     kernel = linalg.nullspace(list(rows.values()), ncols=len(words))
-    basis = []
-    for vec in kernel:
-        terms = {w: coeff for w, coeff in zip(words, vec) if coeff}
-        basis.append(UniversalVector(psi, Fraction(c), terms))
-    return SearchResult(tuple(words), tuple(ks), len(kernel), tuple(basis))
+    terms = ({words[j]: v for j, v in vec.items()} for vec in kernel)
+    basis = tuple(UniversalVector(psi, Fraction(c), t) for t in terms)
+    return SearchResult(tuple(words), tuple(ks), len(kernel), basis)

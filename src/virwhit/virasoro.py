@@ -62,14 +62,6 @@ class EnvelopingElement(SparseVector):
     central_charge: Fraction
     terms: dict[Word, Fraction]
 
-    def __mul__(self, other):
-        if isinstance(other, EnvelopingElement):
-            return multiply(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, scalar) -> "EnvelopingElement":
-        return self.scale(scalar)
-
 
 def unit(c: Fraction) -> EnvelopingElement:
     """The identity element."""

@@ -896,7 +896,7 @@ def test_bmt_n_limit_exits_2_before_building(capsys, monkeypatch, lambdas):
             '[{"exponents": [0, 0], "coefficient": "1/0"}]',
             "zero denominator in '1/0'",
         ),
-        # A zero coefficient never reaches the basic form's own length check.
+        # The CLI's own length message, for a zero coefficient too.
         (
             "--coeffs",
             '[{"exponents": [0], "coefficient": "0"}]',
@@ -912,6 +912,30 @@ def test_bmt_bad_coefficients_exit_2(capsys, option, value, message):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command, coeffs",
+    [
+        (
+            ["gaiotto", "--r", "2", "--mu", "1,2,3"],
+            '[{"exponents": [-1], "coefficient": "0"}, {"exponents": [0], "coefficient": "1"}]',
+        ),
+        (
+            ["bmt", "--n", "4", "--nu1", "2/5", "--nun", "-3"],
+            '[{"exponents": [0, -1], "coefficient": "0"},'
+            ' {"exponents": [0, 0], "coefficient": "1"}]',
+        ),
+    ],
+    ids=["gaiotto", "bmt"],
+)
+def test_negative_exponents_with_zero_coefficient_exit_2(capsys, command, coeffs):
+    # A zero coefficient adds nothing to the form, but its exponents are checked.
+    code = main([*command, "--c", "1", "--delta", "1/3", "--cutoff", "2", "--coeffs", coeffs])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: exponents must be nonnegative\n"
 
 
 @pytest.mark.parametrize(

@@ -245,6 +245,23 @@ def test_bmt_form_empty_is_zero():
     assert bmt_form(PSI_N3, {}, 4, CTX).is_zero()
 
 
+@pytest.mark.parametrize(
+    "build, psi, bad, message",
+    [
+        (gaiotto_form, PSI_R2, (-1,), "exponents must be nonnegative"),
+        (gaiotto_form, PSI_R2, (0, 0), "expected 1 exponents"),
+        (bmt_form, PSI_N4, (0, -2), "exponents must be nonnegative"),
+        (bmt_form, PSI_N4, (0,), "expected 2 exponents"),
+    ],
+    ids=["gaiotto-negative", "gaiotto-length", "bmt-negative", "bmt-length"],
+)
+def test_zero_coefficient_entries_are_checked(build, psi, bad, message):
+    # A zero coefficient adds nothing, but its exponents obey the same rule.
+    good = (0,) * (psi.r - 1 if build is gaiotto_form else psi.n - 2)
+    with pytest.raises(ValueError, match=message):
+        build(psi, {good: Fraction(1), bad: Fraction(0)}, 3, CTX)
+
+
 def test_bmt_special_form_support():
     # all lambdas zero keeps only the all-zero basic form
     plain = bmt_special_form(PSI_N4, (Fraction(0), Fraction(0)), 4, CTX)

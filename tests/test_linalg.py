@@ -85,7 +85,8 @@ def test_nullspace_known_kernel():
     basis = nullspace([{0: 1, 1: 1, 2: 1}], 3)
     assert len(basis) == 2
     for vec in basis:
-        assert sum(vec) == 0
+        assert sum(vec.values()) == 0
+    assert basis == [{0: -1, 1: 1}, {0: -1, 2: 1}]
 
 
 def test_nullspace_trivial():
@@ -96,7 +97,7 @@ def test_nullspace_empty_matrix_is_identity():
     basis = nullspace([], ncols=3)
     assert len(basis) == 3
     for i, vec in enumerate(basis):
-        assert vec[i] == 1 and sum(map(abs, vec)) == 1
+        assert vec[i] == 1 and sum(map(abs, vec.values())) == 1
 
 
 def test_solve_regular_matrix_singular_mod_first_prime():
@@ -214,6 +215,7 @@ def test_bareiss_solve_matches_gauss_jordan_on_large_negative_entries(n, data):
 
 
 def _reference_nullspace(matrix, ncols):
+    """The reduced-row-echelon kernel basis as sparse {column: nonzero} vectors."""
     reduced, pivots = reference_rref(matrix, ncols)
     basis = []
     for free in range(ncols):
@@ -223,8 +225,15 @@ def _reference_nullspace(matrix, ncols):
         vec[free] = Fraction(1)
         for row_idx, piv in enumerate(pivots):
             vec[piv] = -reduced[row_idx][free]
-        basis.append(vec)
+        basis.append({j: v for j, v in enumerate(vec) if v})
     return basis
+
+
+def _check_sparse_basis(basis):
+    """No stored zero, and 1 at each vector's free column: its last, held by no other vector."""
+    free = [max(vec) for vec in basis]
+    assert all(all(vec.values()) and vec[f] == 1 for vec, f in zip(basis, free))
+    assert not any(f in vec for f in free for vec in basis if max(vec) != f)
 
 
 def _cofactor_det(m):
@@ -268,7 +277,9 @@ def _square(draw, max_size=5):
 def test_nullspace_and_rank_match_gauss_jordan(case):
     matrix, ncols = case
     expected = _reference_nullspace(matrix, ncols)
-    assert nullspace(_sparse(_integer(matrix)[0]), ncols=ncols) == expected
+    basis = nullspace(_sparse(_integer(matrix)[0]), ncols=ncols)
+    assert basis == expected
+    _check_sparse_basis(basis)
 
 
 @given(_square(), st.data())
@@ -312,7 +323,9 @@ def _sparse_matrices(draw, max_size=30):
 def test_sparse_nullspace_and_rank_match_gauss_jordan(case):
     matrix, ncols = case
     expected = _reference_nullspace(matrix, ncols)
-    assert nullspace(_sparse(_integer(matrix)[0]), ncols=ncols) == expected
+    basis = nullspace(_sparse(_integer(matrix)[0]), ncols=ncols)
+    assert basis == expected
+    _check_sparse_basis(basis)
 
 
 @given(_square(max_size=4))
@@ -333,9 +346,11 @@ def test_search_whittaker_basis_matches_gauss_jordan(monkeypatch):
     result = search_whittaker(psi, level0_words(2, 4, 5), psi, Fraction(5, 3))
     ((matrix, ncols),) = systems
     dense = [[Fraction(row.get(j, 0)) for j in range(ncols)] for row in matrix]
-    found = [[vec.terms.get(w, Fraction(0)) for w in result.ansatz] for vec in result.basis]
+    reference = _reference_nullspace(dense, ncols)
     assert result.dimension > 0
-    assert found == _reference_nullspace(dense, ncols)
+    assert [vec.terms for vec in result.basis] == [
+        {result.ansatz[j]: v for j, v in vec.items()} for vec in reference
+    ]
 
 
 def test_primes_are_the_primes_below_2_30_largest_first():
@@ -381,7 +396,9 @@ def test_sparse_rows_give_the_dense_nullspace():
             [Fraction(rng.choice([0, 0, 1, -2, 3]), rng.randint(1, 4)) for _ in range(ncols)]
             for _ in range(rng.randint(1, 6))
         ]
-        assert nullspace(_sparse(_integer(dense)[0]), ncols) == _reference_nullspace(dense, ncols)
+        basis = nullspace(_sparse(_integer(dense)[0]), ncols)
+        assert basis == _reference_nullspace(dense, ncols)
+        _check_sparse_basis(basis)
 
 
 _CTX = verma.VermaContext(Fraction(1), Fraction(2))

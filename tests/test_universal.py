@@ -214,6 +214,29 @@ def test_subspace_unclassified_orders_rejected():
         whittaker_subspace_level0(PSI_R2, 5, C)
 
 
+@pytest.mark.parametrize(
+    "r, mu, rank, classified, rejected",
+    [
+        (2, (1, 0, 0), 2, (2,), (1, 3)),  # s < 2r - 1
+        (2, (1, 1, 0), 3, (2, 3), (1, 4)),  # s = 2r - 1
+        (3, (1, 0, 0, 0), 3, (3,), (2, 4)),  # s < 2r - 1
+        (3, (0, 0, 1, 0), 5, (3, 4, 5), (6,)),  # s = 2r - 1: r' = 4 is s - r + 2
+    ],
+)
+def test_subspace_orders_on_both_rank_branches(r, mu, rank, classified, rejected):
+    psi = WhittakerTypeR(r, tuple(map(Fraction, mu)))
+    assert psi.rank == rank
+    for r_prime in classified:
+        vectors = whittaker_subspace_level0(psi, r_prime, C, max_length=3)
+        if rank >= 2 * r - 1 and r_prime == r:
+            assert [v.terms for v in vectors] == [{(): Fraction(1)}]
+        else:
+            assert vectors[0].terms == {(): Fraction(1)} and len(vectors) > 1
+    for r_prime in rejected:
+        with pytest.raises(NotClassifiedError):
+            whittaker_subspace_level0(psi, r_prime, C)
+
+
 def _level0_cases():
     # Order r, rank s in r..2r and order r' in r..s: 6 cases for r = 2, 10 for r = 3.
     for r in (2, 3):
