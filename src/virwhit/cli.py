@@ -8,7 +8,7 @@ stdout and --out and picks the exit code.
 
 Each call builds the root parser and only the subparser of the command
 its argv names (the whole tree from COMMANDS when it names none) and
-imports only that command's module, cli_verma or cli_universal.
+imports only that command's module: cli_verma, cli_verify or cli_universal.
 
 Exit codes: 0 all requested verifications pass, 1 a verification failed,
 2 unusable configuration or output, 3 degenerate Shapovalov form at some level.
@@ -79,7 +79,7 @@ COMMANDS = {
     "gaiotto": ("build, raise and verify a Gaiotto state", "verma", {**ORDER, **STATE, **OUT}),
     "bmt": ("build, raise and verify a BMT state", "verma",
             {**PAIR, **STATE, **OUT, "--lambdas": {"type": _rat_list, "help": LAMBDAS}}),
-    "verify": ("re-verify a serialized state or form", "verma",
+    "verify": ("re-verify a serialized state or form", "verify",
                {**OUT, "--input": {"required": True}}),
     "universal family": ("construct and verify a family vector", "universal",
                          {**UNIVERSAL, **OUT, "--family": {"required": True, "choices": FAMILIES},

@@ -1,14 +1,15 @@
-"""What cli and both command modules share: limits, the Whittaker type of
-the options, the type and report JSON writers.  The command modules use
-this, never virwhit.cli: that runs as __main__ under ``python -m``, and
-importing it by name would compile it a second time.
+"""What cli and the command modules share: limits, the Whittaker type of
+the options, the type and report JSON writers, and the checks the JSON
+readers make (a parameter, an integer, an object or a list).  The command
+modules use this, never virwhit.cli: that runs as __main__ under
+``python -m``, and importing it by name would compile it a second time.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .rational import format_rational
+from .rational import format_rational, parse_rational
 from .whittaker import VerificationReport, WhittakerType, WhittakerType1N, WhittakerTypeR
 
 SCHEMA = "virwhit/1"
@@ -52,6 +53,24 @@ def parameter(value: Fraction, name: str) -> Fraction:
     bits = max(value.numerator.bit_length(), value.denominator.bit_length())
     if bits > MAX_PARAMETER_BITS:
         raise ConfigError(f"{name} has {bits} bits, more than the limit {MAX_PARAMETER_BITS}")
+    return value
+
+
+def read_parameter(text, name: str) -> Fraction:
+    return parameter(parse_rational(text), name)
+
+
+def json_int(value, what: str) -> int:
+    """A JSON integer; floats, strings and booleans raise TypeError, never truncate."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def require(value, kind: type, message: str):
+    """``value`` if it is a JSON object (kind dict) or list (kind list)."""
+    if not isinstance(value, kind):
+        raise ConfigError(message)
     return value
 
 

@@ -5,7 +5,6 @@ A command returns (document body, whether every verification passed).
 
 from __future__ import annotations
 
-import random
 from math import comb
 
 from . import universal
@@ -119,6 +118,8 @@ def _random_pseudo_partition(rng: random.Random, r: int, max_level: int, max_len
 
 
 def cmd_check_lemmas(args):
+    import random  # here, not at the top: only this command samples
+
     psi = whittaker_type(args)
     rng = random.Random(args.seed)
     s = psi.rank

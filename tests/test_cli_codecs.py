@@ -12,17 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from virwhit.cli_common import ConfigError, type_json
-from virwhit.cli_verma import (
-    _coeffs_from_json,
-    _coeffs_json,
+from virwhit.cli_verify import (
     _context_from_json,
-    _context_json,
     _form_from_json,
-    _form_json,
     _state_from_json,
-    _state_json,
     _type_from_json,
 )
+from virwhit.cli_verma import _coeffs_from_json, _coeffs_json, _context_json, _form_json
+from virwhit.cli_verma import _state_json
 from virwhit.forms import DECREASING, INCREASING, DualForm
 from virwhit.verma import VermaContext, VermaVector, enumerate_partitions
 from virwhit.whittaker import WhittakerType1N, WhittakerTypeR

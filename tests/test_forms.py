@@ -36,7 +36,7 @@ from virwhit.forms import (
     whittaker_form_nullspace,
     zero_form,
 )
-from virwhit.forms import _mu_derivative
+from virwhit.formops import _mu_derivative
 from virwhit.shapovalov import gram
 from virwhit.verma import (
     VermaContext,
@@ -260,6 +260,26 @@ def test_zero_coefficient_entries_are_checked(build, psi, bad, message):
     good = (0,) * (psi.r - 1 if build is gaiotto_form else psi.n - 2)
     with pytest.raises(ValueError, match=message):
         build(psi, {good: Fraction(1), bad: Fraction(0)}, 3, CTX)
+
+
+@pytest.mark.parametrize(
+    "build, psi, bad",
+    [
+        (gaiotto_form, PSI_R2, (1.5,)),
+        (gaiotto_form, PSI_R2, (Fraction(1),)),
+        (gaiotto_form, PSI_R2, ("1",)),
+        (bmt_form, PSI_N4, (0, 1.5)),
+        (bmt_form, PSI_N4, (2.0, 0)),
+    ],
+    ids=["gaiotto-float", "gaiotto-fraction", "gaiotto-str", "bmt-float", "bmt-integral-float"],
+)
+def test_non_integer_exponents_raise(build, psi, bad):
+    # int() once truncated them: {(1.5,): 1} built the form of {(1,): 1}.
+    with pytest.raises(ValueError, match="exponents must be integers"):
+        build(psi, {bad: Fraction(1)}, 3, CTX)
+    # A bool is an int, and stays accepted.
+    ones = build(psi, {(1,) * len(bad): Fraction(1)}, 3, CTX)
+    assert build(psi, {(True,) * len(bad): Fraction(1)}, 3, CTX) == ones
 
 
 def test_bmt_special_form_support():

@@ -32,39 +32,51 @@ print(json.dumps([code, sorted(set(sys.modules) - before)]))
 """
 
 # A Verma command straightens nothing in U(Vir): only verma.act, which no
-# command calls, loads virasoro.
+# command calls, loads virasoro.  The square solve (padic), the sparse
+# elimination, formops and families hold code that only some commands run.
 UNIVERSAL_SIDE = {"virwhit.universal", "virwhit.virasoro", "virwhit.cli_universal"}
-VERMA_SIDE = {"virwhit.verma", "virwhit.shapovalov", "virwhit.forms", "virwhit.cli_verma"}
+VERMA_SIDE = {
+    "virwhit.verma",
+    "virwhit.shapovalov",
+    "virwhit.forms",
+    "virwhit.cli_verma",
+    "virwhit.cli_verify",
+}
+SOLVE, ELIMINATION = "virwhit.padic", "virwhit.elimination"
+FORMOPS, FAMILIES = "virwhit.formops", "virwhit.families"
 COMMANDS = {
     "gram": (
         ["gram", "--c", "1", "--delta", "1", "--level", "2"],
-        {"virwhit.forms", *UNIVERSAL_SIDE},
+        {"virwhit.forms", "virwhit.cli_verify", SOLVE, ELIMINATION, *UNIVERSAL_SIDE},
     ),
     "gaiotto": (
         ["gaiotto", "--r", "1", "--mu", "1,0", "--c", "1", "--delta", "1", "--cutoff", "2"],
-        UNIVERSAL_SIDE,
+        {"virwhit.cli_verify", FORMOPS, ELIMINATION, *UNIVERSAL_SIDE},
     ),
     "bmt": (
         ["bmt", "--n", "3", "--nu1", "1", "--nun", "1", "--c", "1", "--delta", "1"]
         + ["--cutoff", "2"],
-        UNIVERSAL_SIDE,
+        {"virwhit.cli_verify", FORMOPS, ELIMINATION, *UNIVERSAL_SIDE},
     ),
-    "verify": (["verify", "--input", "{state}"], UNIVERSAL_SIDE),
+    "verify": (
+        ["verify", "--input", "{state}"],
+        {"virwhit.cli_verma", FORMOPS, SOLVE, ELIMINATION, *UNIVERSAL_SIDE},
+    ),
     "check-l0-li": (
         ["check-l0-li", "--r", "1", "--mu", "1,1", "--c", "1", "--delta", "1", "--cutoff", "2"],
-        UNIVERSAL_SIDE,
+        {"virwhit.cli_verify", SOLVE, ELIMINATION, *UNIVERSAL_SIDE},
     ),
     "universal search": (
         ["universal", "search", "--n", "5", "--nu1", "1", "--nun", "2", "--length", "2"],
-        VERMA_SIDE,
+        {SOLVE, FAMILIES, "random", *VERMA_SIDE},
     ),
     "universal family": (
         ["universal", "family", "--family", "w-l-2", "--n", "4", "--nu1", "1", "--nun", "2"],
-        VERMA_SIDE,
+        {SOLVE, ELIMINATION, *VERMA_SIDE},
     ),
     "check-lemmas": (
         ["check-lemmas", "--r", "2", "--mu", "1,2,3", "--c", "1", "--samples", "3"],
-        VERMA_SIDE,
+        {SOLVE, ELIMINATION, FAMILIES, *VERMA_SIDE},
     ),
 }
 
@@ -106,7 +118,9 @@ def test_command_loads_only_what_it_runs(name, tmp_path, capsys):
         assert main([*COMMANDS["gaiotto"][0], "--out", str(state)]) == 0
         capsys.readouterr()
     argv = [arg.format(state=state) for arg in argv]
-    code, loaded = json.loads(_python("-c", RUNNER, *argv))
+    # -S: site may import modules itself (an installed .pth file can import
+    # random), which would hide them from the snapshot the runner takes.
+    code, loaded = json.loads(_python("-S", "-c", RUNNER, *argv))
     assert code == 0
     assert "virwhit.cli" in loaded
     assert "dataclasses" not in loaded
@@ -137,7 +151,8 @@ def test_import_cli_loads_no_command_module():
     out = _python("-c", "import sys, virwhit.cli; print(*sorted(sys.modules))")
     loaded = set(out.split())
     assert "virwhit.cli" in loaded
-    assert not {"virwhit.cli_verma", "virwhit.cli_universal"} & loaded
+    assert not {"virwhit.cli_verma", "virwhit.cli_verify", "virwhit.cli_universal"} & loaded
+    assert not {SOLVE, ELIMINATION} & loaded
 
 
 def test_import_package_loads_no_submodule():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fraction_oracle import reference_det, reference_rref, reference_solve
 from linalg_oracle import reference_lu_mod, reference_lu_solve
-from virwhit import linalg
+from virwhit import linalg, padic
 from virwhit.linalg import SingularMatrixError, bareiss_solve, nullspace
 from virwhit import forms, universal, verma, virasoro
 from virwhit.universal import level0_words, search_whittaker
@@ -53,8 +53,8 @@ def test_solve_singular_raises(monkeypatch):
     # primes, for big the product of the first five.
     big = prod(islice(linalg.primes(), 5))
     tried = []
-    lu_mod = linalg._lu_mod
-    monkeypatch.setattr(linalg, "_lu_mod", lambda a, p: tried.append(p) or lu_mod(a, p))
+    lu_mod = padic._lu_mod
+    monkeypatch.setattr(padic, "_lu_mod", lambda a, p: tried.append(p) or lu_mod(a, p))
     with pytest.raises(SingularMatrixError):
         bareiss_solve([[big, 1], [big, 1]], [Fraction(1), Fraction(1)])
     assert len(tried) == 11
@@ -103,7 +103,7 @@ def test_nullspace_empty_matrix_is_identity():
 def test_solve_regular_matrix_singular_mod_first_prime():
     p = next(linalg.primes())
     a = [[1, 1], [1, 1 + p]]  # det = p
-    assert linalg._lu_mod(a, p) is None
+    assert padic._lu_mod(a, p) is None
     x = bareiss_solve(a, [Fraction(2), Fraction(3)])
     assert x == [2 - Fraction(1, p), Fraction(1, p)]
 
@@ -145,7 +145,7 @@ def test_solve_hilbert_matrix_matches_gauss_jordan():
 
 
 def test_lifting_stops_at_hadamard_bound(monkeypatch):
-    monkeypatch.setattr(linalg, "_reconstruct", lambda residues, modulus: None)
+    monkeypatch.setattr(padic, "_reconstruct", lambda residues, modulus: None)
     with pytest.raises(ArithmeticError):
         bareiss_solve([[2, 1], [1, 3]], [Fraction(5), Fraction(10)])
 
@@ -194,13 +194,13 @@ def _modular_system(draw):
 @given(_modular_system())
 def test_packed_lu_matches_the_list_lu(system):
     rows, p, rng = system
-    factors, expected = linalg._lu_mod(rows, p), reference_lu_mod(rows, p)
+    factors, expected = padic._lu_mod(rows, p), reference_lu_mod(rows, p)
     assert (factors is None) == (expected is None)
     if factors is None:
         return
     for _ in range(2):
         rhs = [_entry(rng, p) for _ in rows]
-        assert linalg._lu_solve(factors, rhs, p) == reference_lu_solve(expected, rhs, p)
+        assert padic._lu_solve(factors, rhs, p) == reference_lu_solve(expected, rhs, p)
 
 
 @settings(deadline=None, max_examples=50)
@@ -358,9 +358,9 @@ def test_primes_are_the_primes_below_2_30_largest_first():
         2**30 - 35, 2**30 - 41, 2**30 - 83, 2**30 - 101, 2**30 - 105
     ]
     trial = [n for n in range(2, 3000) if all(n % d for d in range(2, isqrt(n) + 1))]
-    assert [n for n in range(3000) if linalg._is_prime(n)] == trial
+    assert [n for n in range(3000) if padic._is_prime(n)] == trial
     # Strong pseudoprimes to the bases 2; 2, 3; and 2, 3, 5.
-    assert not any(map(linalg._is_prime, (2047, 1373653, 25326001)))
+    assert not any(map(padic._is_prime, (2047, 1373653, 25326001)))
 
 
 def test_update_rule_on_pairs_and_flat_rows():
