@@ -12,11 +12,23 @@ imports only that command's module: cli_verma, cli_verify or cli_universal.
 
 Exit codes: 0 all requested verifications pass, 1 a verification failed,
 2 unusable configuration or output, 3 degenerate Shapovalov form at some level.
+Output is unusable when --out cannot be opened or written, and when stdout
+cannot be written: its reader left, its device failed (/dev/full), or the
+process started with it closed (``>&-``).  Stdout then gets nothing more,
+--out still gets the whole document, and stderr gets one line.
+
+Run as ``python -m virwhit.cli``, the process ends once its output is
+flushed, by os._exit: the interpreter's teardown, which frees the job's
+tables and every imported module and writes nothing, is skipped (~10 ms
+of a gram --level 12 job).  A profiler or tracer that writes its data at a
+normal exit (cProfile, coverage, a debugger) keeps sys.exit, and so do
+argparse's exits and uncaught exceptions.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -146,8 +158,10 @@ def _write_document(document: dict, path: str | None) -> OSError | None:
 
     The file is opened before anything goes to stdout, so an unwritable path
     leaves stdout empty; once open, stdout gets the whole document whatever
-    the file does, and the file gets it whatever stdout does: a
-    BrokenPipeError from stdout is raised only after the file is closed.
+    the file does, and the file gets it whatever stdout does: an OSError
+    from stdout is raised only after the file is closed.  A stdout that is
+    None (the process started with it closed) fails like one that raises
+    EBADF.
     json.dumps with an indent runs the same pure-Python iterencode, so the
     bytes are the same; the chunks go out WRITE_BATCH at a time.
     """
@@ -162,8 +176,10 @@ def _write_document(document: dict, path: str | None) -> OSError | None:
         for batch in chain(iter(lambda: "".join(islice(chunks, WRITE_BATCH)), ""), ["\n"]):
             if broken is None:
                 try:
+                    if sys.stdout is None:
+                        raise OSError(errno.EBADF, "stdout is closed")
                     sys.stdout.write(batch)
-                except BrokenPipeError as exc:
+                except OSError as exc:
                     if out is None:
                         raise
                     broken = exc
@@ -205,8 +221,9 @@ def main(argv=None) -> int:
     try:
         failure = _write_document({"schema": SCHEMA, "command": args.document, **body}, args.out)
         sys.stdout.flush()
-    except BrokenPipeError as exc:  # the reader left; the exit flush must not raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:  # every OSError here is stdout's; the exit flush must not raise again
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: cannot write stdout: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if failure is not None:
@@ -216,4 +233,11 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    code = main()
+    monitoring = getattr(sys, "monitoring", None)  # 3.12+, where cProfile is tool 2
+    if sys.gettrace() or sys.getprofile() or monitoring and any(map(monitoring.get_tool, range(6))):
+        sys.exit(code)  # the attached tool writes its data at a normal exit
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    os._exit(code)

@@ -162,9 +162,10 @@ def _monomial_form(ctx, cutoff, side, weights, frozen, coefficients) -> DualForm
 
 
 def _exponent_table(coefficients, length: int, names: str) -> dict[tuple[int, ...], Fraction]:
-    """The nonzero coefficients by exponent tuple, every tuple checked, zeros too."""
+    """The nonzero coefficients by exponent tuple, sorted, every tuple
+    checked, zeros too: the checks come first, so the sort compares ints."""
     table: dict[tuple[int, ...], Fraction] = {}
-    for exponents, coeff in sorted(coefficients.items()):
+    for exponents, coeff in coefficients.items():
         exponents = tuple(exponents)
         if not all(isinstance(e, int) for e in exponents):
             raise ValueError(f"exponents must be integers, got {exponents}")
@@ -174,7 +175,7 @@ def _exponent_table(coefficients, length: int, names: str) -> dict[tuple[int, ..
             raise ValueError("exponents must be nonnegative")
         if coeff:
             table[exponents] = table.get(exponents, 0) + Fraction(coeff)
-    return table
+    return dict(sorted(table.items()))
 
 
 def gaiotto_form(

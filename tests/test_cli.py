@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import pstats
 import re
 import shlex
 import subprocess
@@ -482,10 +483,18 @@ def test_document_is_streamed(tmp_path, monkeypatch):
     assert streamed - body < path.stat().st_size
 
 
+def _module_env(*path) -> dict[str, str]:
+    """The environment of a fresh ``python -m virwhit.cli``: buffered, with
+    the directories ``path`` and then src first on PYTHONPATH."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    paths = [*path, SRC, env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(str(p) for p in paths if p)
+    return env
+
+
 def _close_stdout_early(unbuffered, *options):
     # Runs GRAM_12 (0.38 MB, past any pipe buffer) and reads 10 bytes of it.
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    env = _module_env()
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     argv = [sys.executable, "-m", "virwhit.cli", *GRAM_12, *options]
@@ -1144,3 +1153,100 @@ def test_verify_document_parameters_are_bounded(tmp_path, capsys, key):
         f"error: malformed document: {key} has {MAX_PARAMETER_BITS + 1} bits, "
         f"more than the limit {MAX_PARAMETER_BITS}\n"
     )
+
+
+# The real exit path: ``python -m virwhit.cli`` in a fresh process, which ends
+# by os._exit unless a profiler or tracer is attached.
+
+
+def _run_module(*args, python=(), env=None, **kwargs) -> subprocess.CompletedProcess:
+    """``python [python...] -m virwhit.cli args``, stderr (and by default
+    stdout) captured."""
+    argv = [sys.executable, *python, "-m", "virwhit.cli", *args]
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    env = env or _module_env()
+    return subprocess.run(argv, env=env, stderr=subprocess.PIPE, timeout=120, **kwargs)
+
+
+def test_module_exit_0_writes_the_in_process_document(tmp_path, capsys):
+    argv, digest = DOCUMENT_DIGESTS["bmt-lambdas"]
+    path = tmp_path / "doc.json"
+    proc = _run_module(*argv, "--out", str(path))
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout == path.read_bytes() == run_cli(capsys, *argv)[1].encode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+def test_module_exit_1_on_a_tampered_state(tmp_path):
+    path = tmp_path / "doc.json"
+    assert _run_module(*GAIOTTO_R2, "--cutoff", "4", "--out", str(path)).returncode == 0
+    doc = json.loads(path.read_text())
+    doc["state"]["terms"][1]["coefficient"] = "99"
+    path.write_text(json.dumps(doc))
+    proc = _run_module("verify", "--input", str(path))
+    assert proc.returncode == 1 and proc.stderr == b""
+    assert not json.loads(proc.stdout)["raise_roundtrip"]["passed"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["gram", "--c", "1", "--delta", "1", "--level", "13"], 2),  # a LIMITS error
+        (["gaiotto", "--r", "1", "--mu", "1,0", "--c", "5243/200", "--delta=-441/40",
+          "--cutoff", "12"], 3),  # Kac zero Delta_{3,4}, first at level 12
+    ],
+    ids=["limit", "kac"],
+)
+def test_module_error_exit_writes_one_stderr_line(argv, code):
+    proc = _run_module(*argv)
+    assert proc.returncode == code
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+
+
+# Buffered, the level-1 document (0.4 KB) fails at main's flush and the
+# level-7 one (12 KB, past the 8 KiB buffer) at a write.
+@pytest.mark.parametrize("stdout, level", [("full", 1), ("full", 7), ("closed", 3)])
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "stdout-and-out"])
+def test_module_unwritable_stdout_exits_2(tmp_path, capsys, stdout, level, out):
+    if stdout == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("needs a device that is always full")
+    argv = ["gram", "--c", "1", "--delta", "1", "--level", str(level)]
+    path = tmp_path / "doc.json"
+    options = ["--out", str(path)] if out else []
+    if stdout == "full":
+        with open("/dev/full", "w") as full:
+            proc = _run_module(*argv, *options, stdout=full)
+        message = b"error: cannot write stdout: [Errno 28] "
+    else:  # started with fd 1 closed, as `>&-` does
+        proc = _run_module(*argv, *options, stdout=None, preexec_fn=lambda: os.close(1))
+        message = b"error: cannot write stdout: [Errno 9] "
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(message) and proc.stderr.count(b"\n") == 1
+    assert b"Traceback" not in proc.stderr
+    if out:
+        assert path.read_bytes() == run_cli(capsys, *argv)[1].encode()
+
+
+def test_module_run_skips_teardown_unless_a_tool_is_attached(tmp_path, capsys):
+    """An atexit handler, registered by a sitecustomize, runs only when the
+    process ends by sys.exit: on an argparse error and under cProfile, which
+    writes its file after the profiled code ends by SystemExit (the tool is
+    sys.getprofile() on 3.10 and 3.11, sys.monitoring tool 2 on 3.12+)."""
+    marker = tmp_path / "teardown"
+    (tmp_path / "sitecustomize.py").write_text(
+        f"import atexit\natexit.register(open, {str(marker)!r}, 'a')\n"
+    )
+    env = _module_env(tmp_path)
+    gram = ["gram", "--c", "1", "--delta", "1", "--level", "4"]
+    assert _run_module(*gram, env=env).returncode == 0
+    assert not marker.exists()
+    assert _run_module(*gram[:-1], env=env).returncode == 2  # argparse: --level needs a value
+    assert marker.exists()
+    marker.unlink()
+    path = tmp_path / "profile"
+    proc = _run_module(*gram, python=["-m", "cProfile", "-o", str(path)], env=env)
+    assert proc.returncode == 0 and marker.exists()
+    assert proc.stdout == run_cli(capsys, *gram)[1].encode()
+    functions = pstats.Stats(str(path)).stats
+    assert any(name == "main" and file.endswith("cli.py") for file, _, name in functions)

@@ -282,6 +282,20 @@ def test_non_integer_exponents_raise(build, psi, bad):
     assert build(psi, {(True,) * len(bad): Fraction(1)}, 3, CTX) == ones
 
 
+@pytest.mark.parametrize(
+    "build, psi, coefficients",
+    [
+        (gaiotto_form, PSI_R2, {(0,): Fraction(1), ("1",): Fraction(1)}),
+        (bmt_form, PSI_N4, {(0, 0): Fraction(1), (0, "1"): Fraction(1)}),
+    ],
+    ids=["gaiotto", "bmt"],
+)
+def test_mixed_exponent_types_raise_value_error(build, psi, coefficients):
+    # Sorting the exponents before checking them once raised TypeError (0 < "1").
+    with pytest.raises(ValueError, match="exponents must be integers"):
+        build(psi, coefficients, 3, CTX)
+
+
 def test_bmt_special_form_support():
     # all lambdas zero keeps only the all-zero basic form
     plain = bmt_special_form(PSI_N4, (Fraction(0), Fraction(0)), 4, CTX)
