@@ -12,38 +12,55 @@ exported below is imported on first access (PEP 562).
 
 from importlib import import_module
 
+# Each exported name by the submodule that defines it.
 _EXPORTS = {
     "rational": "format_rational parse_rational",
-    "virasoro": "ContextMismatchError EnvelopingElement Word bracket commutator generator"
-    " multiply normal_order unit",
+    "linalg": "ContextMismatchError SingularGramError",
+    "virasoro": "EnvelopingElement Word bracket commutator generator multiply normal_order unit",
     "verma": "Partition VermaContext VermaVector act basis_change basis_vector"
     " enumerate_partitions highest_weight_vector partition_exponents",
-    "shapovalov": "GramMatrix SingularGramError gram solve",
+    "shapovalov": "GramMatrix gram solve",
     "whittaker": "IndexOutsideSubalgebraError ResidualCheck VerificationReport WhittakerType1N"
     " WhittakerTypeR",
-    "forms": "CutoffExceededError DualForm act_on_form bmt_form bmt_special_form"
-    " check_L0_Li_on_basic convert_form eval_form gaiotto_basic_form gaiotto_form"
-    " raise_indices verify_whittaker_form verify_whittaker_state whittaker_form_nullspace",
-    "universal": "NotClassifiedError PseudoPartition SearchResult UniversalVector act_universal"
-    " check_lemma_bounds dot_act example_n5 family_w_1_l_n family_w_l_2 family_w_l_2_n"
-    " nilpotency_index search_whittaker verify_whittaker_vector whittaker_subspace_level0",
+    "forms": "DualForm bmt_form bmt_special_form convert_form gaiotto_form raise_indices"
+    " verify_whittaker_form verify_whittaker_state",
+    "formops": "CutoffExceededError act_on_form check_L0_Li_on_basic eval_form"
+    " gaiotto_basic_form whittaker_form_nullspace",
+    "universal": "PseudoPartition SearchResult UniversalVector act_universal check_lemma_bounds"
+    " search_whittaker verify_whittaker_vector",
+    "families": "NotClassifiedError dot_act example_n5 family_w_1_l_n family_w_l_2 family_w_l_2_n"
+    " nilpotency_index whittaker_subspace_level0",
 }
-_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
-_SUBMODULES = ("linalg", *_EXPORTS)
 
-__all__ = sorted(_SOURCE)
+__all__ = sorted(name for names in _EXPORTS.values() for name in names.split())
 __version__ = "0.1.0"
 
 
+def _resolver(namespace: dict, **modules: str):
+    """A module ``__getattr__`` (PEP 562) for the names of the submodules
+    given as keywords (submodule = its names).  A name's first access
+    imports its submodule and binds the name in ``namespace``, the module's
+    globals, so that a rebinding there (a monkeypatch, the wrappers of
+    ``perfbench/traced_job.py``) reaches every caller that looks it up."""
+    source = {name: module for module, names in modules.items() for name in names.split()}
+
+    def __getattr__(name: str):
+        if name not in source:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(import_module(f"{__name__}.{source[name]}"), name)
+        return value
+
+    return __getattr__
+
+
+_export = _resolver(globals(), **_EXPORTS)
+
+
 def __getattr__(name: str):
-    if name in _SUBMODULES:
+    if name in _EXPORTS:  # a submodule; importing it binds it here
         return import_module(f"{__name__}.{name}")
-    if name not in _SOURCE:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f"{__name__}.{_SOURCE[name]}"), name)
-    globals()[name] = value  # later lookups skip __getattr__
-    return value
+    return _export(name)
 
 
 def __dir__():
-    return sorted({*globals(), *_SUBMODULES, *_SOURCE})
+    return sorted({*globals(), *_EXPORTS, *__all__})

@@ -15,7 +15,8 @@ Exit codes: 0 all requested verifications pass, 1 a verification failed,
 Output is unusable when --out cannot be opened or written, and when stdout
 cannot be written: its reader left, its device failed (/dev/full), or the
 process started with it closed (``>&-``).  Stdout then gets nothing more,
---out still gets the whole document, and stderr gets one line.
+--out still gets the whole document, and stderr gets one line.  A stderr
+that cannot be written loses its line, never the exit code.
 
 Run as ``python -m virwhit.cli``, the process ends once its output is
 flushed, by os._exit: the interpreter's teardown, which frees the job's
@@ -37,7 +38,7 @@ from functools import partial
 from importlib import import_module
 from itertools import chain, islice
 
-from .cli_common import LIMITS, SCHEMA, ConfigError, parameter
+from .cli_common import LIMITS, SCHEMA, bounded, parameter
 from .linalg import SingularGramError
 from .rational import parse_rational
 
@@ -199,35 +200,46 @@ def _write_document(document: dict, path: str | None) -> OSError | None:
     return failure
 
 
+def _discard(stream) -> None:
+    """Point a failed stream at devnull, so that its exit flush cannot raise."""
+    if stream is not None:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+def _error(message) -> None:
+    """One ``error:`` line on stderr, lost (not raised) if stderr fails."""
+    try:
+        if sys.stderr is not None:  # print(file=None) would write to stdout
+            print(f"error: {message}", file=sys.stderr, flush=True)
+    except OSError:
+        _discard(sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser(sys.argv[1:] if argv is None else argv).parse_args(argv)
     try:
         for name, value in vars(args).items():
             if name in LIMITS:
-                low, high = LIMITS[name]
-                if not low <= value <= high:
-                    option = name.replace("_", "-")
-                    raise ConfigError(f"--{option} must lie in {low}..{high}, got {value}")
+                bounded(value, name, "--" + name.replace("_", "-"))
             for x in value if isinstance(value, list) else [value]:
                 if isinstance(x, Fraction):
                     parameter(x, f"--{name}")
         body, passed = args.func(args)
     except SingularGramError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return EXIT_SINGULAR
     except ValueError as exc:  # ConfigError and the library's own checks
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return EXIT_CONFIG
     try:
         failure = _write_document({"schema": SCHEMA, "command": args.document, **body}, args.out)
         sys.stdout.flush()
-    except OSError as exc:  # every OSError here is stdout's; the exit flush must not raise again
-        if sys.stdout is not None:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+    except OSError as exc:  # every OSError here is stdout's
+        _discard(sys.stdout)
+        _error(f"cannot write stdout: {exc}")
         return EXIT_CONFIG
     if failure is not None:
-        print(f"error: cannot write --out: {failure}", file=sys.stderr)
+        _error(f"cannot write --out: {failure}")
         return EXIT_CONFIG
     return EXIT_OK if passed else EXIT_VERIFICATION
 

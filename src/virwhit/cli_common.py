@@ -48,6 +48,14 @@ class ConfigError(ValueError):
     pass
 
 
+def bounded(value: int, key: str, name: str) -> int:
+    """``value`` if it lies in the range of LIMITS[key]; ``name`` names it."""
+    low, high = LIMITS[key]
+    if not low <= value <= high:
+        raise ConfigError(f"{name} must lie in {low}..{high}, got {value}")
+    return value
+
+
 def parameter(value: Fraction, name: str) -> Fraction:
     """``value`` if its numerator and denominator fit in MAX_PARAMETER_BITS."""
     bits = max(value.numerator.bit_length(), value.denominator.bit_length())

@@ -45,7 +45,7 @@ def _lemma_report_json(report: universal.CommutatorBoundsReport) -> dict:
 
 
 # The universal families by their --family name, in cli's --family choices
-# order.  Each builder is handed the universal module and looks its
+# order.  Each builder is handed the families module and looks its
 # function up there when called, so a function replaced there takes effect.
 FAMILIES = {
     "w-l-2": lambda u, psi, a: u.family_w_l_2(psi, a.l, a.c, a.alpha0),
@@ -57,8 +57,9 @@ FAMILIES = {
 
 
 def cmd_universal_family(args):
+    from . import families  # here: search and check-lemmas never compile it
     psi = whittaker_type(args)
-    vector = FAMILIES[args.family](universal, psi, args)
+    vector = FAMILIES[args.family](families, psi, args)
     report = universal.verify_whittaker_vector(vector, psi)
     parameters = {
         "family": args.family,

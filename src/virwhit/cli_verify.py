@@ -11,8 +11,8 @@ from __future__ import annotations
 import json
 
 from . import forms, shapovalov, verma
-from .cli_common import LIMITS, SCHEMA, ConfigError, json_int, read_parameter, require
-from .cli_common import report_json
+from .cli_common import SCHEMA, ConfigError, bounded, json_int, read_parameter, report_json
+from .cli_common import require
 from .rational import format_rational, parse_rational
 from .whittaker import WhittakerType, WhittakerType1N, WhittakerTypeR
 
@@ -48,9 +48,7 @@ def _form_from_json(obj, ctx: VermaContext) -> forms.DualForm:
     if side not in (forms.DECREASING, forms.INCREASING):
         raise ConfigError(f"unknown basis side {side!r}")
     step = -1 if side == forms.DECREASING else 1
-    cutoff, (low, high) = json_int(obj["cutoff"], "cutoff"), LIMITS["cutoff"]
-    if not low <= cutoff <= high:
-        raise ConfigError(f"cutoff must lie in {low}..{high}, got {cutoff}")
+    cutoff = bounded(json_int(obj["cutoff"], "cutoff"), "cutoff", "cutoff")
     terms: dict = {}  # a repeated level block adds to its level
     for block in obj.get("levels", []):
         lvl = json_int(block["level"], "level")

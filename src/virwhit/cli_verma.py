@@ -3,8 +3,8 @@ check-l0-li), the JSON writers of the Verma context, the form and the
 state, and the --coeffs codec.  verify and the readers are in cli_verify.
 
 A command returns (document body, whether every verification passed).
-forms is imported by the commands that run it, so gram loads only verma
-and shapovalov.
+forms and formops are imported by the commands that run them, so gram
+loads only verma and shapovalov.
 """
 
 from __future__ import annotations
@@ -145,9 +145,9 @@ def cmd_bmt(args):
 
 
 def cmd_check_l0_li(args):
-    from . import forms
+    from . import formops
     psi, ctx = whittaker_type(args), verma.VermaContext(args.c, args.delta)
-    report = forms.check_L0_Li_on_basic(psi, args.cutoff, ctx)
+    report = formops.check_L0_Li_on_basic(psi, args.cutoff, ctx)
     body = {
         "parameters": {**type_json(psi), **_context_json(ctx), "cutoff": args.cutoff},
         "verification": report_json(report),

@@ -1,8 +1,8 @@
 """The exact kernel of sparse integer rows.
 
 ``nullspace`` takes sparse {column: nonzero int} rows and the column
-count.  Only ``universal search`` and ``forms.whittaker_form_nullspace``
-load this module; callers reach it as ``linalg.nullspace``.
+count.  Only ``universal search`` and ``formops.whittaker_form_nullspace``
+load this module, through ``linalg.nullspace``, which resolves to it.
 
 The nullspace is one sparse exact elimination in two passes on
 primitive copies of the rows, each update a row combination divided by

@@ -3,9 +3,7 @@
 classified level-zero Whittaker subspaces and the explicit vector
 families, the two printed n = 5 vectors among them.
 
-Only ``universal family`` and library callers load this module; its
-public names resolve on ``universal`` (``universal.family_w_l_2`` and so
-on).
+Only ``universal family`` and library callers load this module.
 """
 
 from __future__ import annotations

@@ -3,10 +3,10 @@ verify: the module action on forms, form arithmetic, evaluation on
 vectors, the nullspace of the truncated Whittaker conditions and the
 closed-form L_0 and L_i check of check-l0-li.
 
-Only check-l0-li and library callers load this module.  Its public names
-resolve on ``forms`` (``forms.act_on_form`` and so on), and it calls the
-functions of ``forms`` as ``forms.convert_form`` and ``forms.gaiotto_form``,
-so that a rebinding there reaches these calls too.
+Only check-l0-li and library callers load this module.  It calls
+``forms.act_on_form``, ``forms.convert_form`` and ``forms.gaiotto_form``
+by those names, so that a rebinding there (the benchmark's tracer wraps
+all three) reaches these calls too.
 """
 
 from __future__ import annotations

@@ -1,14 +1,13 @@
 """The records and sparse primitives every command uses.
 
-The square solve (``bareiss_solve``, ``primes``, SingularMatrixError)
-lives in ``padic`` and the sparse elimination (``nullspace``) in
-``elimination``, which only the commands that run them load.  Their names
-resolve here on first access (``moved_names``), and callers call them as
-``linalg.bareiss_solve`` and ``linalg.nullspace``.  Both take integer
-input only: the solve a square matrix of ints with a rational
-right-hand side, the nullspace sparse {column: nonzero int} rows.  There
-is no determinant, rank or inverse (verma inverts the basis change by
-signs).
+The square solve (``bareiss_solve``) lives in ``padic`` and the sparse
+elimination (``nullspace``) in ``elimination``, which only the commands
+that run them load.  The package calls the two as ``linalg.bareiss_solve``
+and ``linalg.nullspace``, names that resolve here on first access and that
+the benchmark's tracer wraps.  Both take integer input only: the solve a
+square matrix of ints with a rational right-hand side, the nullspace
+sparse {column: nonzero int} rows.  There is no determinant, rank or
+inverse (verma inverts the basis change by signs).
 
 Sparse vectors throughout the package are dicts from basis labels to
 nonzero coefficients.  One update rule serves two row shapes:
@@ -28,35 +27,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from importlib import import_module
 from operator import attrgetter
 
+from . import _resolver
 
-def moved_names(namespace: dict, **modules: str):
-    """A module ``__getattr__`` (PEP 562) for names defined in sibling
-    modules, given as keywords: module name = its space-separated names.
-
-    The sibling is imported on the first access of one of its names, and the
-    name is then bound in ``namespace``, the module's globals, so that later
-    lookups skip the hook and a rebinding there (a test's monkeypatch,
-    ``perfbench/traced_job.py``'s wrappers) reaches every caller that looks
-    the name up on the module.
-    """
-    source = {name: module for module, names in modules.items() for name in names.split()}
-
-    def __getattr__(name: str):
-        if name not in source:
-            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
-        module = import_module(f".{source[name]}", namespace["__package__"])
-        value = namespace[name] = getattr(module, name)
-        return value
-
-    return __getattr__
-
-
-__getattr__ = moved_names(
-    globals(), padic="SingularMatrixError bareiss_solve primes", elimination="nullspace"
-)
+__getattr__ = _resolver(globals(), padic="bareiss_solve", elimination="nullspace")
 
 
 class SingularGramError(ValueError):

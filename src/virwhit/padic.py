@@ -2,8 +2,8 @@
 
 ``bareiss_solve`` takes a square matrix of ints and a rational right-hand
 side.  Only the commands that raise a form to its state (gaiotto, bmt)
-load this module, through ``shapovalov.solve``; callers reach it as
-``linalg.bareiss_solve``.
+load this module, through ``shapovalov.solve``, which calls it as
+``linalg.bareiss_solve``; that name resolves to it on first access.
 
 Square solves run modulo a prime below 2^30 (Dixon's p-adic lifting):
 the rhs is cleared to integers over one common denominator, each

@@ -22,7 +22,7 @@ smallest nonnegative letter (the subalgebra order when there is none).
 
 The dot action, the classified level-zero subspaces and the explicit
 families live in ``families``, which only ``universal family`` and
-library callers load; their names resolve here on first access.
+library callers load.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from math import lcm
 from operator import pos
 
 from . import linalg
-from .linalg import SparseVector, Value, accumulate
-from .virasoro import Straightener, Straighteners
+from .linalg import SparseVector, Straighteners, Value, accumulate
+from .virasoro import Straightener
 from .whittaker import (
     VerificationReport,
     WhittakerType,
@@ -45,12 +45,6 @@ from .whittaker import (
 )
 
 PseudoPartition = tuple[int, ...]
-
-__getattr__ = linalg.moved_names(
-    globals(),
-    families="NotClassifiedError dot_act dot_nilpotency_bound example_n5 family_w_1_l_n"
-    " family_w_l_2 family_w_l_2_n nilpotency_index restricted_type whittaker_subspace_level0",
-)
 
 
 def pp_level(word: PseudoPartition) -> int:

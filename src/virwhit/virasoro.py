@@ -16,9 +16,9 @@ applied there and, for the Verma module alone, level by level in verma's
 tables, which are tested against verma.act and tests/pbw_oracle.py.  It
 computes in integers under one graded denominator; Fractions appear only
 where ``apply`` takes and returns them.  Each kind of module keeps its
-straighteners in a linalg.Straighteners family (re-exported here with
-MAX_CONTEXTS); verma's tables have their own family in verma, so no
-Verma command loads this module.  Three end rules use it:
+straighteners in a linalg.Straighteners family; verma's tables have their
+own family in verma, so no Verma command loads this module.  Three end
+rules use it:
 
 - none (p = 0): U(Vir) itself; words ordered by index, this module;
 - highest weight (p = span{L_n, n >= 0}, chi(L_0) = Delta,
@@ -32,9 +32,8 @@ of generators.  An EnvelopingElement is a linalg.SparseVector over one
 central charge: a sparse combination of normal-ordered monomials, index
 sequences that are weakly increasing left to right (most negative index
 leftmost).  Combining elements of two central charges raises
-ContextMismatchError, re-exported here from linalg.  Normal ordering
-folds the letters of a word into the identity from the right, one L_m
-times an ordered word at a time.
+linalg.ContextMismatchError.  Normal ordering folds the letters of a word
+into the identity from the right, one L_m times an ordered word at a time.
 
 All operations are pure and elements are treated as immutable.
 """
@@ -46,8 +45,7 @@ from fractions import Fraction
 from math import lcm
 from operator import pos
 
-from .linalg import ContextMismatchError, SparseVector, accumulate, accumulate_flat, pairs
-from .linalg import MAX_CONTEXTS, Straighteners  # noqa: F401  (re-exported)
+from .linalg import SparseVector, Straighteners, accumulate, accumulate_flat, pairs
 
 Word = tuple[int, ...]
 

@@ -17,15 +17,8 @@ side and back for every L_k.
 from collections import Counter
 from fractions import Fraction
 
-from virwhit.forms import (
-    DECREASING,
-    INCREASING,
-    DualForm,
-    act_on_form,
-    form_combine,
-    restrict_form,
-    zero_form,
-)
+from virwhit.formops import act_on_form, form_combine, restrict_form, zero_form
+from virwhit.forms import DECREASING, INCREASING, DualForm
 from virwhit.verma import VermaVector, act, enumerate_partitions, partition_key
 from virwhit.whittaker import ResidualCheck, VerificationReport, subalgebra_indices
 

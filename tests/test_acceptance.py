@@ -12,17 +12,24 @@ from fractions import Fraction
 
 from fraction_oracle import reference_rref
 from virwhit.cli import main as cli_main
+from virwhit.families import (
+    example_n5,
+    family_w_1_l_n,
+    family_w_l_2,
+    family_w_l_2_n,
+    restricted_type,
+    whittaker_subspace_level0,
+)
+from virwhit.formops import check_L0_Li_on_basic, whittaker_form_nullspace
 from virwhit.forms import (
     DECREASING,
     bmt_form,
     bmt_special_form,
-    check_L0_Li_on_basic,
     convert_form,
     gaiotto_form,
     raise_indices,
     verify_whittaker_form,
     verify_whittaker_state,
-    whittaker_form_nullspace,
 )
 from virwhit.shapovalov import gram
 from virwhit.universal import (
@@ -30,16 +37,10 @@ from virwhit.universal import (
 )
 from virwhit.universal import (
     check_lemma_bounds,
-    example_n5,
-    family_w_1_l_n,
-    family_w_l_2,
-    family_w_l_2_n,
     level0_words,
     pp_level,
-    restricted_type,
     search_whittaker,
     verify_whittaker_vector,
-    whittaker_subspace_level0,
 )
 from virwhit.verma import VermaContext
 from virwhit.virasoro import commutator, generator, normal_order

@@ -9,13 +9,14 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 from math import prod
 from pathlib import Path
 
 import pytest
 
-from virwhit import cli, cli_universal, forms, linalg, universal, verma
+from virwhit import cli, cli_universal, families, formops, forms, padic, universal, verma
 from virwhit.cli import LIMITS, build_parser, main
 from virwhit.cli_common import MAX_PARAMETER_BITS
 from virwhit.whittaker import WhittakerTypeR
@@ -283,7 +284,7 @@ def test_universal_family_l_limit_exits_2_before_building(capsys, monkeypatch, v
     def no_family(*args):
         raise AssertionError("family built before the limit check")
 
-    monkeypatch.setattr(universal, "family_w_l_2", no_family)
+    monkeypatch.setattr(families, "family_w_l_2", no_family)
     code = main(
         ["universal", "family", "--family", "w-l-2", "--n", "4"]
         + ["--nu1", "2/5", "--nun", "-3", "--l", value]
@@ -307,7 +308,7 @@ def test_universal_family_n_limit_exits_2_before_building(capsys, monkeypatch, c
     def no_family(*args):
         raise AssertionError("family built before the limit check")
 
-    monkeypatch.setattr(universal, "family_w_1_l_n", no_family)
+    monkeypatch.setattr(families, "family_w_1_l_n", no_family)
     monkeypatch.setattr(universal, "level0_words", no_family)
     code = main(["universal", *command, "--n", value, "--nu1", "1", "--nun", "2"])
     captured = capsys.readouterr()
@@ -344,7 +345,7 @@ def test_check_l0_li_r_limit_exits_2_before_checking(capsys, monkeypatch, comman
     def no_check(*args):
         raise AssertionError("identities checked before the limit check")
 
-    monkeypatch.setattr(forms, "check_L0_Li_on_basic", no_check)
+    monkeypatch.setattr(formops, "check_L0_Li_on_basic", no_check)
     monkeypatch.setattr(forms, "gaiotto_form", no_check)
     mu = ",".join(["1"] * (r + 1))
     code = main([*command, "--r", str(r), "--mu", mu, "--c", "1", "--delta", "1"])
@@ -376,7 +377,7 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
 def test_gram_divisible_by_the_first_primes_solves(tmp_path, capsys):
     # G_1 = 2 Delta = the product of the first five primes of the modular
     # solve: the LU finds no pivot modulo any of them.
-    big = prod(islice(linalg.primes(), 5))
+    big = prod(islice(padic.primes(), 5))
     out_path = tmp_path / "state.json"
     code, _ = run_cli(
         capsys,
@@ -1155,6 +1156,20 @@ def test_verify_document_parameters_are_bounded(tmp_path, capsys, key):
     )
 
 
+def test_cutoff_limit_of_an_option_and_of_a_document(tmp_path, capsys):
+    assert main([*GAIOTTO_R2, "--cutoff", "13"]) == 2
+    assert capsys.readouterr().err == "error: --cutoff must lie in 0..12, got 13\n"
+    path = tmp_path / "doc.json"
+    assert run_cli(capsys, *GAIOTTO_R2, "--cutoff", "2", "--out", str(path))[0] == 0
+    doc = json.loads(path.read_text())
+    doc["form"]["cutoff"] = 13
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: malformed document: cutoff must lie in 0..12, got 13\n"
+
+
 # The real exit path: ``python -m virwhit.cli`` in a fresh process, which ends
 # by os._exit unless a profiler or tracer is attached.
 
@@ -1188,7 +1203,7 @@ def test_module_exit_1_on_a_tampered_state(tmp_path):
     assert not json.loads(proc.stdout)["raise_roundtrip"]["passed"]
 
 
-@pytest.mark.parametrize(
+ERROR_EXITS = pytest.mark.parametrize(
     "argv, code",
     [
         (["gram", "--c", "1", "--delta", "1", "--level", "13"], 2),  # a LIMITS error
@@ -1197,11 +1212,37 @@ def test_module_exit_1_on_a_tampered_state(tmp_path):
     ],
     ids=["limit", "kac"],
 )
+
+
+@ERROR_EXITS
 def test_module_error_exit_writes_one_stderr_line(argv, code):
     proc = _run_module(*argv)
     assert proc.returncode == code
     assert proc.stdout == b""
     assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+
+
+# The installed virwhit script runs this, and ends by sys.exit, with its
+# flush of stdout and stderr at the interpreter's teardown.
+CONSOLE_SCRIPT = "import sys; from virwhit.cli import main; sys.exit(main())"
+
+
+@ERROR_EXITS
+@pytest.mark.parametrize("stderr", ["full", "closed"])
+@pytest.mark.parametrize("python", [["-m", "virwhit.cli"], ["-c", CONSOLE_SCRIPT]],
+                         ids=["module", "script"])
+def test_unwritable_stderr_keeps_the_exit_code(argv, code, stderr, python):
+    if stderr == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("needs a device that is always full")
+    run = partial(subprocess.run, [sys.executable, *python, *argv], env=_module_env(),
+                  stdout=subprocess.PIPE, timeout=120)
+    if stderr == "full":
+        with open("/dev/full", "w") as full:
+            proc = run(stderr=full)
+    else:  # started with fd 2 closed, as `2>&-` does
+        proc = run(preexec_fn=lambda: os.close(2))
+    assert proc.returncode == code
+    assert proc.stdout == b""
 
 
 # Buffered, the level-1 document (0.4 KB) fails at main's flush and the

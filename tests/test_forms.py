@@ -16,27 +16,29 @@ from forms_oracle import (
     reference_verify_whittaker_state,
 )
 from fraction_oracle import reference_rref
+from virwhit.formops import (
+    CutoffExceededError,
+    _mu_derivative,
+    act_on_form,
+    bmt_basic_form,
+    check_L0_Li_on_basic,
+    eval_form,
+    gaiotto_basic_form,
+    whittaker_form_nullspace,
+    zero_form,
+)
 from virwhit.forms import (
     DECREASING,
     INCREASING,
-    CutoffExceededError,
     DualForm,
-    act_on_form,
-    bmt_basic_form,
     bmt_form,
     bmt_special_form,
-    check_L0_Li_on_basic,
     convert_form,
-    eval_form,
-    gaiotto_basic_form,
     gaiotto_form,
     raise_indices,
     verify_whittaker_form,
     verify_whittaker_state,
-    whittaker_form_nullspace,
-    zero_form,
 )
-from virwhit.formops import _mu_derivative
 from virwhit.shapovalov import gram
 from virwhit.verma import (
     VermaContext,

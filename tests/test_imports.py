@@ -2,7 +2,9 @@
 
 Each CLI call runs in a fresh interpreter at a tiny size, and the modules
 it added to ``sys.modules`` are read at its end.  ``import virwhit`` loads
-no submodule, yet every name the package exports still resolves.
+no submodule, yet every name the package exports still resolves.  Each
+name has one home, the module that defines it; only the three names the
+benchmark's tracer wraps also resolve on another module.
 """
 
 import json
@@ -10,7 +12,9 @@ import os
 import re
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -80,23 +84,43 @@ COMMANDS = {
     ),
 }
 
-# Every name the package exported when its __init__ imported them all.
+# Every name the package exported when its __init__ imported them all, by
+# the module that defines it.
 EXPORTED = {
     "rational": "format_rational parse_rational",
-    "virasoro": "ContextMismatchError EnvelopingElement Word bracket commutator generator "
-    "multiply normal_order unit",
+    "linalg": "ContextMismatchError SingularGramError",
+    "virasoro": "EnvelopingElement Word bracket commutator generator multiply normal_order unit",
     "verma": "Partition VermaContext VermaVector act basis_change basis_vector "
     "enumerate_partitions highest_weight_vector partition_exponents",
-    "shapovalov": "GramMatrix SingularGramError gram solve",
+    "shapovalov": "GramMatrix gram solve",
     "whittaker": "IndexOutsideSubalgebraError ResidualCheck VerificationReport "
     "WhittakerType1N WhittakerTypeR",
-    "forms": "CutoffExceededError DualForm act_on_form bmt_form bmt_special_form "
-    "check_L0_Li_on_basic convert_form eval_form gaiotto_basic_form gaiotto_form "
-    "raise_indices verify_whittaker_form verify_whittaker_state whittaker_form_nullspace",
-    "universal": "NotClassifiedError PseudoPartition SearchResult UniversalVector "
-    "act_universal check_lemma_bounds dot_act example_n5 family_w_1_l_n family_w_l_2 "
-    "family_w_l_2_n nilpotency_index search_whittaker verify_whittaker_vector "
-    "whittaker_subspace_level0",
+    "forms": "DualForm bmt_form bmt_special_form convert_form gaiotto_form raise_indices "
+    "verify_whittaker_form verify_whittaker_state",
+    "formops": "CutoffExceededError act_on_form check_L0_Li_on_basic eval_form "
+    "gaiotto_basic_form whittaker_form_nullspace",
+    "universal": "PseudoPartition SearchResult UniversalVector act_universal "
+    "check_lemma_bounds search_whittaker verify_whittaker_vector",
+    "families": "NotClassifiedError dot_act example_n5 family_w_1_l_n family_w_l_2 "
+    "family_w_l_2_n nilpotency_index whittaker_subspace_level0",
+}
+
+# The names the benchmark's tracer wraps on a module other than their home:
+# (module, name): home.  The package calls them there.
+KEPT_ALIASES = {
+    ("linalg", "bareiss_solve"): "padic",
+    ("linalg", "nullspace"): "elimination",
+    ("forms", "act_on_form"): "formops",
+}
+
+# Names that resolved on a module other than their home, and no longer do.
+REMOVED_ALIASES = {
+    "linalg": "SingularMatrixError primes",
+    "forms": "CutoffExceededError bmt_basic_form check_L0_Li_on_basic eval_form form_combine "
+    "gaiotto_basic_form restrict_form whittaker_form_nullspace zero_form",
+    "universal": "NotClassifiedError dot_act dot_nilpotency_bound example_n5 family_w_1_l_n "
+    "family_w_l_2 family_w_l_2_n nilpotency_index restricted_type whittaker_subspace_level0",
+    "virasoro": "ContextMismatchError MAX_CONTEXTS",
 }
 
 
@@ -171,6 +195,40 @@ def test_every_former_export_resolves():
     assert "linalg" in names and virwhit.linalg.__name__ == "virwhit.linalg"
     with pytest.raises(AttributeError):
         virwhit.no_such_name
+
+
+def test_every_export_is_defined_by_its_home_module():
+    for module, exported in EXPORTED.items():
+        home = import_module(f"virwhit.{module}")
+        for name in exported.split():
+            value = getattr(virwhit, name)
+            assert value is vars(home)[name], name
+            if isinstance(value, (type, FunctionType)):
+                assert value.__module__ == home.__name__, name
+
+
+@pytest.mark.parametrize(
+    "module, name", [(m, n) for m, names in REMOVED_ALIASES.items() for n in names.split()]
+)
+def test_removed_alias_raises_attribute_error(module, name):
+    for home in ("padic", "formops", "families"):  # loaded, so no lazy import can hide it
+        import_module(f"virwhit.{home}")
+    old = import_module(f"virwhit.{module}")
+    with pytest.raises(AttributeError, match=f"no attribute {name!r}"):
+        getattr(old, name)
+    assert name not in dir(old)
+
+
+@pytest.mark.parametrize("module, name", list(KEPT_ALIASES))
+def test_kept_alias_is_its_home_object(module, name):
+    home = import_module(f"virwhit.{KEPT_ALIASES[module, name]}")
+    assert getattr(import_module(f"virwhit.{module}"), name) is vars(home)[name]
+
+
+def test_only_linalg_and_forms_resolve_names_of_other_modules():
+    modules = sorted(p.stem for p in (SRC / "virwhit").glob("*.py") if p.stem != "__init__")
+    hooked = [m for m in modules if "__getattr__" in vars(import_module(f"virwhit.{m}"))]
+    assert hooked == ["forms", "linalg"]
 
 
 def test_readme_library_example_runs_in_a_fresh_interpreter():

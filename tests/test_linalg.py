@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from fraction_oracle import reference_det, reference_rref, reference_solve
 from linalg_oracle import reference_lu_mod, reference_lu_solve
-from virwhit import linalg, padic
-from virwhit.linalg import SingularMatrixError, bareiss_solve, nullspace
-from virwhit import forms, universal, verma, virasoro
+from virwhit import formops, forms, linalg, padic, universal, verma, virasoro
+from virwhit.elimination import nullspace
+from virwhit.padic import SingularMatrixError, bareiss_solve
 from virwhit.universal import level0_words, search_whittaker
 from virwhit.whittaker import WhittakerType1N
 
@@ -51,7 +51,7 @@ def test_solve_singular_raises(monkeypatch):
     # Primitive rows, singular mod every prime.  det = 0 once the product P
     # of the primes tried has P^2 > prod |row|^2 = (big^2 + 1)^2: eleven
     # primes, for big the product of the first five.
-    big = prod(islice(linalg.primes(), 5))
+    big = prod(islice(padic.primes(), 5))
     tried = []
     lu_mod = padic._lu_mod
     monkeypatch.setattr(padic, "_lu_mod", lambda a, p: tried.append(p) or lu_mod(a, p))
@@ -101,7 +101,7 @@ def test_nullspace_empty_matrix_is_identity():
 
 
 def test_solve_regular_matrix_singular_mod_first_prime():
-    p = next(linalg.primes())
+    p = next(padic.primes())
     a = [[1, 1], [1, 1 + p]]  # det = p
     assert padic._lu_mod(a, p) is None
     x = bareiss_solve(a, [Fraction(2), Fraction(3)])
@@ -112,13 +112,13 @@ def test_solve_regular_matrix_singular_mod_first_prime():
 def test_solve_certificate_rejects_early_reconstruction():
     # x = p + 1 reads as 1 after one p-digit; the exact check must reject
     # that and lift on.
-    p = next(linalg.primes())
+    p = next(padic.primes())
     assert bareiss_solve([[1]], [Fraction(p + 1)]) == [p + 1]
 
 def test_solve_regular_matrix_singular_mod_first_five_primes():
     # det = the product of the first five primes: the solve moves on to
     # the sixth and returns the exact answer.
-    big = prod(islice(linalg.primes(), 5))
+    big = prod(islice(padic.primes(), 5))
     assert bareiss_solve([[big]], [Fraction(1)]) == [Fraction(1, big)]
 
 
@@ -150,7 +150,7 @@ def test_lifting_stops_at_hadamard_bound(monkeypatch):
         bareiss_solve([[2, 1], [1, 3]], [Fraction(5), Fraction(10)])
 
 
-_FIRST_PRIME = next(linalg.primes())
+_FIRST_PRIME = next(padic.primes())
 _BIG = 2**130
 
 
@@ -354,7 +354,7 @@ def test_search_whittaker_basis_matches_gauss_jordan(monkeypatch):
 
 
 def test_primes_are_the_primes_below_2_30_largest_first():
-    assert list(islice(linalg.primes(), 5)) == [
+    assert list(islice(padic.primes(), 5)) == [
         2**30 - 35, 2**30 - 41, 2**30 - 83, 2**30 - 101, 2**30 - 105
     ]
     trial = [n for n in range(2, 3000) if all(n % d for d in range(2, isqrt(n) + 1))]
@@ -416,12 +416,13 @@ _PSI = WhittakerType1N(4, Fraction(2), Fraction(3))
         + universal.generating_vector(WhittakerType1N(4, Fraction(2), Fraction(5)), Fraction(1)),
         lambda: universal.generating_vector(_PSI, Fraction(1))
         - universal.generating_vector(_PSI, Fraction(2)),
-        lambda: forms.form_combine(
-            forms.zero_form(_CTX, 3, forms.DECREASING), forms.zero_form(_CTX, 3, forms.INCREASING)
+        lambda: formops.form_combine(
+            formops.zero_form(_CTX, 3, forms.DECREASING),
+            formops.zero_form(_CTX, 3, forms.INCREASING),
         ),
-        lambda: forms.zero_form(_CTX, 3) + forms.zero_form(_CTX, 2),
-        lambda: forms.eval_form(
-            forms.zero_form(_CTX, 3),
+        lambda: formops.zero_form(_CTX, 3) + formops.zero_form(_CTX, 2),
+        lambda: formops.eval_form(
+            formops.zero_form(_CTX, 3),
             verma.highest_weight_vector(verma.VermaContext(Fraction(1), Fraction(5))),
         ),
     ],

@@ -9,6 +9,7 @@ import pytest
 
 from fraction_oracle import reference_det, reference_solve
 from virwhit import forms, linalg, shapovalov
+from virwhit.linalg import MAX_CONTEXTS
 from virwhit.shapovalov import SingularGramError, gram, kac_zero, scaled_images, solve
 from virwhit.verma import (
     VermaContext,
@@ -16,7 +17,7 @@ from virwhit.verma import (
     enumerate_partitions,
     partition_index,
 )
-from virwhit.virasoro import MAX_CONTEXTS, normal_order
+from virwhit.virasoro import normal_order
 from virwhit.whittaker import WhittakerTypeR
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -13,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbw_oracle import ReferenceRewriter, reference_normal_order, reference_verma_act
+from virwhit.linalg import MAX_CONTEXTS, Straighteners
 from virwhit.universal import UniversalVector, _psi_rule, apply_word, basis_vector
 from virwhit.verma import VermaContext, VermaVector, _highest_weight_rule, act
 from virwhit.verma import enumerate_partitions, straightener
 from virwhit.verma import basis_vector as verma_basis_vector
-from virwhit.virasoro import MAX_CONTEXTS, Straightener, Straighteners, normal_order
+from virwhit.virasoro import Straightener, normal_order
 from virwhit.whittaker import WhittakerType1N, WhittakerTypeR
 
 C = Fraction(11, 3)

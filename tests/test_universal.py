@@ -8,8 +8,19 @@ from fraction_oracle import reference_rref
 from lemma_oracle import reference_check_lemma_bounds
 
 from virwhit import universal
-from virwhit.universal import (
+from virwhit.families import (
     NotClassifiedError,
+    dot_act,
+    dot_nilpotency_bound,
+    example_n5,
+    family_w_1_l_n,
+    family_w_l_2,
+    family_w_l_2_n,
+    nilpotency_index,
+    restricted_type,
+    whittaker_subspace_level0,
+)
+from virwhit.universal import (
     _REWRITERS,
     _checked_indices,
     UniversalVector,
@@ -17,25 +28,16 @@ from virwhit.universal import (
     apply_word,
     basis_vector,
     check_lemma_bounds,
-    dot_act,
-    dot_nilpotency_bound,
-    example_n5,
-    family_w_1_l_n,
-    family_w_l_2,
-    family_w_l_2_n,
     generating_vector,
     lemma_clauses,
     level0_words,
-    nilpotency_index,
     pp_counts,
     pp_l_value,
     pp_length,
     pp_level,
-    restricted_type,
     search_whittaker,
     validate_pseudo_partition,
     verify_whittaker_vector,
-    whittaker_subspace_level0,
 )
 from virwhit.verma import enumerate_partitions
 from virwhit.whittaker import (

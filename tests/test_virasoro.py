@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from virwhit.linalg import ContextMismatchError
 from virwhit.virasoro import (
-    ContextMismatchError,
     bracket,
     commutator,
     generator,
